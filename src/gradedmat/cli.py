@@ -9,14 +9,12 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .chains import (BlockStep, ChainSpec, DoubleStep, TwistStep, bratteli_of_chain,
-                     chain_union_finitary, diagrams_equal, steinitz_signature)
+                     diagrams_equal, steinitz_signature)
 from .embeddings import EmbeddingConditionError, DecompositionPair, \
     block_diagonal_embedding, regularize_decomposition
 from .equivalence import DefiningSequence, build_isomorphism, decide_equivalence
 from .gradings import (GradedAlgebra, GradedMap, elementary_grading, extract_cocycle,
                        graded_homomorphism_check, verify_grading)
-from .groups import GroupElement
-from .matrices import Matrix
 from .specio import (SpecError, chain_to_json, element_key, element_to_json,
                      map_to_json, matrix_to_json, parse_chain, parse_element_key,
                      parse_grading, parse_grading_or_map, parse_group, parse_map,
@@ -193,15 +191,16 @@ def _parse_pair(obj: Any, algebra: GradedAlgebra, path: str) -> DecompositionPai
     c_obj = obj["c_basis"]
     if not isinstance(c_obj, list) or not c_obj:
         raise SpecError(f"{path}.c_basis", "expected a non-empty list")
-    c_basis = tuple(parse_matrix(mat, f"{path}.c_basis[{i}]") for i, mat in enumerate(c_obj))
+    n = algebra.n
+    c_basis = tuple(parse_matrix(mat, f"{path}.c_basis[{i}]", n) for i, mat in enumerate(c_obj))
     d_obj = obj["d_units"]
     if not isinstance(d_obj, dict) or not d_obj:
         raise SpecError(f"{path}.d_units", "expected a non-empty object")
     d_units = {}
     for key in sorted(d_obj):
         g = parse_element_key(key, algebra.group, f"{path}.d_units.{key}")
-        d_units[g] = parse_matrix(d_obj[key], f"{path}.d_units.{key}")
-    identity = parse_matrix(obj["identity"], f"{path}.identity")
+        d_units[g] = parse_matrix(d_obj[key], f"{path}.d_units.{key}", n)
+    identity = parse_matrix(obj["identity"], f"{path}.identity", n)
     return DecompositionPair(algebra, c_basis, d_units, identity)
 
 

@@ -200,7 +200,7 @@ def split_module_decomposition(space: GradedVectorSpace,
         idx = classes[d]
         rows = []
         for i in range(n):
-            row = [e_c.entries[i][j] for j in idx]
+            row = [e_c[i, j] for j in idx]
             if any(not x.is_zero() for x in row):
                 rows.append(row)
         for sol in nullspace(rows, len(idx)):
@@ -262,7 +262,7 @@ class DecompositionPair:
         products = [c * x for c in self.c_basis for x in self.d_units.values()]
         solver = SpanSolver()
         for m in products:
-            solver.add(m.flatten())
+            solver.add(m.vector())
         if solver.rank != n * n:
             problems.append("products of the two factors do not span the algebra")
         c_degrees = set()
@@ -314,7 +314,7 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
         raise ValueError("fine factors have different cocycles")
     e2 = target.identity
     phi_e1 = phi.apply(source.identity)
-    c_solver = SpanSolver([c.flatten() for c in target.c_basis])
+    c_solver = SpanSolver([c.vector() for c in target.c_basis])
     identity_g = algebra2.group.identity()
 
     multipliers: Dict[GroupElement, Matrix] = {}
@@ -323,7 +323,7 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
         x_t = source.d_units[t]
         x_t_prime = target.d_units[t]
         a_t = phi.apply(x_t) * x_t_prime.inverse()
-        if not c_solver.contains(a_t.flatten()):
+        if not c_solver.contains(a_t.vector()):
             raise ValueError(f"multiplier at {t} lies outside the elementary factor; the map is not graded")
         degree = algebra2.degree_of(a_t)
         if degree != identity_g:
@@ -361,16 +361,16 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
     image_solver = SpanSolver()
     for c in source.c_basis:
         for x in source.d_units.values():
-            image_solver.add(phi.apply(c * x).flatten())
+            image_solver.add(phi.apply(c * x).vector())
     corner_solver = SpanSolver()
     for component in algebra2.components.values():
         for basis_matrix in component:
-            corner_solver.add((phi_e1 * basis_matrix * phi_e1).flatten())
+            corner_solver.add((phi_e1 * basis_matrix * phi_e1).vector())
     corner_equal = (image_solver.rank == corner_solver.rank
                     and all(corner_solver.contains(row) for row in image_solver.echelon_rows()))
     if corner_equal:
-        phi_c1 = SpanSolver([phi.apply(c).flatten() for c in source.c_basis])
-        cut = SpanSolver([(phi_e1 * m * phi_e1).flatten() for m in new_centralizer])
+        phi_c1 = SpanSolver([phi.apply(c).vector() for c in source.c_basis])
+        cut = SpanSolver([(phi_e1 * m * phi_e1).vector() for m in new_centralizer])
         if cut.rank != phi_c1.rank or not all(phi_c1.contains(r) for r in cut.echelon_rows()):
             raise ValueError("corner of the new elementary factor does not match the mapped one")
 

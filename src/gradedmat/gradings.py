@@ -60,46 +60,19 @@ class GradedAlgebra:
         return Matrix.identity(self.n)
 
     @cached_property
-    def _position_degrees(self) -> Optional[Dict[Tuple[int, int], GroupElement]]:
-        # fast decomposition path: every basis matrix has a single nonzero entry
-        # and the entries cover all n^2 positions
-        table: Dict[Tuple[int, int], GroupElement] = {}
-        for g, mats in self.components.items():
-            for m in mats:
-                positions = m.nonzero_positions()
-                if len(positions) != 1 or positions[0] in table:
-                    return None
-                table[positions[0]] = g
-        if len(table) != self.n * self.n:
-            return None
-        return table
-
-    @cached_property
     def _solver(self) -> SpanSolver:
-        return SpanSolver([m.flatten() for _, m in self.union_basis()])
+        return SpanSolver([m.vector() for _, m in self.union_basis()])
 
     @cached_property
     def _component_solvers(self) -> Dict[GroupElement, SpanSolver]:
-        return {g: SpanSolver([m.flatten() for m in mats])
+        return {g: SpanSolver([m.vector() for m in mats])
                 for g, mats in self.components.items()}
 
     def decompose(self, m: Matrix) -> Dict[GroupElement, Matrix]:
         """Homogeneous parts of m, keyed by degree; only nonzero parts appear."""
         if m.n != self.n:
             raise ValueError(f"matrix size {m.n} does not match algebra size {self.n}")
-        table = self._position_degrees
-        if table is not None:
-            parts: Dict[GroupElement, List[Tuple[int, int, CycNumber]]] = {}
-            for (i, j) in m.nonzero_positions():
-                parts.setdefault(table[(i, j)], []).append((i, j, m.entries[i][j]))
-            out = {}
-            for g, triples in parts.items():
-                rows = [[CycNumber.zero()] * self.n for _ in range(self.n)]
-                for i, j, value in triples:
-                    rows[i][j] = value
-                out[g] = Matrix(rows)
-            return out
-        coords = self._solver.coordinates(m.flatten())
+        coords = self._solver.coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is not in the span of the components")
         out = {}
@@ -234,7 +207,7 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     solver = SpanSolver()
     independent = True
     for _, m in algebra.union_basis():
-        if not solver.add(m.flatten()):
+        if not solver.add(m.vector()):
             independent = False
     failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
     for g, g_mats in algebra.components.items():
@@ -245,7 +218,7 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
                     product = x * y
                     if product.is_zero():
                         continue
-                    if target_solver is None or not target_solver.contains(product.flatten()):
+                    if target_solver is None or not target_solver.contains(product.vector()):
                         failures.append((g, h, product))
     return GradingReport(n, total, dimension_ok, independent, tuple(failures))
 
@@ -306,7 +279,7 @@ def cocycle_from_units(group: FiniteAbelianGroup,
             if not positions:
                 raise ValueError(f"basis element of degree {t * s} is zero")
             i, j = positions[0]
-            scalar = product.entries[i][j] / target.entries[i][j]
+            scalar = product[i, j] / target[i, j]
             if scalar.is_zero() or product != target.scale(scalar):
                 raise ValueError(
                     f"product of degrees {t} and {s} is not a nonzero multiple of the {t * s} basis")
@@ -337,12 +310,8 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
         rows = []
         for s in mats:
             images = [b * s - s * b for b in basis]
-            for i in range(n):
-                for j in range(n):
-                    row = [img.entries[i][j] for img in images]
-                    if all(x.is_zero() for x in row):
-                        continue
-                    rows.append(row)
+            positions = sorted({p for img in images for p in img.nonzero_positions()})
+            rows.extend([img[i, j] for img in images] for i, j in positions)
         return rows
 
     full_basis = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
@@ -411,10 +380,10 @@ def character_action(chi: Character, algebra: GradedAlgebra, m: Matrix) -> Matri
 
 def is_graded_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix]) -> bool:
     """True when every homogeneous part of every member stays in the subspace."""
-    solver = SpanSolver([v.flatten() for v in vectors])
+    solver = SpanSolver([v.vector() for v in vectors])
     for v in vectors:
         for part in algebra.decompose(v).values():
-            if not solver.contains(part.flatten()):
+            if not solver.contains(part.vector()):
                 return False
     return True
 
@@ -424,14 +393,14 @@ def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
     """True when the subspace is stable under the character action."""
     if characters is None:
         characters = algebra.group.characters()
-    solver = SpanSolver([v.flatten() for v in vectors])
+    solver = SpanSolver([v.vector() for v in vectors])
     for v in vectors:
         parts = algebra.decompose(v)
         for chi in characters:
             image = Matrix.zeros(algebra.n)
             for g, part in parts.items():
                 image = image + part.scale(chi(g))
-            if not solver.contains(image.flatten()):
+            if not solver.contains(image.vector()):
                 return False
     return True
 
@@ -446,10 +415,10 @@ class GradedMap:
 
     @cached_property
     def _source_solver(self) -> SpanSolver:
-        return SpanSolver([src.flatten() for src, _ in self.pairs])
+        return SpanSolver([src.vector() for src, _ in self.pairs])
 
     def apply(self, m: Matrix) -> Matrix:
-        coords = self._source_solver.coordinates(m.flatten())
+        coords = self._source_solver.coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is outside the span of the map's source basis")
         out = Matrix.zeros(self.codomain.n)
@@ -479,7 +448,7 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     source_solver = SpanSolver()
     basis_ok = True
     for src, _ in gmap.pairs:
-        if not source_solver.add(src.flatten()):
+        if not source_solver.add(src.vector()):
             basis_ok = False
     if source_solver.rank != n1 * n1:
         basis_ok = False
@@ -490,7 +459,7 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
                 if gmap.apply(x * y) != fx * fy:
                     mult_failures.append((i, j))
     image_solver = SpanSolver()
-    injective = all(image_solver.add(img.flatten()) for _, img in gmap.pairs)
+    injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
     degree_failures: List[GroupElement] = []
     if basis_ok:
         codomain_solvers = gmap.codomain._component_solvers
@@ -500,7 +469,7 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
                 image = gmap.apply(b)
                 if image.is_zero():
                     continue
-                if target is None or not target.contains(image.flatten()):
+                if target is None or not target.contains(image.vector()):
                     if g not in degree_failures:
                         degree_failures.append(g)
     return HomomorphismReport(basis_ok, tuple(mult_failures), injective, tuple(degree_failures))
@@ -535,7 +504,7 @@ def _reduce_component(mats: Sequence[Matrix]) -> List[Matrix]:
     for m in mats:
         if m.is_zero():
             continue
-        if solver.add(m.flatten()):
+        if solver.add(m.vector()):
             out.append(m)
     return out
 
@@ -642,10 +611,10 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         rhs = []
         for y in all_members:
             products = [y * fk for fk in identity_part]
-            for i in range(n):
-                for j in range(n):
-                    rows.append([prod.entries[i][j] for prod in products])
-                    rhs.append(y.entries[i][j])
+            # positions where y and every product vanish give only zero equations
+            for i, j in sorted({p for m in products + [y] for p in m.nonzero_positions()}):
+                rows.append([prod[i, j] for prod in products])
+                rhs.append(y[i, j])
         solution = solve_linear(rows, rhs)
         if solution is None:
             raise ValueError("graded left ideal has no homogeneous right identity")
@@ -685,8 +654,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         u1j, g1j = bridge(0, j)
         vj1, _ = bridge(j, 0)
         product = u1j * vj1
-        solver = SpanSolver([primitives[0].flatten()])
-        coords = solver.coordinates(product.flatten())
+        solver = SpanSolver([primitives[0].vector()])
+        coords = solver.coordinates(product.vector())
         if coords is None or coords[0].is_zero():
             raise ValueError("corner bridges do not compose to the base idempotent")
         row_units[j] = u1j
@@ -716,7 +685,7 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
     solver = SpanSolver()
     for i in range(p):
         for j in range(p):
-            if not solver.add(units[(i, j)].flatten()):
+            if not solver.add(units[(i, j)].vector()):
                 raise ValueError("matrix units are not independent")
     return ElementaryUnits(p, units, tuple(degrees))
 

@@ -116,10 +116,6 @@ class Character:
         return "chi" + "".join(f"[{a}]" for a in self.exponents)
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
 def subgroup_generated(elements: Sequence[GroupElement]) -> Tuple[GroupElement, ...]:
     """All products of powers of the given elements, in lexicographic order."""
     if not elements:

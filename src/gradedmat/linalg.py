@@ -1,36 +1,59 @@
 """Exact Gaussian elimination over cyclotomic scalars.
 
-Vectors are sequences of CycNumber; all routines avoid floating point.
+Vectors are sequences of CycNumber, or SparseVectors for the span solver; all
+routines avoid floating point.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import heapq
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cyclotomic import CycNumber
 
-Vector = Sequence[CycNumber]
+
+class SparseVector(dict):
+    """A vector of the given length holding only its nonzero coordinates, keyed by position."""
+
+    __slots__ = ("length",)
+
+    def __init__(self, length: int, items: Mapping[int, CycNumber]):
+        super().__init__(items)
+        self.length = length
 
 
-def _first_nonzero(vec: Sequence[CycNumber]) -> Optional[int]:
-    for i, x in enumerate(vec):
-        if not x.is_zero():
-            return i
-    return None
+Vector = Union[Sequence[CycNumber], SparseVector]
+_Sparse = Dict[int, CycNumber]
+
+
+def _accumulate(target: _Sparse, terms: Iterable[Tuple[int, CycNumber]]) -> None:
+    """Add nonzero (position, value) terms into a sparse vector, dropping cancellations."""
+    for i, x in terms:
+        y = target.get(i)
+        if y is None:
+            target[i] = x
+        else:
+            y = y + x
+            if y.is_zero():
+                del target[i]
+            else:
+                target[i] = y
 
 
 class SpanSolver:
     """Incremental row echelon over a list of vectors, tracking coordinates.
 
     Supports membership tests and exact coordinate recovery in the original
-    spanning set.
+    spanning set.  Vectors may be dense sequences or SparseVectors; rows are
+    kept sparse, and each pivot is the lowest nonzero position of its row.
     """
 
-    def __init__(self, vectors: Sequence[Vector] = ()):  # vectors of equal length
+    def __init__(self, vectors: Iterable[Vector] = ()):  # vectors of equal length
         self._length: Optional[int] = None
         self._count = 0
-        # rows: (pivot index, reduced vector, combination over original vectors)
-        self._rows: List[Tuple[int, List[CycNumber], List[CycNumber]]] = []
+        # pivot -> (reduced row, combination over the original vectors), in
+        # insertion order; each row is reduced against all earlier rows
+        self._rows: Dict[int, Tuple[_Sparse, _Sparse]] = {}
         for v in vectors:
             self.add(v)
 
@@ -39,64 +62,64 @@ class SpanSolver:
         return len(self._rows)
 
     def echelon_rows(self) -> List[List[CycNumber]]:
-        return [list(vec) for _, vec, _ in self._rows]
+        zero = CycNumber.zero()
+        return [[vec.get(i, zero) for i in range(self._length)] for vec, _ in self._rows.values()]
 
-    def _reduce(self, vector: Vector) -> Tuple[List[CycNumber], List[CycNumber]]:
+    def _reduce(self, vector: Vector) -> Tuple[_Sparse, _Sparse]:
+        """The vector less its projection on the rows, and minus its coordinates."""
+        if isinstance(vector, SparseVector):
+            length, vec = vector.length, dict(vector)
+        else:
+            length = len(vector)
+            vec = {i: x for i, x in enumerate(vector) if not x.is_zero()}
         if self._length is None:
-            self._length = len(vector)
-        elif len(vector) != self._length:
-            raise ValueError(f"vector length {len(vector)} != {self._length}")
-        vec = list(vector)
-        combo = [CycNumber.zero()] * self._count
-        for pivot, row, row_combo in self._rows:
-            factor = vec[pivot]
-            if factor.is_zero():
+            self._length = length
+        elif length != self._length:
+            raise ValueError(f"vector length {length} != {self._length}")
+        rows = self._rows
+        combo: _Sparse = {}
+        # clear pivots lowest first: a row has no entries below its pivot, so a
+        # cleared position never fills again, and the residual does not depend
+        # on the order because the rows are triangular in insertion order
+        todo = [i for i in vec if i in rows]
+        heapq.heapify(todo)
+        while todo:
+            pivot = heapq.heappop(todo)
+            if pivot not in vec:
                 continue
-            for i, x in enumerate(row):
-                if not x.is_zero():
-                    vec[i] = vec[i] - factor * x
-            for i, x in enumerate(row_combo):
-                if not x.is_zero():
-                    combo[i] = combo[i] - factor * x
+            row, row_combo = rows[pivot]
+            factor = -vec[pivot]
+            _accumulate(vec, ((i, factor * x) for i, x in row.items()))
+            _accumulate(combo, ((i, factor * x) for i, x in row_combo.items()))
+            for i in row:
+                if i != pivot and i in rows:
+                    heapq.heappush(todo, i)
         return vec, combo
 
     def add(self, vector: Vector) -> bool:
         """Insert a vector; returns True when it enlarges the span."""
         vec, combo = self._reduce(vector)
-        combo = combo + [CycNumber.zero()] * (self._count + 1 - len(combo))
         combo[self._count] = CycNumber.one()
         self._count += 1
-        pivot = _first_nonzero(vec)
-        if pivot is None:
+        if not vec:
             return False
+        pivot = min(vec)
         inv = vec[pivot].inverse()
-        vec = [x * inv for x in vec]
-        combo = [x * inv for x in combo]
-        # insertion order matters: each row is reduced against all earlier rows
-        self._rows.append((pivot, vec, combo))
+        self._rows[pivot] = ({i: x * inv for i, x in vec.items()},
+                             {i: x * inv for i, x in combo.items()})
         return True
 
     def contains(self, vector: Vector) -> bool:
         vec, _ = self._reduce(vector)
-        return _first_nonzero(vec) is None
+        return not vec
 
     def coordinates(self, vector: Vector) -> Optional[List[CycNumber]]:
         """Coefficients over the original vector list, or None if outside the span."""
-        vec = list(vector)
-        coords = [CycNumber.zero()] * self._count
-        for pivot, row, row_combo in self._rows:
-            factor = vec[pivot]
-            if factor.is_zero():
-                continue
-            for i, x in enumerate(row):
-                if not x.is_zero():
-                    vec[i] = vec[i] - factor * x
-            for i, x in enumerate(row_combo):
-                if not x.is_zero():
-                    coords[i] = coords[i] + factor * x
-        if _first_nonzero(vec) is not None:
+        vec, combo = self._reduce(vector)
+        if vec:
             return None
-        return coords
+        zero = CycNumber.zero()
+        return [-combo[i] if i in combo else zero for i in range(self._count)]
 
 
 def rank_of(vectors: Sequence[Vector]) -> int:
@@ -118,31 +141,18 @@ def independent_subset(vectors: Sequence[Vector]) -> List[int]:
 
 def rref(rows: Sequence[Vector]) -> Tuple[List[List[CycNumber]], List[int]]:
     """Reduced row echelon form and pivot columns."""
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r == rank:
-                continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work[:rank], pivots
+    solver = SpanSolver(rows)
+    echelon = sorted((pivot, row) for pivot, (row, _) in solver._rows.items())
+    # clear each pivot column from the rows above it, last pivot first
+    for k in range(len(echelon) - 1, 0, -1):
+        pivot, row = echelon[k]
+        for _, above in echelon[:k]:
+            if pivot in above:
+                factor = -above[pivot]
+                _accumulate(above, ((i, factor * x) for i, x in row.items()))
+    zero = CycNumber.zero()
+    return ([[row.get(i, zero) for i in range(solver._length)] for _, row in echelon],
+            [pivot for pivot, _ in echelon])
 
 
 def nullspace(rows: Sequence[Vector], ncols: int) -> List[List[CycNumber]]:

@@ -1,13 +1,15 @@
-"""Dense square matrices over exact cyclotomic scalars."""
+"""Sparse square matrices over exact cyclotomic scalars."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import CycNumber
+from .linalg import SparseVector, _accumulate, rref
 
 Scalar = Union[CycNumber, int, Fraction]
+Row = Dict[int, CycNumber]
 
 
 def _coerce(value: Scalar) -> CycNumber:
@@ -17,71 +19,88 @@ def _coerce(value: Scalar) -> CycNumber:
 
 
 class Matrix:
-    """Immutable n x n matrix; all arithmetic is exact."""
+    """Immutable n x n matrix; all arithmetic is exact.
 
-    __slots__ = ("n", "entries")
+    Only nonzero entries are stored: rows[i] maps a column to its nonzero
+    entry.  `entries`, `flatten()` and `column()` are read-only dense views.
+    """
+
+    __slots__ = ("n", "rows")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
+        dense = [[_coerce(x) for x in row] for row in entries]
+        n = len(dense)
+        if n == 0 or any(len(row) != n for row in dense):
             raise ValueError("matrix must be square and non-empty")
         self.n = n
-        self.entries = rows
+        self.rows: Tuple[Row, ...] = tuple(
+            {j: x for j, x in enumerate(row) if not x.is_zero()} for row in dense)
+
+    @staticmethod
+    def _of(n: int, rows: Iterable[Row]) -> "Matrix":
+        """A matrix from rows that already hold only nonzero entries."""
+        if n < 1:
+            raise ValueError("matrix must be square and non-empty")
+        m = object.__new__(Matrix)
+        m.n = n
+        m.rows = tuple(rows)
+        return m
 
     @staticmethod
     def zeros(n: int) -> "Matrix":
-        zero = CycNumber.zero()
-        return Matrix([[zero] * n for _ in range(n)])
+        return Matrix._of(n, ({} for _ in range(n)))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        zero, one = CycNumber.zero(), CycNumber.one()
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Matrix.diagonal([CycNumber.one()] * n)
 
     @staticmethod
     def unit(n: int, i: int, j: int) -> "Matrix":
         """The matrix unit E_ij (zero-based indices)."""
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"unit index ({i},{j}) out of range for n={n}")
-        zero, one = CycNumber.zero(), CycNumber.one()
-        return Matrix([[one if (r, c) == (i, j) else zero for c in range(n)] for r in range(n)])
+        return Matrix._of(n, ({j: CycNumber.one()} if r == i else {} for r in range(n)))
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
-        n = len(values)
+        values = [_coerce(x) for x in values]
+        return Matrix._of(len(values),
+                          ({} if x.is_zero() else {i: x} for i, x in enumerate(values)))
+
+    def __getitem__(self, index: Tuple[int, int]) -> CycNumber:
+        i, j = index
+        return self.rows[i].get(j, CycNumber.zero())
+
+    @property
+    def entries(self) -> Tuple[Tuple[CycNumber, ...], ...]:
         zero = CycNumber.zero()
-        return Matrix([[_coerce(values[i]) if i == j else zero for j in range(n)] for i in range(n)])
+        return tuple(tuple(row.get(j, zero) for j in range(self.n)) for row in self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            row = dict(ra)
+            _accumulate(row, rb.items())
+            out.append(row)
+        return Matrix._of(self.n, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries])
+        return Matrix._of(self.n, ({j: -a for j, a in row.items()} for row in self.rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        n = self.n
-        zero = CycNumber.zero()
-        rows: List[List[CycNumber]] = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            row = self.entries[i]
-            out = rows[i]
-            for k in range(n):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                other_row = other.entries[k]
-                for j in range(n):
-                    b = other_row[j]
-                    if not b.is_zero():
-                        out[j] = out[j] + a * b
-        return Matrix(rows)
+        out = []
+        for row in self.rows:
+            acc: Row = {}
+            for k, a in row.items():
+                if other.rows[k]:
+                    _accumulate(acc, ((j, a * b) for j, b in other.rows[k].items()))
+            out.append(acc)
+        return Matrix._of(self.n, out)
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -97,73 +116,67 @@ class Matrix:
 
     def scale(self, c: Scalar) -> "Matrix":
         c = _coerce(c)
-        return Matrix([[c * a for a in row] for row in self.entries])
+        if c.is_zero():
+            return Matrix.zeros(self.n)
+        return Matrix._of(self.n, ({j: c * a for j, a in row.items()} for row in self.rows))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) equals self[i][j] * other."""
-        n, m = self.n, other.n
-        rows = []
-        for i in range(n):
-            for r in range(m):
-                rows.append([self.entries[i][j] * other.entries[r][c]
-                             for j in range(n) for c in range(m)])
-        return Matrix(rows)
+        m = other.n
+        rows = ({j * m + c: a * b for j, a in row.items() for c, b in inner.items()}
+                for row in self.rows for inner in other.rows)
+        return Matrix._of(self.n * m, rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[j][i] for j in range(self.n)] for i in range(self.n)])
+        out: Tuple[Row, ...] = tuple({} for _ in range(self.n))
+        for i, row in enumerate(self.rows):
+            for j, a in row.items():
+                out[j][i] = a
+        return Matrix._of(self.n, out)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-        n = self.n
-        work = [list(row) for row in self.entries]
-        zero, one = CycNumber.zero(), CycNumber.one()
-        aug = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = work[col][col].inverse()
-            work[col] = [x * inv for x in work[col]]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = work[r][col]
-                if factor.is_zero():
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(aug)
+        """Exact inverse by row reduction of [A | I]; raises on singular input."""
+        n, one = self.n, CycNumber.one()
+        reduced, pivots = rref([SparseVector(2 * n, {**row, n + i: one})
+                                for i, row in enumerate(self.rows)])
+        if pivots[:n] != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix([row[n:] for row in reduced])
 
     def trace(self) -> CycNumber:
         total = CycNumber.zero()
-        for i in range(self.n):
-            total = total + self.entries[i][i]
+        for i, row in enumerate(self.rows):
+            if i in row:
+                total = total + row[i]
         return total
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
+        return not any(self.rows)
 
     def nonzero_positions(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((i, j) for i in range(self.n) for j in range(self.n)
-                     if not self.entries[i][j].is_zero())
+        return tuple((i, j) for i, row in enumerate(self.rows) for j in sorted(row))
+
+    def vector(self) -> SparseVector:
+        """The n^2 entries in row-major order as a sparse vector."""
+        n = self.n
+        return SparseVector(n * n, {i * n + j: a for i, row in enumerate(self.rows)
+                                    for j, a in row.items()})
 
     def flatten(self) -> Tuple[CycNumber, ...]:
         return tuple(a for row in self.entries for a in row)
 
     def column(self, j: int) -> Tuple[CycNumber, ...]:
-        return tuple(self.entries[i][j] for i in range(self.n))
+        zero = CycNumber.zero()
+        return tuple(row.get(j, zero) for row in self.rows)
 
     def apply(self, vector: Sequence[CycNumber]) -> Tuple[CycNumber, ...]:
         if len(vector) != self.n:
             raise ValueError("vector length mismatch")
         out = []
-        for i in range(self.n):
+        for row in self.rows:
             total = CycNumber.zero()
-            for j, a in enumerate(self.entries[i]):
-                if not a.is_zero() and not vector[j].is_zero():
+            for j, a in row.items():
+                if not vector[j].is_zero():
                     total = total + a * vector[j]
             out.append(total)
         return tuple(out)
@@ -171,9 +184,7 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        return all(a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
+        return self.n == other.n and self.rows == other.rows
 
     __hash__ = None  # type: ignore[assignment]
 

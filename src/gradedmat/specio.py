@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .chains import BlockStep, ChainSpec, ChainStep, DoubleStep, TwistStep
 from .cyclotomic import parse_scalar
@@ -72,11 +72,14 @@ def parse_tuple(obj: Any, group: FiniteAbelianGroup, path: str) -> Tuple[GroupEl
     return tuple(parse_element(x, group, f"{path}[{i}]") for i, x in enumerate(data))
 
 
-def parse_matrix(obj: Any, path: str) -> Matrix:
+def parse_matrix(obj: Any, path: str, size: Optional[int] = None) -> Matrix:
+    """A matrix spec; when size is given the matrix must be size x size."""
     data = _expect(obj, dict, path, "an object")
     n = _expect(_field(data, "n", path), int, f"{path}.n", "an integer")
     if n < 1:
         raise SpecError(f"{path}.n", "size must be positive")
+    if size is not None and n != size:
+        raise SpecError(path, f"matrix size {n} != {size}")
     entries = _expect(_field(data, "entries", path), list, f"{path}.entries", "a list of rows")
     if len(entries) != n:
         raise SpecError(f"{path}.entries", f"expected {n} rows, got {len(entries)}")
@@ -90,7 +93,7 @@ def parse_matrix(obj: Any, path: str) -> Matrix:
             cell = _expect(cell, str, f"{path}.entries[{i}][{j}]", "a scalar string")
             try:
                 parsed.append(parse_scalar(cell))
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:  # "1/0" raises ZeroDivisionError
                 raise SpecError(f"{path}.entries[{i}][{j}]", str(exc)) from exc
         rows.append(parsed)
     return Matrix(rows)
@@ -160,12 +163,8 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
             mats = _expect(comps[key], list, f"{path}.components.{key}", "a list")
             out = []
             for i, m in enumerate(mats):
-                mat = parse_matrix(m, f"{path}.components.{key}[{i}]")
-                if n is None:
-                    n = mat.n
-                elif mat.n != n:
-                    raise SpecError(f"{path}.components.{key}[{i}]",
-                                    f"matrix size {mat.n} != {n}")
+                mat = parse_matrix(m, f"{path}.components.{key}[{i}]", n)
+                n = mat.n
                 out.append(mat)
             if out:
                 parsed[g] = out
@@ -196,13 +195,8 @@ def parse_map(obj: Any, path: str = "spec") -> GradedMap:
         pair = _expect(pair, list, f"{path}.pairs[{i}]", "a [source, image] pair")
         if len(pair) != 2:
             raise SpecError(f"{path}.pairs[{i}]", "expected exactly two matrices")
-        src = parse_matrix(pair[0], f"{path}.pairs[{i}][0]")
-        img = parse_matrix(pair[1], f"{path}.pairs[{i}][1]")
-        if src.n != domain.n:
-            raise SpecError(f"{path}.pairs[{i}][0]", f"matrix size {src.n} != {domain.n}")
-        if img.n != codomain.n:
-            raise SpecError(f"{path}.pairs[{i}][1]", f"matrix size {img.n} != {codomain.n}")
-        pairs.append((src, img))
+        pairs.append((parse_matrix(pair[0], f"{path}.pairs[{i}][0]", domain.n),
+                      parse_matrix(pair[1], f"{path}.pairs[{i}][1]", codomain.n)))
     return GradedMap(domain, codomain, tuple(pairs))
 
 

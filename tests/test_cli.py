@@ -299,3 +299,100 @@ def test_output_is_deterministic_across_processes():
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+def test_zero_denominator_entry_is_an_input_error():
+    spec = {"kind": "explicit", "group": {"factors": [2]},
+            "components": {"0": [{"n": 1, "entries": [["1/0"]]}]}}
+    result = _run_subprocess(["verify", "--spec", json.dumps(spec)], "0")
+    assert result.returncode == 2
+    assert "spec.components.0[0].entries[0][0]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_regularize_rejects_pair_matrices_of_the_wrong_size():
+    spec = _regularize_spec()
+    spec["source"]["c_basis"] = [matrix_to_json(Matrix.identity(3))]
+    result = _run_subprocess(["regularize", "--spec", json.dumps(spec)], "0")
+    assert result.returncode == 2
+    assert "spec.source.c_basis[0]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+# Stdout of every subcommand on the fixtures above, compared byte for byte with
+# the files under tests/golden/.  Rewrite them with
+# `PYTHONPATH=src python tests/test_cli.py` only when a change of output is meant.
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _golden_cases():
+    Z2 = FiniteAbelianGroup((2,))
+    alg = elementary_grading(Z2, (Z2.identity(), Z2.element((1,))))
+    identity_map = map_to_json(GradedMap(alg, alg, tuple(
+        (m, m) for mats in alg.components.values() for m in mats)))
+    mislabeled = {
+        "kind": "explicit",
+        "group": {"factors": [2]},
+        "components": {
+            "0": [matrix_to_json(Matrix.unit(2, 0, 1)), matrix_to_json(Matrix.unit(2, 1, 0))],
+            "1": [matrix_to_json(Matrix.unit(2, 0, 0)), matrix_to_json(Matrix.unit(2, 1, 1))],
+        },
+    }
+    broken_pair = _regularize_spec()
+    broken_pair["source"]["d_units"].pop("1,1,0")
+    double_chain = {"group": {"factors": [2]}, "base": [[0], [1]],
+                    "steps": [{"kind": "double"}]}
+    base = {
+        "verify-epsilon3": ["verify", "--spec", EPS3],
+        "verify-mislabeled": ["verify", "--spec", json.dumps(mislabeled)],
+        "verify-map": ["verify", "--spec", json.dumps(identity_map)],
+        "equiv-positive": ["equiv", "--group", Z2_GROUP, "--tau", "[[0], [1], [1]]",
+                           "--tau-prime", "[[1], [0], [0]]"],
+        "equiv-negative": ["equiv", "--group", Z2_GROUP, "--tau", "[[0], [1]]",
+                           "--tau-prime", "[[0], [0]]"],
+        "embed-accepted": ["embed", "--spec", json.dumps(
+            {"group": {"factors": [2]}, "source": [[0], [1]],
+             "m": 2, "r": 1, "target": [[0], [1], [0], [1], [0]]})],
+        "embed-rejected": ["embed", "--spec", json.dumps(
+            {"group": {"factors": [2]}, "source": [[0], [1]],
+             "m": 2, "r": 0, "target": [[0], [1], [0], [0]]})],
+        "regularize-pass": ["regularize", "--spec", json.dumps(_regularize_spec())],
+        "regularize-problems": ["regularize", "--spec", json.dumps(broken_pair)],
+        "bratteli-double": ["bratteli", "--spec", json.dumps(double_chain), "--depth", "3"],
+        "demo-remark1": ["demo-remark1", "--depth", "4"],
+        "cocycle-epsilon2": ["cocycle", "--spec", '{"kind": "epsilon", "n": 2}'],
+        "cocycle-epsilon3": ["cocycle", "--spec", EPS3],
+        "cocycle-elementary": ["cocycle", "--spec", json.dumps(
+            {"kind": "elementary", "group": {"factors": [2]}, "tuple": [[0], [1]]})],
+    }
+    cases = {}
+    for name, argv in base.items():
+        formats = ("json", "text", "dot") if argv[0] in ("bratteli", "demo-remark1") \
+            else ("json", "text")
+        for fmt in formats:
+            cases[f"{name}.{fmt}"] = argv + ["--format", fmt]
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_stdout_matches_golden_file(capsys, name):
+    _, out, _ = run_cli(capsys, *GOLDEN_CASES[name])
+    with open(os.path.join(GOLDEN_DIR, name + ".out"), encoding="utf-8", newline="") as handle:
+        assert out == handle.read()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for case, case_argv in sorted(GOLDEN_CASES.items()):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            main(case_argv)
+        with open(os.path.join(GOLDEN_DIR, case + ".out"), "w", encoding="utf-8",
+                  newline="") as handle:
+            handle.write(buffer.getvalue())

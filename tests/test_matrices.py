@@ -1,5 +1,6 @@
-"""Dense exact matrices and the incremental span solver."""
+"""Sparse exact matrices and the incremental span solver."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -180,3 +181,110 @@ def test_inverse_round_trip_or_singular(a):
         assert rank_of([list(row) for row in a.entries]) < 3
         return
     assert a * inv == Matrix.identity(3)
+
+
+# Sparse storage against a dense reference: random small matrices with many
+# zeros and some entries in Q(zeta_4) or Q(zeta_5).
+
+def _scalar(kind, c, level, power):
+    if kind < 3:
+        return CycNumber.zero()
+    if kind == 3:
+        return _rat(c)
+    return _rat(c) * root_of_unity(level, power)
+
+
+_sparse_scalars = st.tuples(st.integers(0, 5), st.integers(-3, 3), st.sampled_from((4, 5)),
+                            st.integers(0, 4)).map(lambda t: _scalar(*t))
+
+
+def _dense_rows(n):
+    return st.lists(st.lists(_sparse_scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _dense_pair():
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(_dense_rows(n), _dense_rows(n)))
+
+
+def _ref_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), CycNumber.zero()) for j in range(n)]
+            for i in range(n)]
+
+
+def _ref_kron(a, b):
+    n, m = len(a), len(b)
+    return [[a[i // m][j // m] * b[i % m][j % m] for j in range(n * m)] for i in range(n * m)]
+
+
+def _ref_det(a):
+    n = len(a)
+    total = CycNumber.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = _rat(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * a[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _agrees(m, dense):
+    """m holds exactly the nonzero entries of the dense rows."""
+    n = len(dense)
+    assert m.n == n
+    assert all(not x.is_zero() for row in m.rows for x in row.values())
+    assert m.entries == tuple(tuple(row) for row in dense)
+    assert m.flatten() == tuple(x for row in dense for x in row)
+    for j in range(n):
+        assert m.column(j) == tuple(row[j] for row in dense)
+    positions = tuple((i, j) for i in range(n) for j in range(n) if not dense[i][j].is_zero())
+    assert m.nonzero_positions() == positions
+    assert m.is_zero() == (not positions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_pair())
+def test_sparse_matrices_agree_with_dense_reference(pair):
+    a_rows, b_rows = pair
+    n = len(a_rows)
+    a, b = Matrix(a_rows), Matrix(b_rows)
+    _agrees(a, a_rows)
+    _agrees(a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)])
+    _agrees(a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)])
+    _agrees(a * b, _ref_mul(a_rows, b_rows))
+    _agrees(a.kron(b), _ref_kron(a_rows, b_rows))
+    _agrees(a.transpose(), [[a_rows[j][i] for j in range(n)] for i in range(n)])
+    assert (a - a).is_zero() and not any((a - a).rows)
+    if _ref_det(a_rows).is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        identity = [[_rat(int(i == j)) for j in range(n)] for i in range(n)]
+        _agrees(inv, [list(row) for row in inv.entries])
+        assert _ref_mul(a_rows, [list(row) for row in inv.entries]) == identity
+        assert _ref_mul([list(row) for row in inv.entries], a_rows) == identity
+
+
+def test_explicit_zeros_are_not_stored():
+    assert Matrix([[0, 1], [0, 0]]) == Matrix.unit(2, 0, 1)
+    assert Matrix([[0, 1], [0, 0]]).rows == ({1: _rat(1)}, {})
+    assert Matrix.diagonal([0, 2]).nonzero_positions() == ((1, 1),)
+    assert Matrix.identity(2).scale(0).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(_dense_rows(n), min_size=1, max_size=6)))
+def test_span_solver_sparse_and_dense_vectors_agree(mats):
+    mats = [Matrix(rows) for rows in mats]
+    dense, sparse = SpanSolver(), SpanSolver()
+    for m in mats:
+        assert dense.add(m.flatten()) == sparse.add(m.vector())
+    assert dense.rank == sparse.rank
+    assert dense.echelon_rows() == sparse.echelon_rows()
+    for probe in mats + [mats[0] + mats[-1], mats[0] * mats[-1], Matrix.unit(mats[0].n, 0, 0)]:
+        assert dense.contains(probe.flatten()) == sparse.contains(probe.vector())
+        assert dense.coordinates(probe.flatten()) == sparse.coordinates(probe.vector())
+        assert dense.contains(probe.flatten()) == sparse.contains(probe.flatten())
