@@ -2,8 +2,7 @@
 
 from .cyclotomic import CycNumber, cyclotomic_polynomial, euler_phi, parse_scalar, \
     root_of_unity
-from .groups import Character, FiniteAbelianGroup, GroupElement, order_of, \
-    subgroup_generated
+from .groups import Character, FiniteAbelianGroup, GroupElement, subgroup_generated
 from .matrices import Matrix
 from .linalg import SpanSolver, independent_subset, nullspace, rank_of, rref, solve_linear
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
@@ -16,7 +15,7 @@ from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        support_is_subgroup, verify_grading)
 from .equivalence import (OMEGA, DefiningSequence, EquivalenceWitness, Signature,
                           build_isomorphism, construct_beta, decide_equivalence,
-                          exhaustive_monomial_oracle, signature_of)
+                          exhaustive_monomial_oracle)
 from .embeddings import (DecompositionPair, EmbeddingConditionError, GradedVectorSpace,
                          ModuleSplit, RegularizationResult, block_diagonal_embedding,
                          check_block_condition, find_block_violation,
@@ -27,7 +26,7 @@ from .chains import (BlockStep, BratteliDiagram, ChainSpec, DoubleStep, Finitary
 
 __all__ = [
     "CycNumber", "cyclotomic_polynomial", "euler_phi", "parse_scalar", "root_of_unity",
-    "Character", "FiniteAbelianGroup", "GroupElement", "order_of", "subgroup_generated",
+    "Character", "FiniteAbelianGroup", "GroupElement", "subgroup_generated",
     "Matrix",
     "SpanSolver", "independent_subset", "nullspace", "rank_of", "rref", "solve_linear",
     "Cocycle", "ElementaryUnits", "GradedAlgebra", "GradedMap", "GradingReport",
@@ -38,7 +37,7 @@ __all__ = [
     "is_invariant_subspace", "matrix_degree_for_tuple", "support_is_subgroup",
     "verify_grading",
     "OMEGA", "DefiningSequence", "EquivalenceWitness", "Signature", "build_isomorphism",
-    "construct_beta", "decide_equivalence", "exhaustive_monomial_oracle", "signature_of",
+    "construct_beta", "decide_equivalence", "exhaustive_monomial_oracle",
     "DecompositionPair", "EmbeddingConditionError", "GradedVectorSpace", "ModuleSplit",
     "RegularizationResult", "block_diagonal_embedding", "check_block_condition",
     "find_block_violation", "regularize_decomposition", "split_module_decomposition",

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .equivalence import OMEGA, Count, DefiningSequence, Signature
+from .equivalence import OMEGA, DefiningSequence, Signature
 from .embeddings import find_block_violation
-from .groups import FiniteAbelianGroup, GroupElement
-from .gradings import GradedAlgebra, IdentityComponentIdeal, elementary_grading
+from .groups import FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
+from .gradings import GradedAlgebra, elementary_grading
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,6 @@ class ChainSpec:
         return tuples
 
 
-def _tuple_ideals(tau: Sequence[GroupElement]) -> List[IdentityComponentIdeal]:
-    classes: Dict[GroupElement, List[int]] = {}
-    for index, g in enumerate(tau):
-        classes.setdefault(g, []).append(index)
-    return [IdentityComponentIdeal(g, tuple(classes[g]))
-            for g in sorted(classes, key=GroupElement.sort_key)]
-
-
 class BratteliDiagram:
     """Leveled multigraph of identity-component ideals along a chain.
 
@@ -176,17 +168,15 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
     dim_(i+1)(h) = sum_g mult(g -> h) * dim_i(g).
     """
     tuples = spec.unfold(depth)
-    levels = []
-    for tau in tuples:
-        levels.append([(ideal.degree, ideal.block_dimension) for ideal in _tuple_ideals(tau)])
+    level_classes = [degree_classes(tau) for tau in tuples]
+    levels = [[(g, len(classes[g])) for g in sorted(classes, key=GroupElement.sort_key)]
+              for classes in level_classes]
     edges: List[Dict[Tuple[GroupElement, GroupElement], int]] = []
     for i in range(depth - 1):
         source, target = tuples[i], tuples[i + 1]
         step = spec.step_at(i)
         n = len(source)
-        classes: Dict[GroupElement, List[int]] = {}
-        for index, g in enumerate(source):
-            classes.setdefault(g, []).append(index)
+        classes = level_classes[i]
         layer: Dict[Tuple[GroupElement, GroupElement], int] = {}
         for g, members in classes.items():
             counts: Optional[Dict[GroupElement, int]] = None
@@ -218,52 +208,23 @@ def diagrams_equal(d1: BratteliDiagram, d2: BratteliDiagram) -> bool:
     return d1.levels == d2.levels and d1.edges == d2.edges
 
 
-_STABILIZATION_SLACK = 4
-
-
 def steinitz_signature(spec: ChainSpec) -> Signature:
     """Limiting multiplicity of each degree along the chain, with omega entries.
 
-    Simulates whole cycles of the step list on the multiplicity vector.  Both
-    the support and the set of still-growing degrees are monotone under a
-    cycle, so they stabilize; stabilized growth marks an entry as omega.
+    A twist by a sends the counts c to c + (a c), and a doubling is a twist by
+    the identity, so every count that is positive never drops and the support
+    spreads to supp(base) H, H generated by the twist elements.  Once the
+    support is closed under H every count in it grows at each step, so the
+    limit is omega on supp(base) H and zero elsewhere.
     """
-    group = spec.group
-    counts: Dict[GroupElement, int] = {}
-    for g in spec.base:
-        counts[g] = counts.get(g, 0) + 1
-
-    def run_cycle(state: Dict[GroupElement, int], start: int) -> Dict[GroupElement, int]:
-        current = dict(state)
-        for offset, step in enumerate(spec.steps):
-            if isinstance(step, DoubleStep):
-                current = {g: 2 * c for g, c in current.items()}
-            elif isinstance(step, TwistStep):
-                shifted = {}
-                for g, c in current.items():
-                    shifted[g] = shifted.get(g, 0) + c
-                    shifted[step.a * g] = shifted.get(step.a * g, 0) + c
-                current = shifted
-            else:
-                raise ValueError(
-                    f"step {start + offset} is an explicit block step; "
-                    "limiting signatures require steps that repeat uniformly")
-        return current
-
-    support = frozenset(counts)
-    growing: frozenset = frozenset()
-    limit = 2 * group.order + _STABILIZATION_SLACK
-    for cycle in range(limit):
-        nxt = run_cycle(counts, cycle * len(spec.steps))
-        new_support = frozenset(g for g, c in nxt.items() if c > 0)
-        new_growing = frozenset(g for g in nxt if nxt.get(g, 0) > counts.get(g, 0))
-        if new_support == support and new_growing == growing and cycle > 0:
-            mapping: Dict[GroupElement, Count] = {}
-            for g in new_support:
-                mapping[g] = OMEGA if g in new_growing else counts[g]
-            return Signature.from_mapping(group, mapping)
-        support, growing, counts = new_support, new_growing, nxt
-    raise RuntimeError("signature simulation did not stabilize; this should be impossible")
+    twists = []
+    for i, step in enumerate(spec.steps):
+        if isinstance(step, BlockStep):
+            raise ValueError(f"step {i} is an explicit block step; "
+                             "limiting signatures require steps that repeat uniformly")
+        twists.append(step.a if isinstance(step, TwistStep) else spec.group.identity())
+    spread = subgroup_generated(twists)
+    return Signature.from_mapping(spec.group, {g * h: OMEGA for g in spec.base for h in spread})
 
 
 @dataclass(frozen=True)

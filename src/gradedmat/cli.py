@@ -152,9 +152,11 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         if "source" in obj else None
     if source is None:
         raise SpecError("spec.source", "missing field")
-    for name in ("m", "r"):
+    for name, least in (("m", 1), ("r", 0)):
         if name not in obj or isinstance(obj[name], bool) or not isinstance(obj[name], int):
             raise SpecError(f"spec.{name}", "expected an integer")
+        if obj[name] < least:
+            raise SpecError(f"spec.{name}", f"must be >= {least}, got {obj[name]}")
     if "target" not in obj:
         raise SpecError("spec.target", "missing field")
     target = parse_tuple(obj["target"], group, "spec.target")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup, GroupElement, degree_classes
 from .linalg import SpanSolver, nullspace
 from .matrices import Matrix
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
@@ -94,10 +94,7 @@ class GradedVectorSpace:
         return tuple(d.inverse() for d in self.degrees)
 
     def coordinate_classes(self) -> Dict[GroupElement, List[int]]:
-        classes: Dict[GroupElement, List[int]] = {}
-        for index, d in enumerate(self.degrees):
-            classes.setdefault(d, []).append(index)
-        return classes
+        return degree_classes(self.degrees)
 
     def vector_degree(self, vector: Sequence[CycNumber]) -> Optional[GroupElement]:
         degree = None

@@ -8,10 +8,11 @@ the k-th index of each degree class to the k-th index of the shifted class.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup, GroupElement, degree_classes
 from .matrices import Matrix
 
 
@@ -105,14 +106,7 @@ class DefiningSequence:
     def signature(self) -> Signature:
         if self.counting is not None:
             return self.counting
-        counts: Dict[GroupElement, int] = {}
-        for g in self.entries:  # type: ignore[union-attr]
-            counts[g] = counts.get(g, 0) + 1
-        return Signature.from_mapping(self.group, counts)
-
-
-def signature_of(seq: DefiningSequence) -> Signature:
-    return seq.signature()
+        return Signature.from_mapping(self.group, Counter(self.entries))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -130,34 +124,41 @@ def construct_beta(tau: Sequence[GroupElement], tau_prime: Sequence[GroupElement
     k-th index of the shifted class of tau_prime; requires matching signatures."""
     if len(tau) != len(tau_prime):
         raise ValueError("sequences of different length have no index matching")
-    classes: Dict[GroupElement, List[int]] = {}
-    for index, g in enumerate(tau):
-        classes.setdefault(g, []).append(index)
-    classes_prime: Dict[GroupElement, List[int]] = {}
-    for index, g in enumerate(tau_prime):
-        classes_prime.setdefault(g, []).append(index)
-    beta: List[Optional[int]] = [None] * len(tau)
+    classes = degree_classes(tau)
+    classes_prime = degree_classes(tau_prime)
     for g in sorted(classes, key=GroupElement.sort_key):
         source = classes[g]
         target = classes_prime.get(shift * g, [])
         if len(source) != len(target):
             raise ValueError(f"degree class {g} has size {len(source)} vs {len(target)} after the shift")
+    beta = [0] * len(tau)
     for g, source in classes.items():
-        target = classes_prime[shift * g]
-        for i, j in zip(source, target):
+        for i, j in zip(source, classes_prime[shift * g]):
             beta[i] = j
-    return tuple(beta)  # type: ignore[arg-type]
+    return tuple(beta)
 
 
 def decide_equivalence(seq: DefiningSequence, seq_prime: DefiningSequence) -> Optional[EquivalenceWitness]:
-    """First shift (in lexicographic order) matching the two signatures, or None."""
+    """First shift (in lexicographic order) matching the two signatures, or None.
+
+    A matching shift sends the least degree g0 of the first support into the
+    second support, so only the shifts h g0^(-1) for h in that support are
+    tried: the cost depends on the support sizes, not on the group order.
+    """
     if seq.group != seq_prime.group:
         raise ValueError("sequences must be graded by the same group")
-    group = seq.group
     s1 = seq.signature()
-    s2 = seq_prime.signature()
-    for shift in group.elements():
-        if all(s1.get(g) == s2.get(shift * g) for g in group.elements()):
+    counts = dict(s1.counts)
+    counts_prime = dict(seq_prime.signature().counts)
+    if len(counts) != len(counts_prime):
+        return None
+    if not counts:  # two empty sequences match under every shift
+        shifts = [seq.group.identity()]
+    else:
+        g0_inverse = s1.counts[0][0].inverse()
+        shifts = sorted((h * g0_inverse for h in counts_prime), key=GroupElement.sort_key)
+    for shift in shifts:
+        if all(counts_prime.get(shift * g) == c for g, c in counts.items()):
             if not seq.is_finitary and not seq_prime.is_finitary:
                 beta = construct_beta(seq.entries, seq_prime.entries, shift)  # type: ignore[arg-type]
                 return EquivalenceWitness(shift, beta, None)

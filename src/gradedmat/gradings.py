@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
-from .groups import Character, FiniteAbelianGroup, GroupElement, subgroup_generated
+from .groups import Character, FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
 from .linalg import SpanSolver, nullspace, solve_linear
 from .matrices import Matrix
 
@@ -362,9 +362,7 @@ def identity_component_ideals(algebra: GradedAlgebra) -> Tuple[IdentityComponent
     tau = algebra.elementary_tuple
     if tau is None:
         raise ValueError("identity component ideals need an elementary grading with a known tuple")
-    classes: Dict[GroupElement, List[int]] = {}
-    for index, g in enumerate(tau):
-        classes.setdefault(g, []).append(index)
+    classes = degree_classes(tau)
     return tuple(IdentityComponentIdeal(g, tuple(classes[g]))
                  for g in sorted(classes, key=GroupElement.sort_key))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 
@@ -87,8 +87,12 @@ class GroupElement:
         return "(" + ",".join(str(a) for a in self.exponents) + ")"
 
 
-def order_of(g: GroupElement) -> int:
-    return g.order()
+def degree_classes(tau: Sequence[GroupElement]) -> Dict[GroupElement, List[int]]:
+    """Indices of tau grouped by their entry, classes in order of first occurrence."""
+    classes: Dict[GroupElement, List[int]] = {}
+    for index, g in enumerate(tau):
+        classes.setdefault(g, []).append(index)
+    return classes
 
 
 @dataclass(frozen=True)

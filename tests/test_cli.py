@@ -319,6 +319,18 @@ def test_regularize_rejects_pair_matrices_of_the_wrong_size():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("field, value", [("m", 0), ("m", -2), ("r", -1)])
+def test_embed_rejects_block_counts_out_of_range(field, value):
+    spec = {"group": {"factors": [2]}, "source": [[0], [1]],
+            "m": 2, "r": 0, "target": [[0], [1], [0], [1]]}
+    spec[field] = value
+    result = _run_subprocess(["embed", "--spec", json.dumps(spec)], "0")
+    assert result.returncode == 2
+    assert f"spec.{field}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 # Stdout of every subcommand on the fixtures above, compared byte for byte with
 # the files under tests/golden/.  Rewrite them with
 # `PYTHONPATH=src python tests/test_cli.py` only when a change of output is meant.

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from gradedmat.equivalence import (OMEGA, DefiningSequence, EquivalenceWitness,
                                    construct_beta, decide_equivalence,
-                                   exhaustive_monomial_oracle, build_isomorphism,
-                                   signature_of)
+                                   exhaustive_monomial_oracle, build_isomorphism)
 from gradedmat.gradings import GradedMap, elementary_grading, graded_homomorphism_check
 from gradedmat.groups import FiniteAbelianGroup
 
@@ -23,7 +22,7 @@ def _finite(entries):
 
 
 def test_signature_counts_entries():
-    sig = signature_of(_finite((E0, A0, E0)))
+    sig = _finite((E0, A0, E0)).signature()
     assert sig.get(E0) == 2
     assert sig.get(A0) == 1
     assert sig.support() == (E0, A0)
