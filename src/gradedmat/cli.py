@@ -10,15 +10,14 @@ from typing import Any, Dict, List, Optional
 
 from .chains import (BlockStep, ChainSpec, DoubleStep, TwistStep, bratteli_of_chain,
                      diagrams_equal, steinitz_signature)
-from .embeddings import EmbeddingConditionError, DecompositionPair, \
-    block_diagonal_embedding, regularize_decomposition
+from .embeddings import EmbeddingConditionError, block_diagonal_embedding, regularize_decomposition
 from .equivalence import DefiningSequence, build_isomorphism, decide_equivalence
-from .gradings import (GradedAlgebra, GradedMap, elementary_grading, extract_cocycle,
+from .gradings import (GradedMap, elementary_grading, extract_cocycle,
                        graded_homomorphism_check, verify_grading)
 from .specio import (SpecError, chain_to_json, element_key, element_to_json,
-                     map_to_json, matrix_to_json, parse_chain, parse_element_key,
-                     parse_grading, parse_grading_or_map, parse_group, parse_map,
-                     parse_matrix, parse_tuple, signature_to_json, witness_to_json)
+                     map_to_json, matrix_to_json, parse_chain, parse_decomposition_pair,
+                     parse_embedding, parse_grading, parse_grading_or_map, parse_group,
+                     parse_map, parse_tuple, signature_to_json, witness_to_json)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -142,25 +141,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    obj = _load_json(args.spec, "spec")
-    if not isinstance(obj, dict):
-        raise SpecError("spec", "expected an object")
-    group = parse_group(obj.get("group"), "spec.group") if "group" in obj else None
-    if group is None:
-        raise SpecError("spec.group", "missing field")
-    source = parse_tuple(obj.get("source"), group, "spec.source") \
-        if "source" in obj else None
-    if source is None:
-        raise SpecError("spec.source", "missing field")
-    for name, least in (("m", 1), ("r", 0)):
-        if name not in obj or isinstance(obj[name], bool) or not isinstance(obj[name], int):
-            raise SpecError(f"spec.{name}", "expected an integer")
-        if obj[name] < least:
-            raise SpecError(f"spec.{name}", f"must be >= {least}, got {obj[name]}")
-    if "target" not in obj:
-        raise SpecError("spec.target", "missing field")
-    target = parse_tuple(obj["target"], group, "spec.target")
-    m, r = obj["m"], obj["r"]
+    group, source, m, r, target = parse_embedding(_load_json(args.spec, "spec"))
     _check_dim(len(target), "the target algebra")
     domain = elementary_grading(group, source)
     try:
@@ -181,31 +162,6 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _parse_pair(obj: Any, algebra: GradedAlgebra, path: str) -> DecompositionPair:
-    if not isinstance(obj, dict):
-        raise SpecError(path, "expected an object")
-    if "c_basis" not in obj:
-        raise SpecError(f"{path}.c_basis", "missing field")
-    if "d_units" not in obj:
-        raise SpecError(f"{path}.d_units", "missing field")
-    if "identity" not in obj:
-        raise SpecError(f"{path}.identity", "missing field")
-    c_obj = obj["c_basis"]
-    if not isinstance(c_obj, list) or not c_obj:
-        raise SpecError(f"{path}.c_basis", "expected a non-empty list")
-    n = algebra.n
-    c_basis = tuple(parse_matrix(mat, f"{path}.c_basis[{i}]", n) for i, mat in enumerate(c_obj))
-    d_obj = obj["d_units"]
-    if not isinstance(d_obj, dict) or not d_obj:
-        raise SpecError(f"{path}.d_units", "expected a non-empty object")
-    d_units = {}
-    for key in sorted(d_obj):
-        g = parse_element_key(key, algebra.group, f"{path}.d_units.{key}")
-        d_units[g] = parse_matrix(d_obj[key], f"{path}.d_units.{key}", n)
-    identity = parse_matrix(obj["identity"], f"{path}.identity", n)
-    return DecompositionPair(algebra, c_basis, d_units, identity)
-
-
 def _cmd_regularize(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec, "spec")
     if not isinstance(obj, dict):
@@ -214,8 +170,8 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
         raise SpecError("spec.map", "missing field")
     gmap = parse_map(obj["map"], "spec.map")
     _check_dim(gmap.codomain.n, "the codomain")
-    source = _parse_pair(obj.get("source"), gmap.domain, "spec.source")
-    target = _parse_pair(obj.get("target"), gmap.codomain, "spec.target")
+    source = parse_decomposition_pair(obj.get("source"), gmap.domain, "spec.source")
+    target = parse_decomposition_pair(obj.get("target"), gmap.codomain, "spec.target")
     problems = source.verify() + target.verify()
     if problems:
         payload = {"verdict": "fail", "problems": problems}
@@ -259,6 +215,9 @@ def _chain_dimension(spec: ChainSpec, depth: int) -> int:
     for i in range(depth - 1):
         step = spec.step_at(i)
         if isinstance(step, BlockStep):
+            if step.k != n:
+                raise SpecError(f"spec.steps[{i % len(spec.steps)}].k",
+                                f"level {i + 1} has length {n}, got k = {step.k}")
             n = step.k * step.m + step.r
         else:
             n *= 2

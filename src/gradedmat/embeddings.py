@@ -11,7 +11,8 @@ from .linalg import SpanSolver, nullspace
 from .matrices import Matrix
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        elementary_grading, cocycle_from_units, centralizer,
-                       homogeneous_matrix_units, matrix_degree_for_tuple)
+                       homogeneous_matrix_units, matrix_degree_for_tuple,
+                       _unit_relation_violation)
 
 
 class EmbeddingConditionError(ValueError):
@@ -68,9 +69,8 @@ def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
     pairs = []
     for i in range(k):
         for j in range(k):
-            image = Matrix.zeros(n)
-            for block in range(m):
-                image = image + Matrix.unit(n, i + block * k, j + block * k)
+            image = sum((Matrix.unit(n, i + block * k, j + block * k) for block in range(m)),
+                        Matrix.zeros(n))
             pairs.append((Matrix.unit(k, i, j), image))
     return GradedMap(domain, codomain, tuple(pairs))
 
@@ -139,14 +139,10 @@ def split_module_decomposition(space: GradedVectorSpace,
         for j in range(k):
             if unit_images[i][j].n != n:
                 raise ValueError("unit images must act on the given space")
-    for i in range(k):
-        for j in range(k):
-            for a in range(k):
-                for b in range(k):
-                    product = unit_images[i][j] * unit_images[a][b]
-                    expected = unit_images[i][b] if j == a else Matrix.zeros(n)
-                    if product != expected:
-                        raise ValueError(f"images of E_{i}{j} and E_{a}{b} violate the unit relations")
+    violation = _unit_relation_violation(unit_images)
+    if violation is not None:
+        i, j, a, b = violation
+        raise ValueError(f"images of E_{i}{j} and E_{a}{b} violate the unit relations")
     degrees_c: List[Optional[GroupElement]] = []
     for j in range(k):
         d = matrix_degree_for_tuple(unit_images[0][j], tau)
@@ -157,10 +153,9 @@ def split_module_decomposition(space: GradedVectorSpace,
     c_tuple = [identity_g] + [degrees_c[j] for j in range(1, k)]
     for i in range(k):
         for j in range(k):
-            d = matrix_degree_for_tuple(unit_images[i][j], tau) \
-                if not unit_images[i][j].is_zero() else None
             if unit_images[i][j].is_zero():
                 raise ValueError(f"image of E_{i}{j} is zero")
+            d = matrix_degree_for_tuple(unit_images[i][j], tau)
             if d != c_tuple[i].inverse() * c_tuple[j]:
                 raise ValueError(f"image degrees are inconsistent at ({i},{j})")
 
@@ -174,13 +169,11 @@ def split_module_decomposition(space: GradedVectorSpace,
         for d in sorted(classes, key=GroupElement.sort_key):
             for j in classes[d]:
                 col = m.column(j)
-                if any(not x.is_zero() for x in col) and solver.add(col):
+                if solver.add(col):
                     out.append(col)
         return out
 
-    e_c = Matrix.zeros(n)
-    for i in range(k):
-        e_c = e_c + unit_images[i][i]
+    e_c = sum((unit_images[i][i] for i in range(k)), Matrix.zeros(n))
     if e_c * e_c != e_c:
         raise ValueError("sum of diagonal unit images is not idempotent")
 
@@ -195,12 +188,7 @@ def split_module_decomposition(space: GradedVectorSpace,
     annihilated: List[Tuple[CycNumber, ...]] = []
     for d in sorted(classes, key=GroupElement.sort_key):
         idx = classes[d]
-        rows = []
-        for i in range(n):
-            row = [e_c[i, j] for j in idx]
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-        for sol in nullspace(rows, len(idx)):
+        for sol in nullspace([[e_c[i, j] for j in idx] for i in range(n)], len(idx)):
             vec = [zero] * n
             for c, j in zip(sol, idx):
                 vec[j] = c
@@ -215,9 +203,8 @@ def split_module_decomposition(space: GradedVectorSpace,
     for i in range(k):
         for j in range(k):
             conjugated = inverse * unit_images[i][j] * basis_matrix
-            expected = Matrix.zeros(n)
-            for block in range(m_copies):
-                expected = expected + Matrix.unit(n, i + block * k, j + block * k)
+            expected = sum((Matrix.unit(n, i + block * k, j + block * k)
+                            for block in range(m_copies)), Matrix.zeros(n))
             if conjugated != expected:
                 raise ValueError("change of basis does not realize the block-diagonal form")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -9,7 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import Character, FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
-from .linalg import SpanSolver, nullspace, solve_linear
+from .linalg import SpanSolver, independent_subset, nullspace, solve_linear
 from .matrices import Matrix
 
 
@@ -75,16 +76,10 @@ class GradedAlgebra:
         coords = self._solver.coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is not in the span of the components")
-        out = {}
-        basis = self.union_basis()
-        for (g, b), c in zip(basis, coords):
-            if c.is_zero():
-                continue
-            if g in out:
-                out[g] = out[g] + b.scale(c)
-            else:
-                out[g] = b.scale(c)
-        return {g: part for g, part in out.items() if not part.is_zero()}
+        coords = iter(coords)  # in union_basis order, grouped by degree
+        parts = {g: Matrix.combination(self.n, [(next(coords), b) for b in mats])
+                 for g, mats in self.components.items()}
+        return {g: part for g, part in parts.items() if not part.is_zero()}
 
     def degree_of(self, m: Matrix) -> Optional[GroupElement]:
         """Degree of a homogeneous matrix, None if not homogeneous."""
@@ -254,9 +249,6 @@ class Cocycle:
                         return (t, s, u)
         return None
 
-    def is_cocycle(self) -> bool:
-        return self.first_identity_violation() is None
-
     def equals(self, other: "Cocycle") -> bool:
         if set(self.support) != set(other.support):
             return False
@@ -304,7 +296,6 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
     homogeneous (component by component); otherwise a plain basis is returned.
     """
     n = algebra.n
-    zero = CycNumber.zero()
 
     def commutator_rows(basis: Sequence[Matrix]) -> List[List[CycNumber]]:
         rows = []
@@ -315,28 +306,15 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
         return rows
 
     full_basis = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
-    rows = commutator_rows(full_basis)
-    full_solutions = nullspace(rows, n * n) if rows else [
-        [CycNumber.one() if k == idx else zero for k in range(n * n)]
-        for idx in range(n * n)]
-    full_dim = len(full_solutions)
+    full_solutions = nullspace(commutator_rows(full_basis), n * n)
 
     graded: List[Matrix] = []
-    graded_dim = 0
-    for g, basis in algebra.components.items():
-        rows = commutator_rows(basis)
-        solutions = nullspace(rows, len(basis)) if rows else [
-            [CycNumber.one() if k == idx else zero for k in range(len(basis))]
-            for idx in range(len(basis))]
-        for sol in solutions:
-            m = Matrix.zeros(n)
-            for c, b in zip(sol, basis):
-                if not c.is_zero():
-                    m = m + b.scale(c)
+    for basis in algebra.components.values():
+        for sol in nullspace(commutator_rows(basis), len(basis)):
+            m = Matrix.combination(n, zip(sol, basis))
             if not m.is_zero():
                 graded.append(m)
-                graded_dim += 1
-    if graded_dim == full_dim:
+    if len(graded) == len(full_solutions):
         return graded
     out = []
     for sol in full_solutions:
@@ -370,10 +348,7 @@ def identity_component_ideals(algebra: GradedAlgebra) -> Tuple[IdentityComponent
 def character_action(chi: Character, algebra: GradedAlgebra, m: Matrix) -> Matrix:
     """chi * m = sum over homogeneous parts m_g of chi(g) m_g."""
     parts = algebra.decompose(m)
-    out = Matrix.zeros(algebra.n)
-    for g, part in parts.items():
-        out = out + part.scale(chi(g))
-    return out
+    return Matrix.combination(algebra.n, ((chi(g), part) for g, part in parts.items()))
 
 
 def is_graded_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix]) -> bool:
@@ -393,12 +368,8 @@ def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
         characters = algebra.group.characters()
     solver = SpanSolver([v.vector() for v in vectors])
     for v in vectors:
-        parts = algebra.decompose(v)
         for chi in characters:
-            image = Matrix.zeros(algebra.n)
-            for g, part in parts.items():
-                image = image + part.scale(chi(g))
-            if not solver.contains(image.vector()):
+            if not solver.contains(character_action(chi, algebra, v).vector()):
                 return False
     return True
 
@@ -419,11 +390,7 @@ class GradedMap:
         coords = self._source_solver.coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is outside the span of the map's source basis")
-        out = Matrix.zeros(self.codomain.n)
-        for c, (_, image) in zip(coords, self.pairs):
-            if not c.is_zero():
-                out = out + image.scale(c)
-        return out
+        return Matrix.combination(self.codomain.n, zip(coords, (image for _, image in self.pairs)))
 
 
 @dataclass(frozen=True)
@@ -496,15 +463,18 @@ class ElementaryUnits:
     degrees: Tuple[GroupElement, ...]
 
 
+def _unit_relation_violation(table: Sequence[Sequence[Matrix]]) -> Optional[Tuple[int, ...]]:
+    """First (i, j, a, b) with table[i][j] * table[a][b] != delta_ja table[i][b], if any."""
+    k = len(table)
+    for i, j, a, b in itertools.product(range(k), repeat=4):
+        product = table[i][j] * table[a][b]
+        if (product != table[i][b]) if j == a else not product.is_zero():
+            return i, j, a, b
+    return None
+
+
 def _reduce_component(mats: Sequence[Matrix]) -> List[Matrix]:
-    solver = SpanSolver()
-    out = []
-    for m in mats:
-        if m.is_zero():
-            continue
-        if solver.add(m.vector()):
-            out.append(m)
-    return out
+    return [mats[i] for i in independent_subset([m.vector() for m in mats])]
 
 
 def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]],
@@ -560,19 +530,9 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
             for g in sorted_degrees(cc):
                 basis = cc[g]
                 images = [b.apply(w) for b in basis]
-                rows = []
-                for i in range(n):
-                    row = [img[i] for img in images]
-                    if any(not x.is_zero() for x in row):
-                        rows.append(row)
-                if not rows:
-                    return basis[0], g  # the whole component annihilates w
-                solutions = nullspace(rows, len(basis))
+                solutions = nullspace([[img[i] for img in images] for i in range(n)], len(basis))
                 if solutions:
-                    x = Matrix.zeros(n)
-                    for c, b in zip(solutions[0], basis):
-                        if not c.is_zero():
-                            x = x + b.scale(c)
+                    x = Matrix.combination(n, zip(solutions[0], basis))
                     if not x.is_zero():
                         return x, g
         return None
@@ -616,10 +576,7 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         solution = solve_linear(rows, rhs)
         if solution is None:
             raise ValueError("graded left ideal has no homogeneous right identity")
-        f = Matrix.zeros(n)
-        for c, fk in zip(solution, identity_part):
-            if not c.is_zero():
-                f = f + fk.scale(c)
+        f = Matrix.combination(n, zip(solution, identity_part))
         if f.is_zero() or f * f != f:
             raise ValueError("right identity solve produced a non-idempotent")
         if f == u:
@@ -666,19 +623,9 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
             left = col_units[i] if i else primitives[0]
             right = row_units[j] if j else primitives[0]
             units[(i, j)] = left * right
-    # verify the full system of relations
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                for l in range(p):
-                    product = units[(i, j)] * units[(k, l)]
-                    expected = units[(i, l)] if j == k else Matrix.zeros(n)
-                    if product != expected:
-                        raise ValueError("candidate matrix units violate the unit relations")
-    total = Matrix.zeros(n)
-    for i in range(p):
-        total = total + units[(i, i)]
-    if total != unit:
+    if _unit_relation_violation([[units[(i, j)] for j in range(p)] for i in range(p)]) is not None:
+        raise ValueError("candidate matrix units violate the unit relations")
+    if sum((units[(i, i)] for i in range(p)), Matrix.zeros(n)) != unit:
         raise ValueError("diagonal units do not sum to the unit")
     solver = SpanSolver()
     for i in range(p):

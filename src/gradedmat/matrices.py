@@ -51,6 +51,19 @@ class Matrix:
         return Matrix._of(n, ({} for _ in range(n)))
 
     @staticmethod
+    def combination(n: int, terms: Iterable[Tuple[Scalar, "Matrix"]]) -> "Matrix":
+        """The n x n sum of c * m over the (c, m) terms, added per entry in the order given."""
+        rows: Tuple[Row, ...] = tuple({} for _ in range(n))
+        for c, m in terms:
+            if m.n != n:
+                raise ValueError(f"size mismatch: {n} vs {m.n}")
+            c = _coerce(c)
+            if not c.is_zero():
+                for acc, row in zip(rows, m.rows):
+                    _accumulate(acc, ((j, c * a) for j, a in row.items()))
+        return Matrix._of(n, rows)
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix.diagonal([CycNumber.one()] * n)
 

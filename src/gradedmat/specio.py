@@ -6,6 +6,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .chains import BlockStep, ChainSpec, ChainStep, DoubleStep, TwistStep
 from .cyclotomic import parse_scalar
+from .embeddings import DecompositionPair
 from .equivalence import OMEGA, EquivalenceWitness, Signature
 from .groups import FiniteAbelianGroup, GroupElement
 from .gradings import GradedAlgebra, GradedMap, elementary_grading, epsilon_grading, \
@@ -31,6 +32,13 @@ def _field(obj: Dict[str, Any], name: str, path: str) -> Any:
     if name not in obj:
         raise SpecError(f"{path}.{name}", "missing field")
     return obj[name]
+
+
+def _count(obj: Dict[str, Any], name: str, path: str, least: int) -> int:
+    value = _expect(_field(obj, name, path), int, f"{path}.{name}", "an integer")
+    if value < least:
+        raise SpecError(f"{path}.{name}", f"must be >= {least}, got {value}")
+    return value
 
 
 def parse_group(obj: Any, path: str = "group") -> FiniteAbelianGroup:
@@ -97,6 +105,34 @@ def parse_matrix(obj: Any, path: str, size: Optional[int] = None) -> Matrix:
                 raise SpecError(f"{path}.entries[{i}][{j}]", str(exc)) from exc
         rows.append(parsed)
     return Matrix(rows)
+
+
+def parse_embedding(obj: Any, path: str = "spec") -> Tuple[
+        FiniteAbelianGroup, Tuple[GroupElement, ...], int, int, Tuple[GroupElement, ...]]:
+    """Embedding spec: group, source tuple, block count m, remainder r and target tuple."""
+    data = _expect(obj, dict, path, "an object")
+    group = parse_group(_field(data, "group", path), f"{path}.group")
+    source = parse_tuple(_field(data, "source", path), group, f"{path}.source")
+    m, r = _count(data, "m", path, 1), _count(data, "r", path, 0)
+    target = parse_tuple(_field(data, "target", path), group, f"{path}.target")
+    return group, source, m, r, target
+
+
+def parse_decomposition_pair(obj: Any, algebra: GradedAlgebra, path: str) -> DecompositionPair:
+    """Pair spec: c_basis, d_units keyed by degree, and identity, all of the algebra's size."""
+    data = _expect(obj, dict, path, "an object")
+    c_obj, d_obj, id_obj = (_field(data, name, path)
+                            for name in ("c_basis", "d_units", "identity"))
+    if not isinstance(c_obj, list) or not c_obj:
+        raise SpecError(f"{path}.c_basis", "expected a non-empty list")
+    n = algebra.n
+    c_basis = tuple(parse_matrix(mat, f"{path}.c_basis[{i}]", n) for i, mat in enumerate(c_obj))
+    if not isinstance(d_obj, dict) or not d_obj:
+        raise SpecError(f"{path}.d_units", "expected a non-empty object")
+    d_units = {parse_element_key(key, algebra.group, f"{path}.d_units.{key}"):
+               parse_matrix(d_obj[key], f"{path}.d_units.{key}", n) for key in sorted(d_obj)}
+    identity = parse_matrix(id_obj, f"{path}.identity", n)
+    return DecompositionPair(algebra, c_basis, d_units, identity)
 
 
 def element_to_json(g: GroupElement) -> List[int]:
@@ -236,27 +272,23 @@ def parse_chain(obj: Any, path: str = "spec") -> ChainSpec:
         raise SpecError(f"{path}.steps", "need at least one step")
     steps: List[ChainStep] = []
     for i, step in enumerate(steps_obj):
-        step = _expect(step, dict, f"{path}.steps[{i}]", "an object")
-        kind = _expect(_field(step, "kind", f"{path}.steps[{i}]"), str,
-                       f"{path}.steps[{i}].kind", "a string")
+        where = f"{path}.steps[{i}]"
+        step = _expect(step, dict, where, "an object")
+        kind = _expect(_field(step, "kind", where), str, f"{where}.kind", "a string")
         if kind == "double":
             steps.append(DoubleStep())
         elif kind == "twist":
-            a = parse_element(_field(step, "a", f"{path}.steps[{i}]"), group,
-                              f"{path}.steps[{i}].a")
-            steps.append(TwistStep(a))
+            steps.append(TwistStep(parse_element(_field(step, "a", where), group, f"{where}.a")))
         elif kind == "block":
-            k = _expect(_field(step, "k", f"{path}.steps[{i}]"), int,
-                        f"{path}.steps[{i}].k", "an integer")
-            m = _expect(_field(step, "m", f"{path}.steps[{i}]"), int,
-                        f"{path}.steps[{i}].m", "an integer")
-            r = _expect(_field(step, "r", f"{path}.steps[{i}]"), int,
-                        f"{path}.steps[{i}].r", "an integer")
-            target = parse_tuple(_field(step, "tuple", f"{path}.steps[{i}]"), group,
-                                 f"{path}.steps[{i}].tuple")
+            k, m, r = (_count(step, name, where, least)
+                       for name, least in (("k", 1), ("m", 1), ("r", 0)))
+            target = parse_tuple(_field(step, "tuple", where), group, f"{where}.tuple")
+            if len(target) != k * m + r:
+                raise SpecError(f"{where}.tuple",
+                                f"expected k*m + r = {k * m + r} entries, got {len(target)}")
             steps.append(BlockStep(k, m, r, target))
         else:
-            raise SpecError(f"{path}.steps[{i}].kind", f"unknown step kind {kind!r}")
+            raise SpecError(f"{where}.kind", f"unknown step kind {kind!r}")
     try:
         return ChainSpec(group, base, tuple(steps))
     except ValueError as exc:

@@ -331,6 +331,36 @@ def test_embed_rejects_block_counts_out_of_range(field, value):
     assert result.stdout == ""
 
 
+
+def _block_chain(**step):
+    block = {"kind": "block", "k": 2, "m": 2, "r": 0, "tuple": [[0], [1], [0], [1]]}
+    block.update(step)
+    return {"group": {"factors": [2]}, "base": [[0], [1]], "steps": [block]}
+
+
+@pytest.mark.parametrize("step, depth, field", [
+    ({"m": 0}, 2, "spec.steps[0].m"),
+    ({"k": 0, "m": 1, "r": 1, "tuple": [[0]]}, 2, "spec.steps[0].k"),
+    ({"r": -1, "tuple": [[0], [1], [0]]}, 2, "spec.steps[0].r"),
+    ({"tuple": [[0], [1], [0]]}, 2, "spec.steps[0].tuple"),
+    ({"k": 3, "m": 1, "tuple": [[0], [1], [0]]}, 2, "spec.steps[0].k"),
+    ({}, 3, "spec.steps[0].k"),  # the step repeats on a level of length 4
+])
+def test_bratteli_rejects_malformed_block_steps(step, depth, field):
+    argv = ["bratteli", "--spec", json.dumps(_block_chain(**step)), "--depth", str(depth)]
+    result = _run_subprocess(argv, "0")
+    assert result.returncode == 2
+    assert field in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_bratteli_block_step_failing_the_ratio_condition_is_a_verdict(capsys):
+    chain = _block_chain(tuple=[[0], [1], [0], [0]])
+    code, out, _ = run_cli(capsys, "bratteli", "--spec", json.dumps(chain), "--depth", "2")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "fail"
+
 # Stdout of every subcommand on the fixtures above, compared byte for byte with
 # the files under tests/golden/.  Rewrite them with
 # `PYTHONPATH=src python tests/test_cli.py` only when a change of output is meant.

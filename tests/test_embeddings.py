@@ -168,7 +168,7 @@ def test_split_rejects_broken_unit_relations():
     e = [[Matrix.unit(2, i, j) for j in range(2)] for i in range(2)]
     e[1][1] = e[0][0]
     space = GradedVectorSpace.from_tuple(Z2, (E0, A0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="images of E_00 and E_11 violate the unit relations"):
         split_module_decomposition(space, e)
 
 

@@ -338,3 +338,14 @@ def test_graded_algebra_validates_input():
         GradedAlgebra(Z2, 2, {})
     with pytest.raises(ValueError):
         GradedAlgebra(Z2, 2, {E0: [Matrix.identity(3)]})
+
+
+def test_unit_relation_check_returns_the_first_violation():
+    from gradedmat.gradings import _unit_relation_violation
+    units = [[Matrix.unit(3, i, j) for j in range(3)] for i in range(3)]
+    assert _unit_relation_violation(units) is None
+    assert _unit_relation_violation([[Matrix.identity(2)]]) is None
+    units[1][2] = Matrix.unit(3, 2, 1)  # E_12 replaced by E_21
+    assert _unit_relation_violation(units) == (0, 1, 1, 2)
+    assert _unit_relation_violation([[Matrix.zeros(2)]]) is None
+    assert _unit_relation_violation([[Matrix.unit(2, 0, 1)]]) == (0, 0, 0, 0)

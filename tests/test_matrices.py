@@ -1,6 +1,7 @@
 """Sparse exact matrices and the incremental span solver."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -288,3 +289,61 @@ def test_span_solver_sparse_and_dense_vectors_agree(mats):
         assert dense.contains(probe.flatten()) == sparse.contains(probe.vector())
         assert dense.coordinates(probe.flatten()) == sparse.coordinates(probe.vector())
         assert dense.contains(probe.flatten()) == sparse.contains(probe.flatten())
+
+
+# Matrix.combination against the loop it replaced: start from zeros and add
+# c * m for every nonzero coefficient.  Entries live at levels 1, 4, 5 and 12,
+# so the printed form of a sum shows the level of every partial sum.
+
+def _combination_reference(n, terms):
+    out = Matrix.zeros(n)
+    for c, m in terms:
+        if not c.is_zero():
+            out = out + m.scale(c)
+    return out
+
+
+def _random_scalar(rng):
+    level = rng.choice((1, 4, 5, 12))
+    c = _rat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return c if level == 1 else c * root_of_unity(level, rng.randrange(level))
+
+
+def _random_sparse_matrix(rng, n):
+    return Matrix([[_random_scalar(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+                   for _ in range(n)])
+
+
+def test_combination_matches_the_accumulation_loop():
+    from gradedmat.specio import matrix_to_json
+    rng = random.Random(20240611)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            c, m = _random_scalar(rng), _random_sparse_matrix(rng, n)
+            terms.append((CycNumber.zero() if rng.random() < 0.2 else c, m))
+            if rng.random() < 0.3:  # a term cancelled by a later one
+                terms.append((-c, m))
+        rng.shuffle(terms)
+        got, want = Matrix.combination(n, terms), _combination_reference(n, terms)
+        assert got == want
+        assert matrix_to_json(got) == matrix_to_json(want)
+        assert all(not x.is_zero() for row in got.rows for x in row.values())
+
+
+def test_combination_edge_cases():
+    assert Matrix.combination(3, []) == Matrix.zeros(3)
+    e = Matrix.unit(2, 0, 1)
+    assert Matrix.combination(2, [(2, e), (-2, e)]).rows == ({}, {})
+    half = _rat(Fraction(1, 2))
+    assert Matrix.combination(2, [(0, Matrix.identity(2)), (half, e)]) == e.scale(half)
+    with pytest.raises(ValueError):
+        Matrix.combination(3, [(1, e)])
+
+
+def test_nullspace_of_no_rows_or_zero_rows_is_the_identity_basis():
+    zero, one = CycNumber.zero(), CycNumber.one()
+    identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    assert nullspace([], 3) == identity
+    assert nullspace([[zero] * 3, [zero] * 3], 3) == identity

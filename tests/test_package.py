@@ -1,12 +1,13 @@
 """The public surface of the package: exported names and removed helpers."""
 
 import gradedmat
-from gradedmat import chains, equivalence, groups
+from gradedmat import chains, equivalence, gradings, groups
 
 REMOVED = {
     groups: ("order_of",),
     equivalence: ("signature_of",),
     chains: ("run_cycle", "_STABILIZATION_SLACK", "_tuple_ideals"),
+    gradings.Cocycle: ("is_cocycle",),
 }
 
 
