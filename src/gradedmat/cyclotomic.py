@@ -60,32 +60,48 @@ def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[List[Fra
     return _trim(quot), rem
 
 
-def _divisors(n: int) -> List[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, by trial division up to sqrt(n)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 _cyclotomic_cache: dict = {}
+# level -> rows: rows[k - phi] holds x^k mod Phi_level as sparse (index, integer
+# coefficient) pairs, for phi <= k <= max(phi, 2*phi - 2)
+_reduction_cache: dict = {}
 
 
 def cyclotomic_polynomial(n: int) -> Tuple[Fraction, ...]:
-    """Coefficients of Phi_n, little-endian, computed by exact division of x^n - 1."""
+    """Coefficients of Phi_n, little-endian: the product of (x^(n/d) - 1)^mu(d) over d | n."""
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     cached = _cyclotomic_cache.get(n)
     if cached is not None:
         return cached
-    poly = [_ZERO] * (n + 1)
-    poly[0] = Fraction(-1)
-    poly[n] = _ONE
-    for d in _divisors(n):
-        if d == n:
-            continue
-        quot, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-        if rem:
-            raise ArithmeticError(f"Phi_{d} does not divide x^{n}-1")
-        poly = quot
-    result = tuple(poly)
+    mu = {1: 1}  # the Moebius function on the squarefree divisors of n
+    for p in _prime_factors(n):
+        mu.update({d * p: -sign for d, sign in list(mu.items())})
+    poly = [1]
+    for d, sign in mu.items():  # multiply by x^(n/d) - 1
+        if sign == 1:
+            e = n // d
+            poly = [(poly[i - e] if i >= e else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + e)]
+    for d, sign in mu.items():  # divide exactly by x^(n/d) - 1
+        if sign == -1:
+            e = n // d
+            quot: List[int] = []
+            for i in range(len(poly) - e):
+                quot.append((quot[i - e] if i >= e else 0) - poly[i])
+            poly = quot
+    result = tuple(Fraction(c) for c in poly)
     _cyclotomic_cache[n] = result
     return result
 
@@ -94,11 +110,63 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def _reduction_rows(level: int) -> List[tuple]:
+    rows = _reduction_cache.get(level)
+    if rows is not None:
+        return rows
+    modulus = cyclotomic_polynomial(level)
+    phi = len(modulus) - 1
+    rows = [tuple((i, -int(c)) for i, c in enumerate(modulus[:-1]) if c)]
+    for _ in range(phi, 2 * phi - 2):  # x^(k+1) = x * x^k, folding the x^phi term
+        row = {}
+        for i, c in rows[-1]:
+            if i + 1 < phi:
+                row[i + 1] = row.get(i + 1, 0) + c
+            else:
+                for j, r in rows[0]:
+                    row[j] = row.get(j, 0) + c * r
+        rows.append(tuple((i, c) for i, c in sorted(row.items()) if c))
+    _reduction_cache[level] = rows
+    return rows
+
+
+def _numerators(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators over the least common denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduce(level: int, poly: List[int], den: int) -> Tuple[Fraction, ...]:
+    """(poly / den) mod Phi_level as a trimmed tuple of Fractions; poly is consumed."""
+    phi = euler_phi(level)
+    top = len(poly) - 1
+    if top >= phi:
+        rows = _reduction_rows(level)
+        last_row = phi + len(rows) - 1
+        for k in range(top, phi - 1, -1):
+            c = poly[k]
+            if not c:
+                continue
+            if k <= last_row:
+                base, row = 0, rows[k - phi]
+            else:  # x^k = x^(k - phi) * x^phi lands below k; it is folded further down
+                base, row = k - phi, rows[0]
+            for j, r in row:
+                poly[base + j] += c * r
+        del poly[phi:]
+    while poly and not poly[-1]:
+        poly.pop()
+    if den == 1:
+        return tuple(Fraction(c) for c in poly)
+    return tuple(Fraction(c, den) for c in poly)
+
+
 class CycNumber:
     """An element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
-    Coefficients are reduced modulo Phi_N, so representations at a fixed level
-    are canonical and equality at a common level is coefficient equality.
+    Coefficients are reduced modulo Phi_N and trimmed: the tuple never ends in
+    a zero, and zero is (). Representations at a fixed level are therefore
+    canonical, and equality at a common level is tuple equality.
     """
 
     __slots__ = ("level", "coeffs")
@@ -109,17 +177,13 @@ class CycNumber:
 
     @staticmethod
     def from_poly(level: int, coeffs: Iterable[Rational]) -> "CycNumber":
-        phi = euler_phi(level)
-        poly = [Fraction(c) for c in coeffs]
-        _trim(poly)
-        if len(poly) > phi:
-            _, poly = _poly_divmod(poly, list(cyclotomic_polynomial(level)))
-        poly = poly + [_ZERO] * (phi - len(poly))
-        return CycNumber(level, tuple(poly))
+        num, den = _numerators([Fraction(c) for c in coeffs])
+        return CycNumber(level, _reduce(level, num, den))
 
     @staticmethod
     def rational(value: Rational) -> "CycNumber":
-        return CycNumber(1, (Fraction(value),))
+        value = Fraction(value)
+        return CycNumber(1, (value,) if value else ())
 
     @staticmethod
     def zero() -> "CycNumber":
@@ -130,16 +194,16 @@ class CycNumber:
         return _CYC_ONE
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises if it is not rational."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if len(self.coeffs) > 1:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return self.coeffs[0] if self.coeffs else _ZERO
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return len(self.coeffs) <= 1
 
     def lift(self, level: int) -> "CycNumber":
         """Rewrite at a higher level M; requires self.level | M."""
@@ -147,12 +211,13 @@ class CycNumber:
             return self
         if level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} to {level}")
+        if len(self.coeffs) <= 1:
+            return CycNumber(level, self.coeffs)
         step = level // self.level
-        poly = [_ZERO] * ((len(self.coeffs) - 1) * step + 1) if self.coeffs else []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                poly[i * step] = c
-        return CycNumber.from_poly(level, poly)
+        num, den = _numerators(self.coeffs)
+        poly = [0] * ((len(num) - 1) * step + 1)
+        poly[::step] = num
+        return CycNumber(level, _reduce(level, poly, den))
 
     def _common(self, other: "CycNumber") -> Tuple["CycNumber", "CycNumber"]:
         if self.level == other.level:
@@ -173,7 +238,18 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return CycNumber(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        x, y = a.coeffs, b.coeffs
+        if len(x) < len(y):
+            x, y = y, x
+        if not y:
+            return CycNumber(a.level, x)
+        out = list(x)
+        for i, c in enumerate(y):
+            out[i] += c
+        if len(x) == len(y):
+            while out and not out[-1]:
+                out.pop()
+        return CycNumber(a.level, tuple(out))
 
     __radd__ = __add__
 
@@ -193,18 +269,37 @@ class CycNumber:
         other = CycNumber._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        return CycNumber.from_poly(a.level, prod)
+        x, y = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
+        if len(y.coeffs) <= 1:  # a rational factor scales the other; lifting it only relabels
+            level = math.lcm(x.level, y.level)
+            if not y.coeffs:
+                return CycNumber(level, ())
+            if x.level != level:
+                x = x.lift(level)
+            c = y.coeffs[0]
+            if c == 1:
+                return x
+            return CycNumber(level, tuple(c * v for v in x.coeffs))
+        x, y = self._common(other)
+        a, da = _numerators(x.coeffs)
+        b, db = _numerators(y.coeffs)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b, i):
+                    prod[j] += u * v
+        return CycNumber(x.level, _reduce(x.level, prod, da * db))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
-        if self.is_zero():
+        if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
+        if len(self.coeffs) == 1:
+            return CycNumber(self.level, (_ONE / self.coeffs[0],))
         modulus = list(cyclotomic_polynomial(self.level))
-        r0, r1 = modulus, _trim(list(self.coeffs))
+        r0, r1 = modulus, list(self.coeffs)
         s0: List[Fraction] = []
         s1: List[Fraction] = [_ONE]
         while len(r1) > 1:
@@ -214,7 +309,8 @@ class CycNumber:
         if not r1:
             raise ZeroDivisionError("element is a zero divisor; modulus not coprime")
         scale = r1[0]
-        return CycNumber.from_poly(self.level, [c / scale for c in s1])
+        num, den = _numerators([c / scale for c in s1])
+        return CycNumber(self.level, _reduce(self.level, num, den))
 
     def __truediv__(self, other) -> "CycNumber":
         other = CycNumber._coerce(other)
@@ -265,7 +361,7 @@ class CycNumber:
         return f"CycNumber({self.to_string()!r})"
 
 
-_CYC_ZERO = CycNumber(1, (_ZERO,))
+_CYC_ZERO = CycNumber(1, ())
 _CYC_ONE = CycNumber(1, (_ONE,))
 
 
@@ -274,8 +370,7 @@ def root_of_unity(level: int, power: int = 1) -> CycNumber:
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     k = power % level
-    poly = [_ZERO] * k + [_ONE]
-    return CycNumber.from_poly(level, poly)
+    return CycNumber(level, _reduce(level, [0] * k + [1], 1))
 
 
 _TERM_RE = re.compile(

@@ -347,8 +347,11 @@ def identity_component_ideals(algebra: GradedAlgebra) -> Tuple[IdentityComponent
 
 def character_action(chi: Character, algebra: GradedAlgebra, m: Matrix) -> Matrix:
     """chi * m = sum over homogeneous parts m_g of chi(g) m_g."""
-    parts = algebra.decompose(m)
-    return Matrix.combination(algebra.n, ((chi(g), part) for g, part in parts.items()))
+    return _act(chi, algebra.n, algebra.decompose(m))
+
+
+def _act(chi: Character, n: int, parts: Dict[GroupElement, Matrix]) -> Matrix:
+    return Matrix.combination(n, ((chi(g), part) for g, part in parts.items()))
 
 
 def is_graded_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix]) -> bool:
@@ -368,8 +371,9 @@ def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
         characters = algebra.group.characters()
     solver = SpanSolver([v.vector() for v in vectors])
     for v in vectors:
+        parts = algebra.decompose(v)
         for chi in characters:
-            if not solver.contains(character_action(chi, algebra, v).vector()):
+            if not solver.contains(_act(chi, algebra.n, parts).vector()):
                 return False
     return True
 

@@ -1,5 +1,7 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, text round-trips."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,3 +167,184 @@ def test_lift_is_a_homomorphism(a, b):
 @given(_scalars)
 def test_text_round_trip_random(a):
     assert parse_scalar(a.to_string()) == a
+
+
+# --- reference: padded coefficients reduced by long division by Phi_N -------
+
+def _ref_trim(poly):
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _ref_divmod(a, b):
+    rem = _ref_trim(list(a))
+    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = factor
+        for i, bi in enumerate(b):
+            rem[shift + i] -= factor * bi
+        _ref_trim(rem)
+    return _ref_trim(quot), rem
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _ref_trim(out)
+
+
+_REF_PHI = {}
+
+
+def _ref_cyclotomic(n):
+    """Phi_n by exact division of x^n - 1 by Phi_d for every proper divisor d."""
+    if n not in _REF_PHI:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                divisor = _ref_cyclotomic(d)
+                quot = [0] * (len(poly) - len(divisor) + 1)
+                for shift in range(len(quot) - 1, -1, -1):  # Phi_d is monic
+                    quot[shift] = poly[shift + len(divisor) - 1]
+                    for i, c in enumerate(divisor):
+                        poly[shift + i] -= quot[shift] * c
+                assert not any(poly), f"Phi_{d} does not divide x^{n} - 1"
+                poly = quot
+        _REF_PHI[n] = tuple(poly)
+    return _REF_PHI[n]
+
+
+class _Ref:
+    """The padded, divmod-based arithmetic that CycNumber is checked against."""
+
+    def __init__(self, level, poly):
+        modulus = [Fraction(c) for c in _ref_cyclotomic(level)]
+        poly = _ref_trim([Fraction(c) for c in poly])
+        if len(poly) >= len(modulus):
+            _, poly = _ref_divmod(poly, modulus)
+        self.level = level
+        self.coeffs = tuple(poly + [Fraction(0)] * (len(modulus) - 1 - len(poly)))
+
+    def lift(self, level):
+        step = level // self.level
+        poly = [Fraction(0)] * (len(self.coeffs) * step)
+        poly[::step] = self.coeffs
+        return _Ref(level, poly)
+
+    def _common(self, other):
+        level = math.lcm(self.level, other.level)
+        return self.lift(level), other.lift(level)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return _Ref(a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self):
+        return _Ref(self.level, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self._common(other)
+        return _Ref(a.level, _ref_mul(a.coeffs, b.coeffs))
+
+    def inverse(self):
+        r0 = [Fraction(c) for c in _ref_cyclotomic(self.level)]
+        r1, s0, s1 = _ref_trim(list(self.coeffs)), [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _ref_divmod(r0, r1)
+            r0, r1 = r1, r
+            prod = _ref_mul(q, s1)
+            width = max(len(s0), len(prod))
+            s0, s1 = s1, [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
+                          for i in range(width)]
+        return _Ref(self.level, [c / r1[0] for c in s1])
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        a, b = self._common(other)
+        return a.coeffs == b.coeffs
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def to_string(self):
+        terms = [str(c) if i == 0 else f"{c}*z{self.level}^{i}"
+                 for i, c in enumerate(self.coeffs) if c != 0]
+        return " + ".join(terms) or "0"
+
+
+_LEVELS = (1, 2, 3, 4, 5, 6, 8, 12, 15)
+
+
+def _random_poly(rng, level):
+    phi = euler_phi(level)
+    width = rng.choice((0, 1, 1, phi, phi, 2 * phi - 1, 3 * phi + 2))
+    return [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) if rng.random() < 0.7 else 0
+            for _ in range(width)]
+
+
+def _assert_matches(x, ref):
+    assert isinstance(x, CycNumber)
+    assert x.level == ref.level
+    assert not x.coeffs or x.coeffs[-1] != 0, x.coeffs
+    assert x.coeffs + (Fraction(0),) * (len(ref.coeffs) - len(x.coeffs)) == ref.coeffs
+    assert x.to_string() == ref.to_string()
+    assert x.is_zero() == ref.is_zero()
+
+
+def test_arithmetic_matches_padded_divmod_reference():
+    rng = random.Random(20240611)
+    pool = []
+    for _ in range(60):
+        level = rng.choice(_LEVELS)
+        poly = _random_poly(rng, level)
+        x, ref = CycNumber.from_poly(level, poly), _Ref(level, poly)
+        _assert_matches(x, ref)
+        pool.append((x, ref))
+    for _ in range(300):
+        (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(("+", "-", "*", "*", "/", "inverse", "lift"))
+        if op == "+":
+            z, rz = x + y, rx + ry
+        elif op == "-":
+            z, rz = x - y, rx - ry
+        elif op == "*":
+            z, rz = x * y, rx * ry
+        elif op == "lift":
+            level = x.level * rng.choice((1, 2, 3, 5, 6))
+            z, rz = x.lift(level), rx.lift(level)
+        elif ry.is_zero() or rx.is_zero():
+            continue
+        elif op == "/":
+            z, rz = x / y, rx / ry
+        else:
+            z, rz = x.inverse(), rx.inverse()
+        _assert_matches(z, rz)
+        _assert_matches(z - y, rz - ry)
+        assert (x == y) == (rx == ry)
+        assert (z == x) == (rz == rx)
+        pool.append((z, rz))
+
+
+def test_trimmed_zero():
+    x = root_of_unity(5, 2) + CycNumber.rational(Fraction(1, 3))
+    assert (x - x).coeffs == ()
+    assert (x - x).is_zero() and (x - x).is_rational()
+    assert CycNumber.zero().coeffs == ()
+    assert CycNumber.zero().as_rational() == 0
+    assert CycNumber.rational(0).coeffs == ()
+    assert (root_of_unity(4, 1) * root_of_unity(4, 3)).coeffs == (Fraction(1),)
+
+
+def test_cyclotomic_polynomial_matches_division_construction():
+    for n in range(1, 301):
+        assert cyclotomic_polynomial(n) == tuple(Fraction(c) for c in _ref_cyclotomic(n)), n

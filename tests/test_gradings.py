@@ -293,6 +293,22 @@ def test_graded_and_invariant_agree_on_examples():
     assert is_invariant_subspace(alg, plane, chars)
 
 
+def test_invariant_subspace_decomposes_each_vector_once(monkeypatch):
+    alg = epsilon_grading(3)
+    vectors = [alg.components[g][0] for g in list(alg.components)[:4]]
+    vectors.append(vectors[0] + vectors[1])
+    calls = []
+    decompose = GradedAlgebra.decompose
+
+    def counted(self, m):
+        calls.append(m)
+        return decompose(self, m)
+
+    monkeypatch.setattr(GradedAlgebra, "decompose", counted)
+    assert is_invariant_subspace(alg, vectors)
+    assert len(calls) == len(vectors)
+
+
 def test_identity_map_passes_homomorphism_check():
     alg = elementary_grading(Z2, (E0, A0))
     pairs = tuple((m, m) for mats in alg.components.values() for m in mats)
