@@ -54,15 +54,19 @@ class GradedAlgebra:
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(self.components.keys())
 
-    def union_basis(self) -> Tuple[Tuple[GroupElement, Matrix], ...]:
+    @cached_property
+    def _union_basis(self) -> Tuple[Tuple[GroupElement, Matrix], ...]:
         return tuple((g, m) for g, mats in self.components.items() for m in mats)
+
+    def union_basis(self) -> Tuple[Tuple[GroupElement, Matrix], ...]:
+        return self._union_basis
 
     def identity(self) -> Matrix:
         return Matrix.identity(self.n)
 
     @cached_property
     def _solver(self) -> SpanSolver:
-        return SpanSolver([m.vector() for _, m in self.union_basis()])
+        return SpanSolver([m.vector() for _, m in self._union_basis])
 
     @cached_property
     def _component_solvers(self) -> Dict[GroupElement, SpanSolver]:
@@ -73,12 +77,12 @@ class GradedAlgebra:
         """Homogeneous parts of m, keyed by degree; only nonzero parts appear."""
         if m.n != self.n:
             raise ValueError(f"matrix size {m.n} does not match algebra size {self.n}")
-        coords = self._solver.coordinates(m.vector())
+        coords = self._solver.sparse_coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is not in the span of the components")
-        coords = iter(coords)  # in union_basis order, grouped by degree
-        parts = {g: Matrix.combination(self.n, [(next(coords), b) for b in mats])
-                 for g, mats in self.components.items()}
+        basis = self._union_basis  # grouped by degree; coords run in its order
+        parts = {g: Matrix.combination(self.n, ((c, basis[i][1]) for i, c in terms))
+                 for g, terms in itertools.groupby(coords.items(), key=lambda t: basis[t[0]][0])}
         return {g: part for g, part in parts.items() if not part.is_zero()}
 
     def degree_of(self, m: Matrix) -> Optional[GroupElement]:
@@ -195,15 +199,22 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     Verifies that the component bases are jointly independent, that their
     dimensions add up to n^2, and that products land in the right component.
     Every violating (g, h, witness product) triple is reported.
+
+    When the components span M_n directly, they grade it exactly when each generator
+    chi of the dual group acts by an algebra map sum chi(g) pi_g, i.e. its images of
+    the matrix units satisfy the unit relations; basis pairs are scanned only if not.
     """
     n = algebra.n
     total = algebra.dimension
     dimension_ok = total == n * n
-    solver = SpanSolver()
-    independent = True
-    for _, m in algebra.union_basis():
-        if not solver.add(m.vector()):
-            independent = False
+    independent = algebra._solver.rank == total
+    if dimension_ok and independent:
+        parts = [[algebra.decompose(Matrix.unit(n, i, j)) for j in range(n)] for i in range(n)]
+        factors = range(len(algebra.group.factors))
+        generators = [Character(algebra.group, tuple(int(s == t) for s in factors)) for t in factors]
+        if all(_unit_relations_hold([[_act(chi, n, p) for p in row] for row in parts])
+               for chi in generators):
+            return GradingReport(n, total, True, True, ())
     failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
     for g, g_mats in algebra.components.items():
         for h, h_mats in algebra.components.items():
@@ -391,10 +402,10 @@ class GradedMap:
         return SpanSolver([src.vector() for src, _ in self.pairs])
 
     def apply(self, m: Matrix) -> Matrix:
-        coords = self._source_solver.coordinates(m.vector())
+        coords = self._source_solver.sparse_coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is outside the span of the map's source basis")
-        return Matrix.combination(self.codomain.n, zip(coords, (image for _, image in self.pairs)))
+        return Matrix.combination(self.codomain.n, ((c, self.pairs[i][1]) for i, c in coords.items()))
 
 
 @dataclass(frozen=True)
@@ -411,31 +422,34 @@ class HomomorphismReport:
 
 
 def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
-    """Verify that a basis table defines an injective degree-preserving algebra map."""
+    """Verify that a basis table defines an injective degree-preserving algebra map.
+
+    The map is multiplicative exactly when its images of the matrix units
+    satisfy the unit relations; all basis pairs are compared only if they fail.
+    """
     domain = gmap.domain
     n1 = domain.n
-    source_solver = SpanSolver()
-    basis_ok = True
-    for src, _ in gmap.pairs:
-        if not source_solver.add(src.vector()):
-            basis_ok = False
-    if source_solver.rank != n1 * n1:
-        basis_ok = False
+    basis_ok = len(gmap.pairs) == gmap._source_solver.rank == n1 * n1
+    images = [[gmap.apply(Matrix.unit(n1, i, j)) for j in range(n1)] for i in range(n1)] if basis_ok else []
     mult_failures: List[Tuple[int, int]] = []
-    if basis_ok:
+    if basis_ok and not _unit_relations_hold(images):
         for i, (x, fx) in enumerate(gmap.pairs):
             for j, (y, fy) in enumerate(gmap.pairs):
                 if gmap.apply(x * y) != fx * fy:
                     mult_failures.append((i, j))
-    image_solver = SpanSolver()
-    injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
+    if basis_ok and not mult_failures:  # the kernel is an ideal of the simple M_n, so 0 or all
+        injective = any(not image.is_zero() for row in images for image in row)
+    else:
+        image_solver = SpanSolver()
+        injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
     degree_failures: List[GroupElement] = []
     if basis_ok:
         codomain_solvers = gmap.codomain._component_solvers
         for g, mats in domain.components.items():
             target = codomain_solvers.get(g)
             for b in mats:
-                image = gmap.apply(b)
+                image = Matrix.combination(gmap.codomain.n, (
+                    (a, images[i][j]) for i, row in enumerate(b.rows) for j, a in row.items()))
                 if image.is_zero():
                     continue
                 if target is None or not target.contains(image.vector()):
@@ -467,8 +481,19 @@ class ElementaryUnits:
     degrees: Tuple[GroupElement, ...]
 
 
+def _unit_relations_hold(table: Sequence[Sequence[Matrix]]) -> bool:
+    """True when T_ij T_ab = delta_ja T_ib for the table T.  Only T_i0 T_0j = T_ij and
+    T_0j T_a0 = delta_ja T_00 are tested: they give T_ij T_ab = delta_ja T_i0 T_00 T_0b."""
+    pairs = list(itertools.product(range(len(table)), repeat=2))
+    zero = Matrix.zeros(table[0][0].n)
+    return all(table[i][0] * table[0][j] == table[i][j] for i, j in pairs) \
+        and all(table[0][j] * table[a][0] == (table[0][0] if j == a else zero) for j, a in pairs)
+
+
 def _unit_relation_violation(table: Sequence[Sequence[Matrix]]) -> Optional[Tuple[int, ...]]:
     """First (i, j, a, b) with table[i][j] * table[a][b] != delta_ja table[i][b], if any."""
+    if _unit_relations_hold(table):
+        return None
     k = len(table)
     for i, j, a, b in itertools.product(range(k), repeat=4):
         product = table[i][j] * table[a][b]
@@ -627,7 +652,7 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
             left = col_units[i] if i else primitives[0]
             right = row_units[j] if j else primitives[0]
             units[(i, j)] = left * right
-    if _unit_relation_violation([[units[(i, j)] for j in range(p)] for i in range(p)]) is not None:
+    if not _unit_relations_hold([[units[(i, j)] for j in range(p)] for i in range(p)]):
         raise ValueError("candidate matrix units violate the unit relations")
     if sum((units[(i, i)] for i in range(p)), Matrix.zeros(n)) != unit:
         raise ValueError("diagonal units do not sum to the unit")

@@ -65,8 +65,8 @@ class SpanSolver:
         zero = CycNumber.zero()
         return [[vec.get(i, zero) for i in range(self._length)] for vec, _ in self._rows.values()]
 
-    def _reduce(self, vector: Vector) -> Tuple[_Sparse, _Sparse]:
-        """The vector less its projection on the rows, and minus its coordinates."""
+    def _reduce(self, vector: Vector, track: bool = True) -> Tuple[_Sparse, _Sparse]:
+        """The vector less its projection on the rows, and minus its coordinates (if tracked)."""
         if isinstance(vector, SparseVector):
             length, vec = vector.length, dict(vector)
         else:
@@ -90,7 +90,8 @@ class SpanSolver:
             row, row_combo = rows[pivot]
             factor = -vec[pivot]
             _accumulate(vec, ((i, factor * x) for i, x in row.items()))
-            _accumulate(combo, ((i, factor * x) for i, x in row_combo.items()))
+            if track:
+                _accumulate(combo, ((i, factor * x) for i, x in row_combo.items()))
             for i in row:
                 if i != pivot and i in rows:
                     heapq.heappush(todo, i)
@@ -110,16 +111,20 @@ class SpanSolver:
         return True
 
     def contains(self, vector: Vector) -> bool:
-        vec, _ = self._reduce(vector)
+        vec, _ = self._reduce(vector, track=False)
         return not vec
 
-    def coordinates(self, vector: Vector) -> Optional[List[CycNumber]]:
-        """Coefficients over the original vector list, or None if outside the span."""
+    def sparse_coordinates(self, vector: Vector) -> Optional[Dict[int, CycNumber]]:
+        """Nonzero coefficients over the original vector list, by increasing index; None if outside the span."""
         vec, combo = self._reduce(vector)
         if vec:
             return None
-        zero = CycNumber.zero()
-        return [-combo[i] if i in combo else zero for i in range(self._count)]
+        return {i: -combo[i] for i in sorted(combo)}
+
+    def coordinates(self, vector: Vector) -> Optional[List[CycNumber]]:
+        """Coefficients over the original vector list, or None if outside the span."""
+        coords = self.sparse_coordinates(vector)
+        return None if coords is None else [coords.get(i, CycNumber.zero()) for i in range(self._count)]
 
 
 def rank_of(vectors: Sequence[Vector]) -> int:

@@ -372,6 +372,10 @@ def _golden_cases():
     alg = elementary_grading(Z2, (Z2.identity(), Z2.element((1,))))
     identity_map = map_to_json(GradedMap(alg, alg, tuple(
         (m, m) for mats in alg.components.values() for m in mats)))
+    # degree-preserving but not multiplicative: E_00 goes to 2 E_00
+    nonmultiplicative_map = map_to_json(GradedMap(alg, alg, tuple(
+        (m, m.scale(2) if m == Matrix.unit(2, 0, 0) else m)
+        for mats in alg.components.values() for m in mats)))
     mislabeled = {
         "kind": "explicit",
         "group": {"factors": [2]},
@@ -388,6 +392,7 @@ def _golden_cases():
         "verify-epsilon3": ["verify", "--spec", EPS3],
         "verify-mislabeled": ["verify", "--spec", json.dumps(mislabeled)],
         "verify-map": ["verify", "--spec", json.dumps(identity_map)],
+        "verify-map-nonmultiplicative": ["verify", "--spec", json.dumps(nonmultiplicative_map)],
         "equiv-positive": ["equiv", "--group", Z2_GROUP, "--tau", "[[0], [1], [1]]",
                            "--tau-prime", "[[1], [0], [0]]"],
         "equiv-negative": ["equiv", "--group", Z2_GROUP, "--tau", "[[0], [1]]",

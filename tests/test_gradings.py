@@ -1,17 +1,20 @@
 """Grading constructors, verification, structure queries, and duality."""
 
+import functools
 import random
 
 import pytest
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.groups import FiniteAbelianGroup
-from gradedmat.gradings import (GradedAlgebra, GradedMap, centralizer, character_action,
+from gradedmat.gradings import (GradedAlgebra, GradedMap, GradingReport, HomomorphismReport,
+                                centralizer, character_action,
                                 elementary_grading, epsilon_grading, extract_cocycle,
                                 graded_homomorphism_check, homogeneous_matrix_units,
                                 identity_component_ideals, induced_tensor_grading,
                                 is_elementary, is_graded_subspace, is_invariant_subspace,
                                 support_is_subgroup, verify_grading)
+from gradedmat.linalg import SpanSolver
 from gradedmat.matrices import Matrix
 
 Z2 = FiniteAbelianGroup((2,))
@@ -365,3 +368,219 @@ def test_unit_relation_check_returns_the_first_violation():
     assert _unit_relation_violation(units) == (0, 1, 1, 2)
     assert _unit_relation_violation([[Matrix.zeros(2)]]) is None
     assert _unit_relation_violation([[Matrix.unit(2, 0, 1)]]) == (0, 0, 0, 0)
+    e = Matrix.unit(2, 0, 0)
+    assert _unit_relation_violation([[e, e], [e, e]]) == (0, 0, 1, 0)  # E_00 E_11 != 0
+
+
+# --- oracle: the full scans, kept here as references for the certificates ---
+
+def _reference_verify(algebra):
+    """Every product of basis pairs reduced in its target component."""
+    n = algebra.n
+    total = algebra.dimension
+    solver = SpanSolver()
+    independent = True
+    for _, m in algebra.union_basis():
+        if not solver.add(m.vector()):
+            independent = False
+    component_solvers = {g: SpanSolver([m.vector() for m in mats])
+                         for g, mats in algebra.components.items()}
+    failures = []
+    for g, g_mats in algebra.components.items():
+        for h, h_mats in algebra.components.items():
+            target = component_solvers.get(g * h)
+            for x in g_mats:
+                for y in h_mats:
+                    product = x * y
+                    if product.is_zero():
+                        continue
+                    if target is None or not target.contains(product.vector()):
+                        failures.append((g, h, product))
+    return GradingReport(n, total, total == n * n, independent, tuple(failures))
+
+
+def _reference_homomorphism_check(gmap):
+    """Every product of basis pairs mapped through a dense coordinate solve."""
+    domain, codomain = gmap.domain, gmap.codomain
+    source_solver = SpanSolver()
+    basis_ok = True
+    for src, _ in gmap.pairs:
+        if not source_solver.add(src.vector()):
+            basis_ok = False
+    if source_solver.rank != domain.n * domain.n:
+        basis_ok = False
+
+    def apply(m):
+        coords = source_solver.coordinates(m.vector())
+        return Matrix.combination(codomain.n, zip(coords, (image for _, image in gmap.pairs)))
+
+    mult_failures = []
+    if basis_ok:
+        for i, (x, fx) in enumerate(gmap.pairs):
+            for j, (y, fy) in enumerate(gmap.pairs):
+                if apply(x * y) != fx * fy:
+                    mult_failures.append((i, j))
+    image_solver = SpanSolver()
+    injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
+    degree_failures = []
+    if basis_ok:
+        for g, mats in domain.components.items():
+            target = SpanSolver([m.vector() for m in codomain.component(g)])
+            for b in mats:
+                image = apply(b)
+                if not image.is_zero() and not target.contains(image.vector()) \
+                        and g not in degree_failures:
+                    degree_failures.append(g)
+    return HomomorphismReport(basis_ok, tuple(mult_failures), injective, tuple(degree_failures))
+
+
+def _random_tuple(rng, group, n):
+    elements = group.elements()
+    return tuple(rng.choice(elements) for _ in range(n))
+
+
+def _relabeled(algebra, swap):
+    """The same component bases with the labels of two degrees exchanged."""
+    g, h = swap
+    rename = {g: h, h: g}
+    return GradedAlgebra(algebra.group, algebra.n,
+                         {rename.get(d, d): mats for d, mats in algebra.components.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def _grading_cases():
+    rng = random.Random(20260)
+    cases = []
+    for group in (FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2))):
+        for n in range(1, 9):
+            cases.append(elementary_grading(group, _random_tuple(rng, group, n)))
+    cases.extend(epsilon_grading(n) for n in range(1, 6))
+    right = epsilon_grading(3)
+    G = right.group
+    cases.append(induced_tensor_grading(elementary_grading(G, (G.identity(), G.element((1, 2)))), right))
+    mislabeled = elementary_grading(Z2, (E0, A0, A0))
+    cases.append(_relabeled(mislabeled, (E0, A0)))
+    Z4 = FiniteAbelianGroup((4,))
+    cases.append(_relabeled(elementary_grading(Z4, tuple(Z4.element((i,)) for i in range(4))),
+                            (Z4.element((1,)), Z4.element((2,)))))
+    eps = epsilon_grading(3)
+    cases.append(_relabeled(eps, (eps.group.element((1, 0)), eps.group.element((0, 1)))))
+    # labels that differ only in the second coordinate: only its character sees it
+    cases.append(_relabeled(eps, (eps.group.element((1, 0)), eps.group.element((1, 1)))))
+    V4 = FiniteAbelianGroup((2, 2))
+    cases.append(_relabeled(elementary_grading(V4, (V4.identity(), V4.element((0, 1)), V4.identity())),
+                            (V4.identity(), V4.element((0, 1)))))
+    units = [Matrix.unit(2, i, j) for i in range(2) for j in range(2)]
+    cases.append(GradedAlgebra(Z2, 2, {E0: units[:1] + units[3:] + units[:1], A0: units[1:3]}))
+    cases.append(GradedAlgebra(Z2, 2, {E0: units[:1] + units[3:], A0: units[1:2]}))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_grading_cases())))
+def test_verify_grading_matches_the_full_scan(case):
+    algebra = _grading_cases()[case]
+    assert verify_grading(algebra) == _reference_verify(algebra)
+
+
+def test_verify_grading_oracle_covers_both_verdicts():
+    verdicts = [verify_grading(algebra) for algebra in _grading_cases()]
+    assert sum(r.passed for r in verdicts) >= 20
+    assert any(r.closure_failures for r in verdicts)
+    assert any(not r.independent for r in verdicts)
+    assert any(not r.dimension_ok for r in verdicts)
+
+
+@functools.lru_cache(maxsize=None)
+def _map_cases():
+    rng = random.Random(4242)
+    cases = []
+    Z4 = FiniteAbelianGroup((4,))
+    for n in range(1, 6):
+        tau = _random_tuple(rng, Z4, n)
+        alg = elementary_grading(Z4, tau)
+        basis = [m for mats in alg.components.values() for m in mats]
+        cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis)))
+        # conjugation by an invertible diagonal matrix keeps every degree
+        d = Matrix.diagonal([CycNumber.rational(rng.choice([1, 2, 3, -1, -5])) for _ in range(n)])
+        d_inv = d.inverse()
+        cases.append(GradedMap(alg, alg, tuple((m, d * m * d_inv) for m in basis)))
+        # a permutation onto the elementary grading of the permuted tuple
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        target = elementary_grading(Z4, tuple(tau[sigma.index(i)] for i in range(n)))
+        permuted = tuple((Matrix.unit(n, i, j), Matrix.unit(n, sigma[i], sigma[j]))
+                         for i in range(n) for j in range(n))
+        cases.append(GradedMap(alg, target, permuted))
+        # degree-preserving but not multiplicative: one unit's image doubled
+        cases.append(GradedMap(alg, alg, tuple((m, m.scale(2) if k == n - 1 else m)
+                                               for k, m in enumerate(basis))))
+    for n in (2, 3):
+        eps = epsilon_grading(n)
+        x_a = eps.components[eps.group.element((1, 0))][0]
+        basis = [mats[0] for mats in eps.components.values()]
+        cases.append(GradedMap(eps, eps, tuple((m, x_a * m * x_a.inverse()) for m in basis)))
+        cases.append(GradedMap(eps, eps, tuple((m, m.scale(2) if k == 1 else m)
+                                               for k, m in enumerate(basis))))
+        # moves degrees: the basis sent to itself, with two labels exchanged
+        swap = (eps.group.element((1, 0)), eps.group.element((0, 1)))
+        cases.append(GradedMap(eps, _relabeled(eps, swap), tuple((m, m) for m in basis)))
+    alg = elementary_grading(Z2, (E0, A0))
+    basis = [m for mats in alg.components.values() for m in mats]
+    cases.append(GradedMap(alg, _relabeled(alg, (E0, A0)), tuple((m, m) for m in basis)))
+    # not injective: E_01 goes to zero
+    cases.append(GradedMap(alg, alg, tuple(
+        (m, Matrix.zeros(2) if m == Matrix.unit(2, 0, 1) else m) for m in basis)))
+    # not injective: two units go to the same image
+    cases.append(GradedMap(alg, alg, tuple(
+        (m, Matrix.unit(2, 0, 0) if m == Matrix.unit(2, 1, 1) else m) for m in basis)))
+    # the zero map is multiplicative and not injective
+    cases.append(GradedMap(alg, alg, tuple((m, Matrix.zeros(2)) for m in basis)))
+    # every unit goes to E_00: T_ij T_jl = T_il holds, orthogonality fails
+    trivial = elementary_grading(Z2, (E0, E0))
+    cases.append(GradedMap(trivial, trivial, tuple(
+        (Matrix.unit(2, i, j), Matrix.unit(2, 0, 0)) for i in range(2) for j in range(2))))
+    # dependent source bases, spanning and not, and a short one
+    cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis + basis[:1])))
+    cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis[:3] + basis[:1])))
+    cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis[:3])))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_map_cases())))
+def test_homomorphism_check_matches_the_full_scan(case):
+    gmap = _map_cases()[case]
+    assert graded_homomorphism_check(gmap) == _reference_homomorphism_check(gmap)
+
+
+def test_homomorphism_oracle_covers_every_failure_kind():
+    reports = [graded_homomorphism_check(gmap) for gmap in _map_cases()]
+    assert sum(r.passed for r in reports) >= 10
+    assert any(r.multiplicative_failures and not r.degree_failures for r in reports)
+    assert any(r.degree_failures for r in reports)
+    assert any(not r.injective and not r.multiplicative_failures for r in reports)
+    assert any(not r.injective and r.multiplicative_failures for r in reports)
+    assert any(not r.basis_ok for r in reports)
+
+
+def test_passing_verify_builds_no_component_solvers():
+    for algebra in (elementary_grading(FiniteAbelianGroup((4,)), tuple(
+            FiniteAbelianGroup((4,)).element((i % 3,)) for i in range(6))), epsilon_grading(4)):
+        assert verify_grading(algebra).passed
+        assert "_component_solvers" not in algebra.__dict__
+
+
+def test_passing_homomorphism_check_applies_the_map_at_most_twice_per_unit(monkeypatch):
+    calls = []
+    apply = GradedMap.apply
+
+    def counted(self, m):
+        calls.append(m)
+        return apply(self, m)
+
+    monkeypatch.setattr(GradedMap, "apply", counted)
+    n = 5
+    G = FiniteAbelianGroup((4,))
+    alg = elementary_grading(G, tuple(G.element((i,)) for i in (0, 1, 1, 3, 2)))
+    pairs = tuple((m, m) for mats in alg.components.values() for m in mats)
+    assert graded_homomorphism_check(GradedMap(alg, alg, pairs)).passed
+    assert len(calls) <= 2 * n * n
