@@ -14,10 +14,11 @@ from .embeddings import EmbeddingConditionError, block_diagonal_embedding, regul
 from .equivalence import DefiningSequence, build_isomorphism, decide_equivalence
 from .gradings import (GradedMap, elementary_grading, extract_cocycle,
                        graded_homomorphism_check, verify_grading)
-from .specio import (SpecError, chain_to_json, element_key, element_to_json,
-                     map_to_json, matrix_to_json, parse_chain, parse_decomposition_pair,
-                     parse_embedding, parse_grading, parse_grading_or_map, parse_group,
-                     parse_map, parse_tuple, signature_to_json, witness_to_json)
+from .specio import (SpecError, chain_to_json, declared_dimension, element_key,
+                     element_to_json, map_to_json, matrix_to_json, parse_chain,
+                     parse_decomposition_pair, parse_embedding, parse_grading,
+                     parse_grading_or_map, parse_group, parse_map, parse_tuple,
+                     signature_to_json, witness_to_json)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -43,9 +44,10 @@ def _max_dim() -> int:
     return value
 
 
-def _check_dim(n: int, what: str) -> None:
+def _check_dim(n: Optional[int], what: str) -> None:
+    """Apply the cap; n is None for a malformed spec, which parsing then reports."""
     cap = _max_dim()
-    if n > cap:
+    if n is not None and n > cap:
         raise InputError(f"{what} has dimension {n}, above the GMK_MAX_DIM cap {cap}")
 
 
@@ -76,9 +78,10 @@ def _emit(payload: Dict[str, Any], fmt: str, text_lines: List[str]) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec, "spec")
+    is_map = isinstance(obj, dict) and obj.get("kind") == "map"
+    _check_dim(declared_dimension(obj), "the codomain" if is_map else "the algebra")
     target = parse_grading_or_map(obj)
     if isinstance(target, GradedMap):
-        _check_dim(target.codomain.n, "the codomain")
         report = graded_homomorphism_check(target)
         payload = {
             "kind": "map",
@@ -95,7 +98,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          f"degree_failures={len(report.degree_failures)}")
         _emit(payload, args.format, lines)
         return EXIT_PASS if report.passed else EXIT_FAIL
-    _check_dim(target.n, "the algebra")
     report = verify_grading(target)
     payload = {
         "kind": "grading",
@@ -168,8 +170,8 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
         raise SpecError("spec", "expected an object")
     if "map" not in obj:
         raise SpecError("spec.map", "missing field")
+    _check_dim(declared_dimension(obj["map"]), "the codomain")
     gmap = parse_map(obj["map"], "spec.map")
-    _check_dim(gmap.codomain.n, "the codomain")
     source = parse_decomposition_pair(obj.get("source"), gmap.domain, "spec.source")
     target = parse_decomposition_pair(obj.get("target"), gmap.codomain, "spec.target")
     problems = source.verify() + target.verify()
@@ -289,8 +291,8 @@ def _cmd_demo_remark1(args: argparse.Namespace) -> int:
 
 def _cmd_cocycle(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec, "spec")
+    _check_dim(declared_dimension(obj), "the algebra")
     algebra = parse_grading(obj)
-    _check_dim(algebra.n, "the algebra")
     try:
         cocycle = extract_cocycle(algebra)
     except ValueError as exc:

@@ -294,7 +294,8 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
     support = source.support()
     if support != target.support():
         raise ValueError("fine factors have different supports")
-    if not source.cocycle().equals(target.cocycle()):
+    source_alpha, alpha = source.cocycle(), target.cocycle()
+    if not source_alpha.equals(alpha):
         raise ValueError("fine factors have different cocycles")
     e2 = target.identity
     phi_e1 = phi.apply(source.identity)
@@ -316,7 +317,6 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
         a_t_corrected = a_t * phi_e1 + e2 - phi_e1
         adjusted[t] = a_t_corrected * x_t_prime
 
-    alpha = target.cocycle()
     for t in support:
         for s in support:
             lhs = adjusted[t] * adjusted[s]

@@ -250,7 +250,15 @@ class Cocycle:
         return self.values[(t, s)]
 
     def first_identity_violation(self) -> Optional[Tuple[GroupElement, GroupElement, GroupElement]]:
-        """First triple violating alpha(t,s) alpha(ts,u) = alpha(s,u) alpha(t,su), if any."""
+        """First triple violating alpha(t,s) alpha(ts,u) = alpha(s,u) alpha(t,su), if any.
+
+        On a subgroup support with nonzero values this is associativity of the twisted group
+        algebra on (e_t, e_s, e_u), so it holds for all u once it holds for u in a generating
+        set: reassociate (e_t e_s)(e_z e_g) for u = zg, g a generator, and divide by
+        alpha(z, g).  All triples are scanned only when that certificate fails.
+        """
+        if self._identity_holds_on_generators():
+            return None
         for t in self.support:
             for s in self.support:
                 for u in self.support:
@@ -259,6 +267,21 @@ class Cocycle:
                     if lhs != rhs:
                         return (t, s, u)
         return None
+
+    def _identity_holds_on_generators(self) -> bool:
+        generators: List[GroupElement] = []
+        span = {self.group.identity()}
+        for t in self.support:
+            if t not in span:
+                generators.append(t)
+                span = set(subgroup_generated(generators))
+        alpha = self.values
+        if not self.support or span != set(self.support) or any(
+                (t, s) not in alpha or alpha[(t, s)].is_zero()
+                for t in self.support for s in self.support):
+            return False
+        return all(alpha[(t, s)] * alpha[(t * s, g)] == alpha[(s, g)] * alpha[(t, s * g)]
+                   for t in self.support for s in self.support for g in generators)
 
     def equals(self, other: "Cocycle") -> bool:
         if set(self.support) != set(other.support):
@@ -274,15 +297,18 @@ def cocycle_from_units(group: FiniteAbelianGroup,
     if set(subgroup_generated(support)) != set(support):
         raise ValueError("the degrees of the basis must form a subgroup")
     values: Dict[Tuple[GroupElement, GroupElement], CycNumber] = {}
+    pivots: Dict[GroupElement, Tuple[int, int, CycNumber]] = {}  # degree -> (i, j, 1/X[i, j])
     for t in support:
         for s in support:
             product = basis[t] * basis[s]
             target = basis[t * s]
-            positions = target.nonzero_positions()
-            if not positions:
-                raise ValueError(f"basis element of degree {t * s} is zero")
-            i, j = positions[0]
-            scalar = product[i, j] / target[i, j]
+            if t * s not in pivots:
+                positions = target.nonzero_positions()
+                if not positions:
+                    raise ValueError(f"basis element of degree {t * s} is zero")
+                pivots[t * s] = (*positions[0], target[positions[0]].inverse())
+            i, j, inverse = pivots[t * s]
+            scalar = product[i, j] * inverse
             if scalar.is_zero() or product != target.scale(scalar):
                 raise ValueError(
                     f"product of degrees {t} and {s} is not a nonzero multiple of the {t * s} basis")

@@ -244,6 +244,24 @@ def parse_grading_or_map(obj: Any, path: str = "spec") -> GradingOrMap:
     return parse_grading(obj, path)
 
 
+def declared_dimension(obj: Any) -> Optional[int]:
+    """n of a grading spec (of a map spec's codomain) read without building; None if malformed."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "map":
+        return declared_dimension(obj.get("codomain"))
+    if kind == "tensor":
+        left, right = declared_dimension(obj.get("left")), declared_dimension(obj.get("right"))
+        return None if left is None or right is None else left * right
+    n = obj.get("n") if kind == "epsilon" else None
+    if kind == "elementary" and isinstance(obj.get("tuple"), list):
+        n = len(obj["tuple"])
+    if kind == "explicit" and isinstance(obj.get("components"), dict):
+        comps = obj["components"]  # parse_grading sizes all matrices by the first, in key order
+        first = next((comps[k] for k in sorted(comps) if comps[k] != []), None)
+        n = first[0].get("n") if isinstance(first, list) and isinstance(first[0], dict) else None
+    return n if isinstance(n, int) and not isinstance(n, bool) else None
+
+
 def grading_to_json(algebra: GradedAlgebra) -> dict:
     """Serialize as elementary when a defining tuple is known, else explicitly."""
     if algebra.elementary_tuple is not None:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import gradedmat.specio
 from gradedmat.cli import main
 from gradedmat.embeddings import DecompositionPair
 from gradedmat.gradings import GradedAlgebra, GradedMap, elementary_grading, induced_tensor_grading
@@ -275,6 +276,56 @@ def test_dimension_cap_from_environment(capsys, monkeypatch):
     assert "GMK_MAX_DIM" in err
 
 
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a grading above the cap was built")
+
+
+_HUGE_EPS = {"kind": "epsilon", "n": 100000}
+_HUGE_MAP = {"kind": "map", "domain": {"kind": "epsilon", "n": 2}, "codomain": _HUGE_EPS,
+             "pairs": [[matrix_to_json(Matrix.identity(2)), matrix_to_json(Matrix.identity(2))]]}
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["cocycle", "--spec", json.dumps(_HUGE_EPS)], "the algebra has dimension 100000"),
+    (["verify", "--spec", json.dumps(
+        {"kind": "tensor", "right": {"kind": "epsilon", "n": 50},
+         "left": {"kind": "elementary", "group": {"factors": [2]}, "tuple": [[0], [1], [0]]}})],
+     "the algebra has dimension 150"),
+    (["verify", "--spec", json.dumps(
+        {"kind": "explicit", "group": {"factors": [2]},
+         "components": {"0": [], "1": [matrix_to_json(Matrix.identity(5))]}})],
+     "the algebra has dimension 5"),
+    (["verify", "--spec", json.dumps(_HUGE_MAP)], "the codomain has dimension 100000"),
+    (["regularize", "--spec", json.dumps({"map": _HUGE_MAP})], "the codomain has dimension 100000"),
+])
+def test_dimension_cap_is_checked_before_anything_is_built(capsys, monkeypatch, argv, what):
+    for name in ("GradedAlgebra", "elementary_grading", "epsilon_grading",
+                 "induced_tensor_grading"):
+        monkeypatch.setattr(gradedmat.specio, name, _refuse_to_build)
+    monkeypatch.setenv("GMK_MAX_DIM", "4")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what}, above the GMK_MAX_DIM cap 4\n"
+
+
+def _limit_address_space():
+    # a build that ignores the cap then fails with MemoryError instead of filling the host
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_dimension_cap_rejects_a_huge_grading_in_a_child_process_at_once():
+    env = dict(os.environ, GMK_MAX_DIM="4")
+    result = subprocess.run([sys.executable, "-m", "gradedmat", "cocycle", "--spec",
+                             '{"kind": "epsilon", "n": 100000}'],
+                            capture_output=True, text=True, env=env, timeout=30,
+                            preexec_fn=_limit_address_space)
+    assert result.returncode == 2
+    assert result.stderr == \
+        "error: the algebra has dimension 100000, above the GMK_MAX_DIM cap 4\n"
+    assert result.stdout == ""
+
+
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -409,6 +460,10 @@ def _golden_cases():
         "demo-remark1": ["demo-remark1", "--depth", "4"],
         "cocycle-epsilon2": ["cocycle", "--spec", '{"kind": "epsilon", "n": 2}'],
         "cocycle-epsilon3": ["cocycle", "--spec", EPS3],
+        "cocycle-epsilon4-ambient": ["cocycle", "--spec", json.dumps(
+            {"kind": "epsilon", "n": 4, "group": {"factors": [4, 4]},
+             "a": [1, 1], "b": [0, 1]})],
+        "cocycle-epsilon5": ["cocycle", "--spec", '{"kind": "epsilon", "n": 5}'],
         "cocycle-elementary": ["cocycle", "--spec", json.dumps(
             {"kind": "elementary", "group": {"factors": [2]}, "tuple": [[0], [1]]})],
     }

@@ -1,14 +1,16 @@
 """Grading constructors, verification, structure queries, and duality."""
 
 import functools
+import math
 import random
 
 import pytest
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.groups import FiniteAbelianGroup
-from gradedmat.gradings import (GradedAlgebra, GradedMap, GradingReport, HomomorphismReport,
-                                centralizer, character_action,
+from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport,
+                                HomomorphismReport, centralizer, character_action,
+                                cocycle_from_units,
                                 elementary_grading, epsilon_grading, extract_cocycle,
                                 graded_homomorphism_check, homogeneous_matrix_units,
                                 identity_component_ideals, induced_tensor_grading,
@@ -584,3 +586,159 @@ def test_passing_homomorphism_check_applies_the_map_at_most_twice_per_unit(monke
     pairs = tuple((m, m) for mats in alg.components.values() for m in mats)
     assert graded_homomorphism_check(GradedMap(alg, alg, pairs)).passed
     assert len(calls) <= 2 * n * n
+
+
+# --- oracle: the |T|^3 scan of the 2-cocycle identity, kept as the reference ---
+
+def _reference_identity_violation(cocycle):
+    """First (t, s, u) of the support, in order, breaking the 2-cocycle identity."""
+    alpha = cocycle.values
+    for t in cocycle.support:
+        for s in cocycle.support:
+            for u in cocycle.support:
+                if alpha[(t, s)] * alpha[(t * s, u)] != alpha[(s, u)] * alpha[(t, s * u)]:
+                    return (t, s, u)
+    return None
+
+
+def _outcome(check, cocycle):
+    try:
+        return ("returned", check(cocycle))
+    except KeyError as exc:
+        return ("KeyError", exc.args)
+
+
+def _random_epsilon_cocycle(rng, n, group):
+    """The extracted cocycle of an epsilon grading on random generators inside group."""
+    elements = group.elements()
+    while True:
+        a, b = rng.choice(elements), rng.choice(elements)
+        try:
+            return extract_cocycle(epsilon_grading(n, group=group, a=a, b=b))
+        except ValueError:  # the labels repeat, or the support is not a subgroup
+            continue
+
+
+def _bicharacter(group, rng):
+    """zeta^b(t,s) for a random bilinear b on the cyclic factors."""
+    level = group.exponent_lcm
+    factors = group.factors
+    coeffs = [[rng.randrange(level) * (level // math.gcd(p, q)) for q in factors] for p in factors]
+
+    def value(t, s):
+        return root_of_unity(level, sum(coeffs[i][j] * x * y for i, x in enumerate(t.exponents)
+                                        for j, y in enumerate(s.exponents)) % level)
+    return value
+
+
+def _twisted_tables(rng, group):
+    """A bicharacter and a coboundary-twisted bicharacter, each on a shuffled support."""
+    support = list(group.elements())
+    beta = _bicharacter(group, rng)
+    f = {t: CycNumber.rational(rng.choice([1, -1, 2, -3, 5])) * beta(t, t) for t in support}
+    tables = []
+    for twisted in (False, True):
+        rng.shuffle(support)
+        values = {}
+        for t in support:
+            for s in support:
+                value = beta(t, s)
+                if twisted:
+                    value = value * f[t] * f[s] / f[t * s]
+                values[(t, s)] = value
+        tables.append(Cocycle(group, tuple(support), values))
+    return tables
+
+
+def _changed(cocycle, rng, factor):
+    """The same table with one value multiplied by factor."""
+    values = dict(cocycle.values)
+    key = rng.choice(sorted(values, key=lambda ts: (ts[0].sort_key(), ts[1].sort_key())))
+    values[key] = values[key] * factor
+    return Cocycle(cocycle.group, cocycle.support, values)
+
+
+@functools.lru_cache(maxsize=None)
+def _cocycle_cases():
+    rng = random.Random(7070)
+    cocycles = []
+    for n in range(1, 7):
+        cocycles.append(_random_epsilon_cocycle(rng, n, FiniteAbelianGroup((n, n))))
+        cocycles.append(_random_epsilon_cocycle(rng, n, FiniteAbelianGroup((n, 2 * n))))
+    for factors in ((2, 2, 2), (2, 4, 3)):
+        cocycles.extend(_twisted_tables(rng, FiniteAbelianGroup(factors)))
+    cases = list(cocycles)
+    for co in cocycles:
+        cases.append(_changed(co, rng, CycNumber.rational(2)))
+        cases.append(_changed(co, rng, root_of_unity(3, 1)))
+    co = cocycles[-1]
+    cases.append(_changed(co, rng, CycNumber.zero()))
+    G = FiniteAbelianGroup((2, 2, 2))
+    cases.append(Cocycle(G, (), {}))
+    # a support that is not a subgroup: the scan reaches a missing value
+    partial = tuple(t for t in G.elements() if t != G.element((1, 1, 1)))
+    cases.append(Cocycle(G, partial, {(t, s): CycNumber.one() for t in partial for s in partial}))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_outcome(case):
+    return _outcome(_reference_identity_violation, _cocycle_cases()[case])
+
+
+@pytest.mark.parametrize("case", range(len(_cocycle_cases())))
+def test_cocycle_identity_matches_the_full_scan(case):
+    co = _cocycle_cases()[case]
+    assert _outcome(Cocycle.first_identity_violation, co) == _reference_outcome(case)
+
+
+def test_cocycle_oracle_covers_both_verdicts_and_every_fallback():
+    outcomes = [_reference_outcome(case) for case in range(len(_cocycle_cases()))]
+    assert sum(o == ("returned", None) for o in outcomes) >= 17
+    assert sum(o[0] == "returned" and o[1] is not None for o in outcomes) >= 25
+    assert any(o[0] == "KeyError" for o in outcomes)
+    assert any(co.support and any(v.is_zero() for v in co.values.values())
+               for co in _cocycle_cases())
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_passing_identity_check_multiplies_only_generator_triples(monkeypatch):
+    co = extract_cocycle(epsilon_grading(5))
+    calls = _count_calls(monkeypatch, CycNumber, "__mul__")
+    assert co.first_identity_violation() is None
+    size, generators = 25, 2  # Z5 x Z5 is generated by (0, 1) and (1, 0)
+    assert len(calls) <= 2 * size * size * generators
+
+
+def test_cocycle_from_units_inverts_one_pivot_per_degree(monkeypatch):
+    alg = epsilon_grading(5)
+    basis = {g: mats[0] for g, mats in alg.components.items()}
+    calls = _count_calls(monkeypatch, CycNumber, "inverse")
+    cocycle_from_units(alg.group, basis)
+    assert len(calls) <= len(basis)
+
+
+def test_cocycle_from_units_raises_the_first_fault_in_pair_order():
+    Z3 = FiniteAbelianGroup((3,))
+    e, g, g2 = (Z3.element((k,)) for k in range(3))
+    zero = Matrix.zeros(2)
+    # (e, g): E_00 E_11 = 0 comes before the zero basis element of degree g^2 is reached
+    with pytest.raises(ValueError) as excinfo:
+        cocycle_from_units(Z3, {e: Matrix.unit(2, 0, 0), g: Matrix.unit(2, 1, 1), g2: zero})
+    assert str(excinfo.value) == \
+        f"product of degrees {e} and {g} is not a nonzero multiple of the {g} basis"
+    # (e, g) reaches the zero basis element first; (g, g^2) would fail as a non-multiple
+    with pytest.raises(ValueError) as excinfo:
+        cocycle_from_units(Z3, {e: Matrix.identity(2), g: zero, g2: Matrix.unit(2, 0, 1)})
+    assert str(excinfo.value) == f"basis element of degree {g} is zero"

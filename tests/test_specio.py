@@ -8,7 +8,8 @@ from gradedmat.equivalence import OMEGA, DefiningSequence, decide_equivalence
 from gradedmat.gradings import GradedMap, elementary_grading, epsilon_grading
 from gradedmat.groups import FiniteAbelianGroup
 from gradedmat.matrices import Matrix
-from gradedmat.specio import (SpecError, chain_to_json, element_key, element_to_json,
+from gradedmat.specio import (SpecError, chain_to_json, declared_dimension, element_key,
+                              element_to_json,
                               grading_to_json, group_to_json, map_to_json,
                               matrix_to_json, parse_chain, parse_element,
                               parse_element_key, parse_grading, parse_grading_or_map,
@@ -215,3 +216,42 @@ def test_witness_serialization_forms():
     assert payload["shift"] == [1]
     assert payload["class_pairing"] == [[[0], [1]]]
     assert "beta" not in payload
+
+
+def _declared_dimension_specs():
+    eps2 = {"kind": "epsilon", "n": 2}
+    elem = {"kind": "elementary", "group": {"factors": [2, 2]}, "tuple": [[0, 0], [1, 0], [0, 1]]}
+    fine = grading_to_json(epsilon_grading(3))
+    fine["components"] = dict(fine["components"], **{"0,0": []})  # an empty first component
+    return [
+        eps2, elem, fine,
+        {"kind": "epsilon", "n": 4, "group": {"factors": [4, 4]}, "a": [1, 1], "b": [0, 1]},
+        {"kind": "tensor", "left": elem, "right": {"kind": "epsilon", "n": 2,
+                                                   "group": {"factors": [2, 2]},
+                                                   "a": [1, 0], "b": [0, 1]}},
+        map_to_json(GradedMap(epsilon_grading(2), epsilon_grading(2), tuple(
+            (m, m) for mats in epsilon_grading(2).components.values() for m in mats))),
+    ]
+
+
+def test_declared_dimension_is_the_parsed_size():
+    for spec in _declared_dimension_specs():
+        parsed = parse_grading_or_map(spec)
+        n = parsed.codomain.n if isinstance(parsed, GradedMap) else parsed.n
+        assert declared_dimension(spec) == n
+
+
+@pytest.mark.parametrize("spec", [
+    [], {"kind": 3}, {"kind": "mystery", "n": 2}, {"kind": "epsilon"},
+    {"kind": "epsilon", "n": True}, {"kind": "epsilon", "n": "3"},
+    {"kind": "elementary", "group": {"factors": [2]}, "tuple": "01"},
+    {"kind": "tensor", "left": {"kind": "epsilon", "n": 2}},
+    {"kind": "explicit", "group": {"factors": [2]}, "components": {"0": [], "1": []}},
+    {"kind": "explicit", "group": {"factors": [2]}, "components": {"0": [[1]]}},
+    {"kind": "explicit", "group": {"factors": [2]}, "components": {"0": "x"}},
+    {"kind": "map", "domain": {"kind": "epsilon", "n": 2}, "pairs": []},
+])
+def test_declared_dimension_is_none_only_where_parsing_fails(spec):
+    assert declared_dimension(spec) is None
+    with pytest.raises(SpecError):
+        parse_grading_or_map(spec)
