@@ -4,7 +4,7 @@ from .cyclotomic import CycNumber, cyclotomic_polynomial, euler_phi, parse_scala
     root_of_unity
 from .groups import Character, FiniteAbelianGroup, GroupElement, subgroup_generated
 from .matrices import Matrix
-from .linalg import SpanSolver, independent_subset, nullspace, rank_of, rref, solve_linear
+from .linalg import SpanSolver, independent_subset, nullspace, rref, solve_linear
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        GradingReport, HomomorphismReport, IdentityComponentIdeal,
                        centralizer, character_action, cocycle_from_units,
@@ -14,12 +14,11 @@ from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        is_graded_subspace, is_invariant_subspace, matrix_degree_for_tuple,
                        support_is_subgroup, verify_grading)
 from .equivalence import (OMEGA, DefiningSequence, EquivalenceWitness, Signature,
-                          build_isomorphism, construct_beta, decide_equivalence,
-                          exhaustive_monomial_oracle)
+                          build_isomorphism, construct_beta, decide_equivalence)
 from .embeddings import (DecompositionPair, EmbeddingConditionError, GradedVectorSpace,
                          ModuleSplit, RegularizationResult, block_diagonal_embedding,
-                         check_block_condition, find_block_violation,
-                         regularize_decomposition, split_module_decomposition)
+                         find_block_violation, regularize_decomposition,
+                         split_module_decomposition)
 from .chains import (BlockStep, BratteliDiagram, ChainSpec, DoubleStep, FinitaryGrading,
                      TwistStep, bratteli_of_chain, chain_union_finitary, diagrams_equal,
                      steinitz_signature)
@@ -28,7 +27,7 @@ __all__ = [
     "CycNumber", "cyclotomic_polynomial", "euler_phi", "parse_scalar", "root_of_unity",
     "Character", "FiniteAbelianGroup", "GroupElement", "subgroup_generated",
     "Matrix",
-    "SpanSolver", "independent_subset", "nullspace", "rank_of", "rref", "solve_linear",
+    "SpanSolver", "independent_subset", "nullspace", "rref", "solve_linear",
     "Cocycle", "ElementaryUnits", "GradedAlgebra", "GradedMap", "GradingReport",
     "HomomorphismReport", "IdentityComponentIdeal", "centralizer", "character_action",
     "cocycle_from_units", "elementary_grading", "epsilon_grading", "extract_cocycle",
@@ -37,10 +36,10 @@ __all__ = [
     "is_invariant_subspace", "matrix_degree_for_tuple", "support_is_subgroup",
     "verify_grading",
     "OMEGA", "DefiningSequence", "EquivalenceWitness", "Signature", "build_isomorphism",
-    "construct_beta", "decide_equivalence", "exhaustive_monomial_oracle",
+    "construct_beta", "decide_equivalence",
     "DecompositionPair", "EmbeddingConditionError", "GradedVectorSpace", "ModuleSplit",
-    "RegularizationResult", "block_diagonal_embedding", "check_block_condition",
-    "find_block_violation", "regularize_decomposition", "split_module_decomposition",
+    "RegularizationResult", "block_diagonal_embedding", "find_block_violation",
+    "regularize_decomposition", "split_module_decomposition",
     "BlockStep", "BratteliDiagram", "ChainSpec", "DoubleStep", "FinitaryGrading",
     "TwistStep", "bratteli_of_chain", "chain_union_finitary", "diagrams_equal",
     "steinitz_signature",

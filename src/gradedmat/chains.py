@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .equivalence import OMEGA, DefiningSequence, Signature
 from .embeddings import find_block_violation
@@ -237,16 +237,6 @@ class FinitaryGrading:
 
     def prefix(self, depth: int) -> Tuple[GroupElement, ...]:
         return self.spec.unfold(depth)[-1]
-
-    def prefixes(self) -> Iterator[Tuple[GroupElement, ...]]:
-        """Nested prefix tuples, one per level, without end."""
-        tau = self.spec.base
-        yield tau
-        i = 0
-        while True:
-            tau = self.spec.step_at(i).extend(tau)
-            i += 1
-            yield tau
 
     def truncation(self, depth: int) -> GradedAlgebra:
         return elementary_grading(self.group, self.prefix(depth))

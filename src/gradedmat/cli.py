@@ -17,7 +17,7 @@ from .gradings import (GradedMap, elementary_grading, extract_cocycle,
 from .specio import (SpecError, chain_to_json, declared_dimension, element_key,
                      element_to_json, map_to_json, matrix_to_json, parse_chain,
                      parse_decomposition_pair, parse_embedding, parse_grading,
-                     parse_grading_or_map, parse_group, parse_map, parse_tuple,
+                     parse_group, parse_map, parse_tuple,
                      signature_to_json, witness_to_json)
 
 EXIT_PASS = 0
@@ -51,6 +51,13 @@ def _check_dim(n: Optional[int], what: str) -> None:
         raise InputError(f"{what} has dimension {n}, above the GMK_MAX_DIM cap {cap}")
 
 
+def _check_map_dims(obj: Any) -> None:
+    """Cap a map spec's codomain, then its domain, before either is built."""
+    _check_dim(declared_dimension(obj), "the codomain")
+    if isinstance(obj, dict):
+        _check_dim(declared_dimension(obj.get("domain")), "the domain")
+
+
 def _load_json(source: str, what: str) -> Any:
     """Load a JSON document from a file path or an inline literal."""
     text = source
@@ -78,11 +85,9 @@ def _emit(payload: Dict[str, Any], fmt: str, text_lines: List[str]) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec, "spec")
-    is_map = isinstance(obj, dict) and obj.get("kind") == "map"
-    _check_dim(declared_dimension(obj), "the codomain" if is_map else "the algebra")
-    target = parse_grading_or_map(obj)
-    if isinstance(target, GradedMap):
-        report = graded_homomorphism_check(target)
+    if isinstance(obj, dict) and obj.get("kind") == "map":
+        _check_map_dims(obj)
+        report = graded_homomorphism_check(parse_map(obj))
         payload = {
             "kind": "map",
             "verdict": "pass" if report.passed else "fail",
@@ -98,7 +103,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          f"degree_failures={len(report.degree_failures)}")
         _emit(payload, args.format, lines)
         return EXIT_PASS if report.passed else EXIT_FAIL
-    report = verify_grading(target)
+    _check_dim(declared_dimension(obj), "the algebra")
+    report = verify_grading(parse_grading(obj))
     payload = {
         "kind": "grading",
         "verdict": "pass" if report.passed else "fail",
@@ -170,7 +176,7 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
         raise SpecError("spec", "expected an object")
     if "map" not in obj:
         raise SpecError("spec.map", "missing field")
-    _check_dim(declared_dimension(obj["map"]), "the codomain")
+    _check_map_dims(obj["map"])
     gmap = parse_map(obj["map"], "spec.map")
     source = parse_decomposition_pair(obj.get("source"), gmap.domain, "spec.source")
     target = parse_decomposition_pair(obj.get("target"), gmap.codomain, "spec.target")

@@ -19,47 +19,6 @@ def _trim(coeffs: List[Fraction]) -> List[Fraction]:
     return coeffs
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj == 0:
-                continue
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    _trim(rem)
-    quot = [_ZERO] * max(0, len(rem) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        factor = rem[-1] / lead
-        shift = len(rem) - len(b)
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            if bi != 0:
-                rem[shift + i] -= factor * bi
-        _trim(rem)
-    return _trim(quot), rem
-
-
 def _prime_factors(n: int) -> List[int]:
     """The distinct primes dividing n, by trial division up to sqrt(n)."""
     primes, p = [], 2
@@ -293,19 +252,32 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N.
+
+        Each pair keeps r = s * self mod Phi_N; reducing r0 by r1 subtracts
+        c * x^k * (r1, s1) from (r0, s0) in place until r0 is shorter than r1.
+        """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
         if len(self.coeffs) == 1:
             return CycNumber(self.level, (_ONE / self.coeffs[0],))
-        modulus = list(cyclotomic_polynomial(self.level))
-        r0, r1 = modulus, list(self.coeffs)
+        r0, r1 = list(cyclotomic_polynomial(self.level)), list(self.coeffs)
         s0: List[Fraction] = []
         s1: List[Fraction] = [_ONE]
         while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            while len(r0) >= len(r1):
+                c = r0[-1] / r1[-1]
+                k = len(r0) - len(r1)
+                s0.extend([_ZERO] * (k + len(s1) - len(s0)))
+                for i, x in enumerate(r1, k):
+                    if x:
+                        r0[i] -= c * x
+                for i, x in enumerate(s1, k):
+                    if x:
+                        s0[i] -= c * x
+                _trim(r0)
+                _trim(s0)
+            r0, r1, s0, s1 = r1, r0, s1, s0
         if not r1:
             raise ZeroDivisionError("element is a zero divisor; modulus not coprime")
         scale = r1[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber
@@ -38,10 +39,6 @@ def find_block_violation(h: Sequence[GroupElement], k: int, m: int, r: int) -> O
             if h[i + offset].inverse() * h[i + offset + 1] != base:
                 return i
     return None
-
-
-def check_block_condition(h: Sequence[GroupElement], k: int, m: int, r: int) -> bool:
-    return find_block_violation(h, k, m, r) is None
 
 
 def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
@@ -229,6 +226,7 @@ class DecompositionPair:
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(sorted(self.d_units, key=GroupElement.sort_key))
 
+    @cached_property
     def cocycle(self) -> Cocycle:
         return cocycle_from_units(self.algebra.group, self.d_units)
 
@@ -261,8 +259,7 @@ class DecompositionPair:
         if overlap - {identity_g}:
             problems.append(f"factor supports overlap beyond the identity: {sorted(overlap, key=GroupElement.sort_key)}")
         try:
-            co = self.cocycle()
-            violation = co.first_identity_violation()
+            violation = self.cocycle.first_identity_violation()
             if violation is not None:
                 problems.append(f"cocycle identity fails at {violation}")
         except ValueError as exc:
@@ -294,7 +291,7 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
     support = source.support()
     if support != target.support():
         raise ValueError("fine factors have different supports")
-    source_alpha, alpha = source.cocycle(), target.cocycle()
+    source_alpha, alpha = source.cocycle, target.cocycle
     if not source_alpha.equals(alpha):
         raise ValueError("fine factors have different cocycles")
     e2 = target.identity
@@ -342,20 +339,17 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
             if phi_a * adjusted[t] != phi_a * phi.apply(source.d_units[t]):
                 raise ValueError(f"adjusted basis is incompatible with the map at degree {t}")
 
-    image_solver = SpanSolver()
-    for c in source.c_basis:
-        for x in source.d_units.values():
-            image_solver.add(phi.apply(c * x).vector())
-    corner_solver = SpanSolver()
-    for component in algebra2.components.values():
-        for basis_matrix in component:
-            corner_solver.add((phi_e1 * basis_matrix * phi_e1).vector())
-    corner_equal = (image_solver.rank == corner_solver.rank
-                    and all(corner_solver.contains(row) for row in image_solver.echelon_rows()))
+    # equal ranks and one span inside the other make the two spans equal
+    image = [phi.apply(c * x).vector() for c in source.c_basis for x in source.d_units.values()]
+    corner_solver = SpanSolver((phi_e1 * basis_matrix * phi_e1).vector()
+                               for component in algebra2.components.values()
+                               for basis_matrix in component)
+    corner_equal = (SpanSolver(image).rank == corner_solver.rank
+                    and all(corner_solver.contains(v) for v in image))
     if corner_equal:
         phi_c1 = SpanSolver([phi.apply(c).vector() for c in source.c_basis])
-        cut = SpanSolver([(phi_e1 * m * phi_e1).vector() for m in new_centralizer])
-        if cut.rank != phi_c1.rank or not all(phi_c1.contains(r) for r in cut.echelon_rows()):
+        cut = [(phi_e1 * m * phi_e1).vector() for m in new_centralizer]
+        if SpanSolver(cut).rank != phi_c1.rank or not all(phi_c1.contains(v) for v in cut):
             raise ValueError("corner of the new elementary factor does not match the mapped one")
 
     pair = DecompositionPair(algebra2, tuple(new_centralizer), dict(adjusted), e2)

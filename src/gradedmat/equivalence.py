@@ -7,7 +7,6 @@ the k-th index of each degree class to the k-th index of the shifted class.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -65,11 +64,11 @@ class Signature:
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(g for g, _ in self.counts)
 
-    def is_finitary(self) -> bool:
+    def has_omega(self) -> bool:
         return any(value is OMEGA for _, value in self.counts)
 
     def total(self) -> Count:
-        if self.is_finitary():
+        if self.has_omega():
             return OMEGA
         return sum(value for _, value in self.counts)  # type: ignore[misc]
 
@@ -95,7 +94,7 @@ class DefiningSequence:
     @staticmethod
     def finitary(group: FiniteAbelianGroup, counts: Mapping[GroupElement, Count]) -> "DefiningSequence":
         signature = Signature.from_mapping(group, counts)
-        if not signature.is_finitary():
+        if not signature.has_omega():
             raise ValueError("the counting form is reserved for sequences with omega entries")
         return DefiningSequence(group, None, signature)
 
@@ -173,21 +172,3 @@ def build_isomorphism(beta: Sequence[int], n: int) -> Tuple[Tuple[Matrix, Matrix
         raise ValueError("beta must be a permutation of 0..n-1")
     return tuple((Matrix.unit(n, i, j), Matrix.unit(n, beta[i], beta[j]))
                  for i in range(n) for j in range(n))
-
-
-def exhaustive_monomial_oracle(tau: Sequence[GroupElement],
-                               tau_prime: Sequence[GroupElement]) -> bool:
-    """Try every permutation as a monomial isomorphism; reference decision procedure.
-
-    Only usable for small sizes; guards against factorial blow-up.
-    """
-    n = len(tau)
-    if n != len(tau_prime):
-        return False
-    if n > 8:
-        raise ValueError("exhaustive search is limited to n <= 8")
-    for perm in itertools.permutations(range(n)):
-        if all(tau_prime[perm[i]].inverse() * tau_prime[perm[j]] == tau[i].inverse() * tau[j]
-               for i in range(n) for j in range(n)):
-            return True
-    return False

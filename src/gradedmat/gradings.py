@@ -55,18 +55,15 @@ class GradedAlgebra:
         return tuple(self.components.keys())
 
     @cached_property
-    def _union_basis(self) -> Tuple[Tuple[GroupElement, Matrix], ...]:
-        return tuple((g, m) for g, mats in self.components.items() for m in mats)
-
     def union_basis(self) -> Tuple[Tuple[GroupElement, Matrix], ...]:
-        return self._union_basis
+        return tuple((g, m) for g, mats in self.components.items() for m in mats)
 
     def identity(self) -> Matrix:
         return Matrix.identity(self.n)
 
     @cached_property
     def _solver(self) -> SpanSolver:
-        return SpanSolver([m.vector() for _, m in self._union_basis])
+        return SpanSolver([m.vector() for _, m in self.union_basis])
 
     @cached_property
     def _component_solvers(self) -> Dict[GroupElement, SpanSolver]:
@@ -80,7 +77,7 @@ class GradedAlgebra:
         coords = self._solver.sparse_coordinates(m.vector())
         if coords is None:
             raise ValueError("matrix is not in the span of the components")
-        basis = self._union_basis  # grouped by degree; coords run in its order
+        basis = self.union_basis  # grouped by degree; coords run in its order
         parts = {g: Matrix.combination(self.n, ((c, basis[i][1]) for i, c in terms))
                  for g, terms in itertools.groupby(coords.items(), key=lambda t: basis[t[0]][0])}
         return {g: part for g, part in parts.items() if not part.is_zero()}
@@ -665,8 +662,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         vj1, _ = bridge(j, 0)
         product = u1j * vj1
         solver = SpanSolver([primitives[0].vector()])
-        coords = solver.coordinates(product.vector())
-        if coords is None or coords[0].is_zero():
+        coords = solver.sparse_coordinates(product.vector())
+        if coords is None or 0 not in coords:
             raise ValueError("corner bridges do not compose to the base idempotent")
         row_units[j] = u1j
         col_units[j] = vj1.scale(coords[0].inverse())

@@ -61,10 +61,6 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self._rows)
 
-    def echelon_rows(self) -> List[List[CycNumber]]:
-        zero = CycNumber.zero()
-        return [[vec.get(i, zero) for i in range(self._length)] for vec, _ in self._rows.values()]
-
     def _reduce(self, vector: Vector, track: bool = True) -> Tuple[_Sparse, _Sparse]:
         """The vector less its projection on the rows, and minus its coordinates (if tracked)."""
         if isinstance(vector, SparseVector):
@@ -121,17 +117,6 @@ class SpanSolver:
             return None
         return {i: -combo[i] for i in sorted(combo)}
 
-    def coordinates(self, vector: Vector) -> Optional[List[CycNumber]]:
-        """Coefficients over the original vector list, or None if outside the span."""
-        coords = self.sparse_coordinates(vector)
-        return None if coords is None else [coords.get(i, CycNumber.zero()) for i in range(self._count)]
-
-
-def rank_of(vectors: Sequence[Vector]) -> int:
-    solver = SpanSolver()
-    for v in vectors:
-        solver.add(v)
-    return solver.rank
 
 
 def independent_subset(vectors: Sequence[Vector]) -> List[int]:

@@ -22,7 +22,7 @@ class Matrix:
     """Immutable n x n matrix; all arithmetic is exact.
 
     Only nonzero entries are stored: rows[i] maps a column to its nonzero
-    entry.  `entries`, `flatten()` and `column()` are read-only dense views.
+    entry.  `entries` and `column()` are read-only dense views.
     """
 
     __slots__ = ("n", "rows")
@@ -174,9 +174,6 @@ class Matrix:
         n = self.n
         return SparseVector(n * n, {i * n + j: a for i, row in enumerate(self.rows)
                                     for j, a in row.items()})
-
-    def flatten(self) -> Tuple[CycNumber, ...]:
-        return tuple(a for row in self.entries for a in row)
 
     def column(self, j: int) -> Tuple[CycNumber, ...]:
         zero = CycNumber.zero()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from .chains import BlockStep, ChainSpec, ChainStep, DoubleStep, TwistStep
 from .cyclotomic import parse_scalar
@@ -151,9 +151,6 @@ def group_to_json(group: FiniteAbelianGroup) -> dict:
     return {"factors": list(group.factors)}
 
 
-GradingOrMap = Union[GradedAlgebra, GradedMap]
-
-
 def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
     """Grading spec of kind elementary | epsilon | tensor | explicit."""
     data = _expect(obj, dict, path, "an object")
@@ -234,14 +231,6 @@ def parse_map(obj: Any, path: str = "spec") -> GradedMap:
         pairs.append((parse_matrix(pair[0], f"{path}.pairs[{i}][0]", domain.n),
                       parse_matrix(pair[1], f"{path}.pairs[{i}][1]", codomain.n)))
     return GradedMap(domain, codomain, tuple(pairs))
-
-
-def parse_grading_or_map(obj: Any, path: str = "spec") -> GradingOrMap:
-    data = _expect(obj, dict, path, "an object")
-    kind = _expect(_field(data, "kind", path), str, f"{path}.kind", "a string")
-    if kind == "map":
-        return parse_map(obj, path)
-    return parse_grading(obj, path)
 
 
 def declared_dimension(obj: Any) -> Optional[int]:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import gradedmat.embeddings
 import gradedmat.specio
 from gradedmat.cli import main
 from gradedmat.embeddings import DecompositionPair
@@ -283,6 +284,7 @@ def _refuse_to_build(*args, **kwargs):
 _HUGE_EPS = {"kind": "epsilon", "n": 100000}
 _HUGE_MAP = {"kind": "map", "domain": {"kind": "epsilon", "n": 2}, "codomain": _HUGE_EPS,
              "pairs": [[matrix_to_json(Matrix.identity(2)), matrix_to_json(Matrix.identity(2))]]}
+_HUGE_DOMAIN_MAP = dict(_HUGE_MAP, domain=_HUGE_EPS, codomain={"kind": "epsilon", "n": 2})
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -297,6 +299,9 @@ _HUGE_MAP = {"kind": "map", "domain": {"kind": "epsilon", "n": 2}, "codomain": _
      "the algebra has dimension 5"),
     (["verify", "--spec", json.dumps(_HUGE_MAP)], "the codomain has dimension 100000"),
     (["regularize", "--spec", json.dumps({"map": _HUGE_MAP})], "the codomain has dimension 100000"),
+    (["verify", "--spec", json.dumps(_HUGE_DOMAIN_MAP)], "the domain has dimension 100000"),
+    (["regularize", "--spec", json.dumps({"map": _HUGE_DOMAIN_MAP})],
+     "the domain has dimension 100000"),
 ])
 def test_dimension_cap_is_checked_before_anything_is_built(capsys, monkeypatch, argv, what):
     for name in ("GradedAlgebra", "elementary_grading", "epsilon_grading",
@@ -324,6 +329,20 @@ def test_dimension_cap_rejects_a_huge_grading_in_a_child_process_at_once():
     assert result.stderr == \
         "error: the algebra has dimension 100000, above the GMK_MAX_DIM cap 4\n"
     assert result.stdout == ""
+
+
+def test_regularize_extracts_each_pairs_cocycle_once(capsys, monkeypatch):
+    calls = []
+    extract = gradedmat.embeddings.cocycle_from_units
+
+    def counting(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(gradedmat.embeddings, "cocycle_from_units", counting)
+    code, _, _ = run_cli(capsys, "regularize", "--spec", json.dumps(_regularize_spec()))
+    # source and target once each, then the regularized pair as the check on the output
+    assert code == 0 and len(calls) == 3
 
 
 def test_unknown_command_exits_via_argparse(capsys):

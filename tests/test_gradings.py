@@ -382,7 +382,7 @@ def _reference_verify(algebra):
     total = algebra.dimension
     solver = SpanSolver()
     independent = True
-    for _, m in algebra.union_basis():
+    for _, m in algebra.union_basis:
         if not solver.add(m.vector()):
             independent = False
     component_solvers = {g: SpanSolver([m.vector() for m in mats])
@@ -402,7 +402,7 @@ def _reference_verify(algebra):
 
 
 def _reference_homomorphism_check(gmap):
-    """Every product of basis pairs mapped through a dense coordinate solve."""
+    """Every product of basis pairs mapped through a coordinate solve."""
     domain, codomain = gmap.domain, gmap.codomain
     source_solver = SpanSolver()
     basis_ok = True
@@ -413,8 +413,8 @@ def _reference_homomorphism_check(gmap):
         basis_ok = False
 
     def apply(m):
-        coords = source_solver.coordinates(m.vector())
-        return Matrix.combination(codomain.n, zip(coords, (image for _, image in gmap.pairs)))
+        coords = source_solver.sparse_coordinates(m.vector())
+        return Matrix.combination(codomain.n, ((c, gmap.pairs[i][1]) for i, c in coords.items()))
 
     mult_failures = []
     if basis_ok:

@@ -12,7 +12,7 @@ from gradedmat.specio import (SpecError, chain_to_json, declared_dimension, elem
                               element_to_json,
                               grading_to_json, group_to_json, map_to_json,
                               matrix_to_json, parse_chain, parse_element,
-                              parse_element_key, parse_grading, parse_grading_or_map,
+                              parse_element_key, parse_grading,
                               parse_group, parse_map, parse_matrix, parse_tuple,
                               signature_to_json, witness_to_json)
 
@@ -150,9 +150,8 @@ def test_map_round_trip_and_checks():
     assert payload["kind"] == "map"
     back = parse_map(payload)
     assert back.pairs == gmap.pairs
-    either = parse_grading_or_map(payload)
-    assert isinstance(either, GradedMap)
-    assert isinstance(parse_grading_or_map(grading_to_json(alg)), type(alg))
+    assert isinstance(back, GradedMap)
+    assert isinstance(parse_grading(grading_to_json(alg)), type(alg))
 
 
 def test_map_spec_errors():
@@ -234,11 +233,20 @@ def _declared_dimension_specs():
     ]
 
 
+def _parse_spec(spec):
+    """Parse as `verify` does: a map spec by parse_map, any other by parse_grading."""
+    is_map = isinstance(spec, dict) and spec.get("kind") == "map"
+    return parse_map(spec) if is_map else parse_grading(spec)
+
+
 def test_declared_dimension_is_the_parsed_size():
     for spec in _declared_dimension_specs():
-        parsed = parse_grading_or_map(spec)
-        n = parsed.codomain.n if isinstance(parsed, GradedMap) else parsed.n
-        assert declared_dimension(spec) == n
+        parsed = _parse_spec(spec)
+        if isinstance(parsed, GradedMap):
+            assert declared_dimension(spec) == parsed.codomain.n
+            assert declared_dimension(spec["domain"]) == parsed.domain.n
+        else:
+            assert declared_dimension(spec) == parsed.n
 
 
 @pytest.mark.parametrize("spec", [
@@ -254,4 +262,4 @@ def test_declared_dimension_is_the_parsed_size():
 def test_declared_dimension_is_none_only_where_parsing_fails(spec):
     assert declared_dimension(spec) is None
     with pytest.raises(SpecError):
-        parse_grading_or_map(spec)
+        _parse_spec(spec)
