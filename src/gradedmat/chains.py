@@ -91,6 +91,10 @@ class ChainSpec:
         for g in self.base:
             if g.group != self.group:
                 raise ValueError("base tuple entries must belong to the stated group")
+        for i, step in enumerate(self.steps):
+            elements = (step.a,) if isinstance(step, TwistStep) else getattr(step, "target", ())
+            if any(g.group != self.group for g in elements):
+                raise ValueError(f"step {i} elements must belong to the stated group")
 
     def step_at(self, i: int) -> ChainStep:
         return self.steps[i % len(self.steps)]
@@ -159,14 +163,40 @@ class BratteliDiagram:
         return "\n".join(lines) + "\n"
 
 
-def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
-    """Diagram of the first `depth` levels; edges traced through diagonal units.
+def _twist_element(step: ChainStep, group: FiniteAbelianGroup) -> GroupElement:
+    """The a of a step tau -> (tau, a tau); a doubling twists by the identity."""
+    return step.a if isinstance(step, TwistStep) else group.identity()
 
-    Multiplicity from class g to class h counts the images of one diagonal
-    unit of class g that land in class h; the count must not depend on the
-    chosen representative, and for unital steps the block dimensions satisfy
-    dim_(i+1)(h) = sum_g mult(g -> h) * dim_i(g).
+
+def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
+    """Block dimensions and edge multiplicities of the first `depth` levels.
+
+    Multiplicity g -> h counts the images of one diagonal unit of class g in class h.
+    A double or twist step by a (a = e for a doubling) sends index j to j and j + n, with
+    entries tau[j] and a tau[j]: every unit of class g has images in g and a g, and
+    c_(i+1)(h) = c_i(h) + c_i(a^-1 h).  Such chains are walked as degree counts in
+    O(depth |supp|); no multiplicity can depend on the representative, and dim_(i+1)(h) =
+    sum_g mult(g -> h) * dim_i(g) holds.  A block-step chain is traced and checked for both.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if not all(isinstance(step, (DoubleStep, TwistStep)) for step in spec.steps):
+        return _traced_bratteli(spec, depth)
+    dims = [{g: len(members) for g, members in degree_classes(spec.base).items()}]
+    edges: List[Dict[Tuple[GroupElement, GroupElement], int]] = []
+    for a in [_twist_element(spec.step_at(i), spec.group) for i in range(depth - 1)]:
+        counts, layer = {}, {}
+        for g, c in dims[-1].items():
+            for h in (g, a * g):
+                counts[h] = counts.get(h, 0) + c
+                layer[(g, h)] = layer.get((g, h), 0) + 1
+        dims.append(counts)
+        edges.append(layer)
+    return BratteliDiagram([[(g, c[g]) for g in sorted(c, key=GroupElement.sort_key)]
+                            for c in dims], edges)
+
+
+def _traced_bratteli(spec: ChainSpec, depth: int) -> BratteliDiagram:
     tuples = spec.unfold(depth)
     level_classes = [degree_classes(tau) for tau in tuples]
     levels = [[(g, len(classes[g])) for g in sorted(classes, key=GroupElement.sort_key)]
@@ -222,7 +252,7 @@ def steinitz_signature(spec: ChainSpec) -> Signature:
         if isinstance(step, BlockStep):
             raise ValueError(f"step {i} is an explicit block step; "
                              "limiting signatures require steps that repeat uniformly")
-        twists.append(step.a if isinstance(step, TwistStep) else spec.group.identity())
+        twists.append(_twist_element(step, spec.group))
     spread = subgroup_generated(twists)
     return Signature.from_mapping(spec.group, {g * h: OMEGA for g in spec.base for h in spread})
 

@@ -1,10 +1,13 @@
 """Chains of elementary gradings, their diagrams, and limiting signatures."""
 
-import pytest
+from collections import Counter
 
-from gradedmat.chains import (BlockStep, ChainSpec, DoubleStep, FinitaryGrading,
-                              TwistStep, bratteli_of_chain, chain_union_finitary,
-                              diagrams_equal, steinitz_signature)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gradedmat.chains import (BlockStep, BratteliDiagram, ChainSpec, DoubleStep,
+                              FinitaryGrading, TwistStep, bratteli_of_chain,
+                              chain_union_finitary, diagrams_equal, steinitz_signature)
 from gradedmat.equivalence import OMEGA, decide_equivalence
 from gradedmat.gradings import verify_grading
 from gradedmat.groups import FiniteAbelianGroup
@@ -48,6 +51,14 @@ def test_unfold_validates_depth_and_base():
         ChainSpec(Z2, (), (DoubleStep(),))
     with pytest.raises(ValueError):
         ChainSpec(Z2, (E0,), ())
+
+
+def test_chain_rejects_step_elements_of_another_group():
+    z3 = FiniteAbelianGroup((3,))
+    with pytest.raises(ValueError, match="^step 0 elements must belong to the stated group$"):
+        ChainSpec(Z2, (E0,), (TwistStep(z3.element((1,))),))
+    with pytest.raises(ValueError, match="^step 1 elements must belong to the stated group$"):
+        ChainSpec(Z2, (E0, A0), (DoubleStep(), BlockStep(2, 2, 0, (E0, A0, z3.identity(), A0))))
 
 
 def test_block_step_extends_explicitly():
@@ -104,6 +115,76 @@ def test_bratteli_block_step_with_remainder():
     assert diagram.multiplicity(0, E0, E0) == 2
     assert diagram.multiplicity(0, A0, A0) == 2
     assert diagram.multiplicity(0, E0, A0) == 0
+
+
+def _traced_diagram(spec, depth):
+    """Reference: unfold every tuple and trace the images of each index; the
+    counts of one class must agree over its representatives and, for unital
+    steps, add up to the next level's class sizes."""
+    tuples = spec.unfold(depth)
+    levels = [sorted(Counter(tau).items(), key=lambda gd: gd[0].sort_key()) for tau in tuples]
+    edges = []
+    for i in range(depth - 1):
+        source, target, step = tuples[i], tuples[i + 1], spec.step_at(i)
+        per_class = {}
+        for j, g in enumerate(source):
+            local = Counter(target[jp] for jp in step.images(j, len(source)))
+            assert per_class.setdefault(g, local) == local
+        layer = {(g, h): m for g, local in per_class.items() for h, m in local.items()}
+        if step.unital:
+            sizes = Counter(source)
+            landed = Counter()
+            for (g, h), m in layer.items():
+                landed[h] += m * sizes[g]
+            assert landed == Counter(target)
+        edges.append(layer)
+    return BratteliDiagram(levels, edges)
+
+
+_CHAIN_GROUPS = [(1,), (2,), (4,), (6,), (2, 2), (3, 3), (12,), (2, 6), (5, 5)]
+
+
+@st.composite
+def _double_twist_chains(draw):
+    group = FiniteAbelianGroup(draw(st.sampled_from(_CHAIN_GROUPS)))
+    element = st.tuples(*(st.integers(0, n - 1) for n in group.factors)).map(group.element)
+    base = draw(st.lists(element, min_size=1, max_size=4))
+    steps = draw(st.lists(st.one_of(st.just(DoubleStep()), element.map(TwistStep)),
+                          min_size=1, max_size=3))
+    return ChainSpec(group, tuple(base), tuple(steps)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_double_twist_chains())
+def test_bratteli_of_double_twist_chains_matches_the_trace(case):
+    spec, depth = case
+    got, want = bratteli_of_chain(spec, depth), _traced_diagram(spec, depth)
+    assert got.levels == want.levels
+    assert got.edges == want.edges
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.to_dot() == want.to_dot()
+
+
+def test_deep_double_twist_diagrams_do_not_unfold(monkeypatch):
+    def refuse(self, depth):
+        raise AssertionError("a double/twist chain was unfolded")
+
+    monkeypatch.setattr(ChainSpec, "unfold", refuse)
+    z12 = FiniteAbelianGroup((12,))
+    mixed = ChainSpec(z12, (z12.element((0,)), z12.element((5,)), z12.element((5,))),
+                      (DoubleStep(), TwistStep(z12.element((3,))), TwistStep(z12.element((8,)))))
+    for spec in (TWIST, mixed):
+        diagram = bratteli_of_chain(spec, 40)
+        assert diagram.depth == 40
+        for level, classes in enumerate(diagram.levels, start=1):
+            assert sum(d for _, d in classes) == len(spec.base) * 2 ** (level - 1)
+
+
+def test_bratteli_rejects_depth_below_one():
+    block = ChainSpec(Z2, (E0, A0), (BlockStep(2, 2, 0, (E0, A0, E0, A0)),))
+    for spec in (DOUBLE, block):
+        with pytest.raises(ValueError, match="^depth must be >= 1, got 0$"):
+            bratteli_of_chain(spec, 0)
 
 
 def test_bratteli_json_and_dot_are_stable():
