@@ -10,7 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import Character, FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
-from .linalg import SpanSolver, independent_subset, nullspace, solve_linear
+from .linalg import SpanSolver, _accumulate, independent_subset, nullspace, solve_linear
 from .matrices import Matrix
 
 
@@ -227,12 +227,21 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
 
 
 def support_is_subgroup(algebra: GradedAlgebra) -> bool:
-    supp = set(algebra.components.keys())
-    identity = algebra.group.identity()
-    if identity not in supp:
-        return False
-    return all(g * h in supp for g in supp for h in supp) and \
-        all(g.inverse() in supp for g in supp)
+    return _greedy_generators(algebra.support())[1]
+
+
+def _greedy_generators(support: Sequence[GroupElement]) -> Tuple[List[GroupElement], bool]:
+    """The elements of the support, in order, lying outside the span of those before them,
+    and whether their span is exactly the support (in a finite group: it is a subgroup)."""
+    if not support:
+        return [], False
+    generators: List[GroupElement] = []
+    span = {support[0].group.identity()}
+    for t in support:
+        if t not in span:
+            generators.append(t)
+            span = set(subgroup_generated(generators))
+    return generators, span == set(support)
 
 
 @dataclass(frozen=True)
@@ -252,7 +261,8 @@ class Cocycle:
         On a subgroup support with nonzero values this is associativity of the twisted group
         algebra on (e_t, e_s, e_u), so it holds for all u once it holds for u in a generating
         set: reassociate (e_t e_s)(e_z e_g) for u = zg, g a generator, and divide by
-        alpha(z, g).  All triples are scanned only when that certificate fails.
+        alpha(z, g).  The certificate indexes the support once, so its |T|^2 |S| terms are
+        scalar products and list lookups.  All triples are scanned only when it fails.
         """
         if self._identity_holds_on_generators():
             return None
@@ -266,19 +276,16 @@ class Cocycle:
         return None
 
     def _identity_holds_on_generators(self) -> bool:
-        generators: List[GroupElement] = []
-        span = {self.group.identity()}
-        for t in self.support:
-            if t not in span:
-                generators.append(t)
-                span = set(subgroup_generated(generators))
-        alpha = self.values
-        if not self.support or span != set(self.support) or any(
-                (t, s) not in alpha or alpha[(t, s)].is_zero()
-                for t in self.support for s in self.support):
+        support = self.support
+        generators, spans = _greedy_generators(support)
+        table = [[self.values.get((t, s)) for s in support] for t in support]
+        if not spans or any(a is None or a.is_zero() for row in table for a in row):
             return False
-        return all(alpha[(t, s)] * alpha[(t * s, g)] == alpha[(s, g)] * alpha[(t, s * g)]
-                   for t in self.support for s in self.support for g in generators)
+        index = {t: k for k, t in enumerate(support)}
+        times = [[index[t * s] for s in support] for t in support]
+        gens = [index[g] for g in generators]
+        return all(row[s] * table[times[t][s]][g] == table[s][g] * row[times[s][g]]
+                   for t, row in enumerate(table) for s in range(len(support)) for g in gens)
 
     def equals(self, other: "Cocycle") -> bool:
         if set(self.support) != set(other.support):
@@ -289,28 +296,58 @@ class Cocycle:
 
 def cocycle_from_units(group: FiniteAbelianGroup,
                        basis: Dict[GroupElement, Matrix]) -> Cocycle:
-    """Twisting scalars of a one-matrix-per-degree family closed under products."""
+    """Twisting scalars of a one-matrix-per-degree family closed under products.
+
+    Full products X_t X_g are compared with alpha(t, g) X_(tg) only for g in the greedy
+    generating set S of the support, once every X_t is known to be nonzero.  That is
+    enough: if s = zg with g in S and z a shorter word in S, then X_s = alpha(z, g)^(-1)
+    X_z X_g, so X_t X_s = alpha(z, g)^(-1) alpha(t, z) alpha(tz, g) X_(ts) is a nonzero
+    multiple by induction on the word length.  Every other alpha(t, s) is then read from
+    the pivot entry (i, j) of X_(ts) alone, summed in the order Matrix.__mul__ uses, so
+    each value is the one the full product gives.  All pairs are multiplied out, and the
+    first fault in (t, s) order raised, only when that certificate fails.
+    """
     support = tuple(sorted(basis, key=GroupElement.sort_key))
-    if set(subgroup_generated(support)) != set(support):
+    if not support:
+        raise ValueError("need at least one generator")
+    generators, spans = _greedy_generators(support)
+    if not spans:
         raise ValueError("the degrees of the basis must form a subgroup")
-    values: Dict[Tuple[GroupElement, GroupElement], CycNumber] = {}
-    pivots: Dict[GroupElement, Tuple[int, int, CycNumber]] = {}  # degree -> (i, j, 1/X[i, j])
-    for t in support:
-        for s in support:
-            product = basis[t] * basis[s]
-            target = basis[t * s]
-            if t * s not in pivots:
-                positions = target.nonzero_positions()
-                if not positions:
-                    raise ValueError(f"basis element of degree {t * s} is zero")
-                pivots[t * s] = (*positions[0], target[positions[0]].inverse())
-            i, j, inverse = pivots[t * s]
-            scalar = product[i, j] * inverse
-            if scalar.is_zero() or product != target.scale(scalar):
-                raise ValueError(
-                    f"product of degrees {t} and {s} is not a nonzero multiple of the {t * s} basis")
-            values[(t, s)] = scalar
-    return Cocycle(group, support, values)
+    pivots = {t: (*p, basis[t][p].inverse())  # degree -> (i, j, 1/X[i, j]), its first nonzero
+              for t in support for p in basis[t].nonzero_positions()[:1]}
+
+    def alpha(t: GroupElement, s: GroupElement, certified: bool) -> CycNumber:
+        ts = t * s
+        if certified:  # X_t X_s is known to be a nonzero multiple of X_(ts)
+            i, j, inverse = pivots[ts]
+            return _product_entry(basis[t], basis[s], i, j) * inverse
+        product = basis[t] * basis[s]
+        if ts not in pivots:
+            raise ValueError(f"basis element of degree {ts} is zero")
+        i, j, inverse = pivots[ts]
+        scalar = product[i, j] * inverse
+        if scalar.is_zero() or product != basis[ts].scale(scalar):
+            raise ValueError(
+                f"product of degrees {t} and {s} is not a nonzero multiple of the {ts} basis")
+        return scalar
+
+    pairs = [(t, s) for t in support for s in support]
+    if len(pivots) == len(support) and len({m.n for m in basis.values()}) == 1:
+        try:  # every X_t is nonzero and of one size: multiply out the generator pairs only
+            known = {(t, g): alpha(t, g, False) for t in support for g in generators or support}
+        except ValueError:  # scan every pair below for the first fault in (t, s) order
+            pass
+        else:
+            return Cocycle(group, support, {p: known[p] if p in known else alpha(*p, True)
+                                            for p in pairs})
+    return Cocycle(group, support, {p: alpha(*p, False) for p in pairs})
+
+
+def _product_entry(x: Matrix, y: Matrix, i: int, j: int) -> CycNumber:
+    """(xy)[i, j], added up in the order Matrix.__mul__ adds it; it must be nonzero."""
+    entry: Dict[int, CycNumber] = {}
+    _accumulate(entry, ((j, a * y.rows[k][j]) for k, a in x.rows[i].items() if j in y.rows[k]))
+    return entry[j]
 
 
 def extract_cocycle(algebra: GradedAlgebra) -> Cocycle:

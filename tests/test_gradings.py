@@ -5,9 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
-from gradedmat.groups import FiniteAbelianGroup
+from gradedmat.groups import FiniteAbelianGroup, GroupElement, subgroup_generated
 from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport,
                                 HomomorphismReport, centralizer, character_action,
                                 cocycle_from_units,
@@ -608,14 +609,23 @@ def _outcome(check, cocycle):
         return ("KeyError", exc.args)
 
 
-def _random_epsilon_cocycle(rng, n, group):
-    """The extracted cocycle of an epsilon grading on random generators inside group."""
+def _random_epsilon_grading(rng, n, group):
+    """An epsilon grading on random generators inside group; its labels need not be a subgroup."""
     elements = group.elements()
     while True:
         a, b = rng.choice(elements), rng.choice(elements)
         try:
-            return extract_cocycle(epsilon_grading(n, group=group, a=a, b=b))
-        except ValueError:  # the labels repeat, or the support is not a subgroup
+            return epsilon_grading(n, group=group, a=a, b=b)
+        except ValueError:  # the labels repeat
+            continue
+
+
+def _random_epsilon_cocycle(rng, n, group):
+    """The extracted cocycle of an epsilon grading on random generators inside group."""
+    while True:
+        try:
+            return extract_cocycle(_random_epsilon_grading(rng, n, group))
+        except ValueError:  # the support is not a subgroup, or not closed under products
             continue
 
 
@@ -742,3 +752,200 @@ def test_cocycle_from_units_raises_the_first_fault_in_pair_order():
     with pytest.raises(ValueError) as excinfo:
         cocycle_from_units(Z3, {e: Matrix.identity(2), g: zero, g2: Matrix.unit(2, 0, 1)})
     assert str(excinfo.value) == f"basis element of degree {g} is zero"
+
+
+def test_extraction_multiplies_only_generator_pairs(monkeypatch):
+    alg = epsilon_grading(5)
+    calls = _count_calls(monkeypatch, Matrix, "__mul__")
+    extract_cocycle(alg)
+    size, generators = 25, 2
+    assert len(calls) <= size * generators
+
+
+def test_passing_identity_check_indexes_the_support_once(monkeypatch):
+    co = extract_cocycle(epsilon_grading(5))
+    calls = _count_calls(monkeypatch, GroupElement, "__mul__")
+    assert co.first_identity_violation() is None
+    size = 25
+    assert len(calls) <= 2 * size * size
+
+
+def test_support_is_subgroup_matches_closure():
+    for factors in ((1,), (4,), (6,), (2, 2)):
+        G = FiniteAbelianGroup(factors)
+        elements = G.elements()
+        for mask in range(1, 2 ** len(elements)):
+            supp = {g for k, g in enumerate(elements) if mask >> k & 1}
+            closed = G.identity() in supp and all(g * h in supp for g in supp for h in supp)
+            algebra = GradedAlgebra(G, 1, {g: [Matrix.identity(1)] for g in supp})
+            assert support_is_subgroup(algebra) == closed
+
+
+# --- oracle: the |T|^2 pair scan of cocycle_from_units, kept as the reference ---
+
+def _reference_cocycle_from_units(group, basis):
+    """Every product X_t X_s compared with a multiple of X_(ts), faults raised in (t, s) order."""
+    support = tuple(sorted(basis, key=GroupElement.sort_key))
+    if set(subgroup_generated(support)) != set(support):
+        raise ValueError("the degrees of the basis must form a subgroup")
+    values = {}
+    pivots = {}
+    for t in support:
+        for s in support:
+            product = basis[t] * basis[s]
+            target = basis[t * s]
+            if t * s not in pivots:
+                positions = target.nonzero_positions()
+                if not positions:
+                    raise ValueError(f"basis element of degree {t * s} is zero")
+                pivots[t * s] = (*positions[0], target[positions[0]].inverse())
+            i, j, inverse = pivots[t * s]
+            scalar = product[i, j] * inverse
+            if scalar.is_zero() or product != target.scale(scalar):
+                raise ValueError(
+                    f"product of degrees {t} and {s} is not a nonzero multiple of the {t * s} basis")
+            values[(t, s)] = scalar
+    return Cocycle(group, support, values)
+
+
+def _extraction_outcome(extract, group, basis):
+    try:
+        co = extract(group, basis)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return ("returned", co.support,
+            [(key, value.to_string(), value.level) for key, value in co.values.items()])
+
+
+def _basis(algebra):
+    return {g: mats[0] for g, mats in algebra.components.items()}
+
+
+def _monomial(rng, n):
+    """A random permutation matrix with random nonzero rational entries, and its inverse."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Matrix([[rng.choice([1, -1, 2, -3]) if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)])
+    return p, p.inverse()
+
+
+def _pauli_basis():
+    G = FiniteAbelianGroup((2, 2))
+    z = Matrix.diagonal([1, -1])
+    x = Matrix([[0, 1], [1, 0]])
+    return G, {G.element((0, 0)): Matrix.identity(2), G.element((1, 0)): z,
+               G.element((0, 1)): x, G.element((1, 1)): z * x}
+
+
+@functools.lru_cache(maxsize=None)
+def _extraction_cases():
+    rng = random.Random(1010)
+    families = []
+    for n in range(1, 7):
+        for factors in ((n, n), (n, 2 * n), (2, n, n))[:3 if n <= 4 else 2]:
+            group = FiniteAbelianGroup(factors)
+            families.append((group, _basis(_random_epsilon_grading(rng, n, group))))
+    cases = list(families)
+    closed = [f for f in families
+              if _extraction_outcome(_reference_cocycle_from_units, *f)[0] == "returned"]
+    for group, basis in closed[1::2]:
+        degrees = sorted(basis, key=GroupElement.sort_key)
+        t, s = rng.sample(degrees, 2) if len(degrees) > 1 else (degrees[0], degrees[0])
+        scaled = dict(basis)
+        scaled[t] = scaled[t].scale(CycNumber.rational(rng.choice([2, -3, 5])) * root_of_unity(3, 1))
+        p, p_inv = _monomial(rng, basis[t].n)
+        conjugated = {g: p * m * p_inv for g, m in basis.items()}
+        swapped = dict(basis)
+        swapped[t], swapped[s] = basis[s], basis[t]
+        zeroed = dict(basis)
+        zeroed[s] = Matrix.zeros(basis[s].n)
+        cases.extend((group, family) for family in (scaled, conjugated, swapped, zeroed))
+    G, pauli = _pauli_basis()
+    pauli[G.element((1, 1))] = pauli[G.element((0, 1))]
+    cases.append((G, pauli))
+    cases.append((G, {**_pauli_basis()[1], G.element((1, 1)): Matrix.unit(3, 2, 2)}))
+    cases.append((G, {}))
+    Z1 = FiniteAbelianGroup((1,))  # no generators: the one pair is multiplied out
+    cases.extend((Z1, {Z1.identity(): m}) for m in (Matrix.unit(2, 1, 1), Matrix.unit(2, 0, 1)))
+    cases.append((G, {g: m for g, m in _pauli_basis()[1].items() if g != G.element((1, 1))}))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_extraction(case):
+    return _extraction_outcome(_reference_cocycle_from_units, *_extraction_cases()[case])
+
+
+@pytest.mark.parametrize("case", range(len(_extraction_cases())))
+def test_cocycle_from_units_matches_the_pair_scan(case):
+    got = _extraction_outcome(cocycle_from_units, *_extraction_cases()[case])
+    assert got == _reference_extraction(case)
+
+
+def test_extraction_oracle_covers_values_and_every_fault():
+    outcomes = [_reference_extraction(case) for case in range(len(_extraction_cases()))]
+    assert sum(o[0] == "returned" for o in outcomes) >= 25
+    texts = [o[1] for o in outcomes if o[0] == "ValueError"]
+    assert any(t.startswith("product of degrees") for t in texts)
+    assert any(t.startswith("basis element of degree") for t in texts)
+    assert "the degrees of the basis must form a subgroup" in texts
+    assert "need at least one generator" in texts
+    assert "product of degrees (0,1) and (1,0) is not a nonzero multiple of the (1,1) basis" in texts
+
+
+def _generator_pairs_pass(basis):
+    """Every X_t nonzero, and X_t X_g a nonzero multiple of X_(tg) for g in the greedy generators."""
+    support = sorted(basis, key=GroupElement.sort_key)
+    generators, span = [], {support[0].group.identity()}
+    for t in support:
+        if t not in span:
+            generators.append(t)
+            span = set(subgroup_generated(generators))
+    if span != set(support) or any(m.is_zero() for m in basis.values()):
+        return False
+    for t in support:
+        for g in generators or support:
+            product, target = basis[t] * basis[g], basis[t * g]
+            i, j = target.nonzero_positions()[0]
+            scalar = product[i, j] / target[i, j]
+            if scalar.is_zero() or product != target.scale(scalar):
+                return False
+    return True
+
+
+_small_entries = st.sampled_from([0, 0, 1, -1, 2])
+
+
+@st.composite
+def _perturbed_families(draw):
+    """A Pauli or epsilon family, scaled, conjugated, and with degrees swapped or entries replaced."""
+    choice = draw(st.sampled_from(["pauli", 1, 2, 3]))
+    if choice == "pauli":
+        group, basis = _pauli_basis()
+    else:
+        group, basis = epsilon_grading(choice).group, _basis(epsilon_grading(choice))
+    degrees = sorted(basis, key=GroupElement.sort_key)
+    n = basis[degrees[0]].n
+    for t in degrees:
+        basis[t] = basis[t].scale(draw(st.sampled_from([1, -1, 2, root_of_unity(4, 1)])))
+    if draw(st.booleans()):
+        p, p_inv = _monomial(random.Random(draw(st.integers(0, 99))), n)
+        basis = {g: p * m * p_inv for g, m in basis.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        t, s = draw(st.sampled_from(degrees)), draw(st.sampled_from(degrees))
+        if draw(st.booleans()):
+            basis[t], basis[s] = basis[s], basis[t]
+        else:
+            basis[t] = Matrix([[draw(_small_entries) for _ in range(n)] for _ in range(n)])
+    return group, basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(_perturbed_families())
+def test_generator_pairs_certify_the_pair_scan(family):
+    group, basis = family
+    reference = _extraction_outcome(_reference_cocycle_from_units, group, basis)
+    if _generator_pairs_pass(basis):
+        assert reference[0] == "returned"
+    assert _extraction_outcome(cocycle_from_units, group, basis) == reference
