@@ -12,6 +12,9 @@ Rational = Union[int, Fraction]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The largest root level, and lcm of the levels, that a parsed scalar may use.
+MAX_ROOT_LEVEL = 1000
+
 
 def _trim(coeffs: List[Fraction]) -> List[Fraction]:
     while coeffs and coeffs[-1] == 0:
@@ -32,9 +35,8 @@ def _prime_factors(n: int) -> List[int]:
 
 
 _cyclotomic_cache: dict = {}
-# level -> rows: rows[k - phi] holds x^k mod Phi_level as sparse (index, integer
-# coefficient) pairs, for phi <= k <= max(phi, 2*phi - 2)
-_reduction_cache: dict = {}
+# level -> (phi, the nonzero (index, integer coefficient) pairs of x^phi mod Phi_level)
+_fold_cache: dict = {}
 
 
 def cyclotomic_polynomial(n: int) -> Tuple[Fraction, ...]:
@@ -69,80 +71,72 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduction_rows(level: int) -> List[tuple]:
-    rows = _reduction_cache.get(level)
-    if rows is not None:
-        return rows
-    modulus = cyclotomic_polynomial(level)
-    phi = len(modulus) - 1
-    rows = [tuple((i, -int(c)) for i, c in enumerate(modulus[:-1]) if c)]
-    for _ in range(phi, 2 * phi - 2):  # x^(k+1) = x * x^k, folding the x^phi term
-        row = {}
-        for i, c in rows[-1]:
-            if i + 1 < phi:
-                row[i + 1] = row.get(i + 1, 0) + c
-            else:
-                for j, r in rows[0]:
-                    row[j] = row.get(j, 0) + c * r
-        rows.append(tuple((i, c) for i, c in sorted(row.items()) if c))
-    _reduction_cache[level] = rows
-    return rows
-
-
 def _numerators(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
     """Integer numerators over the least common denominator, and that denominator."""
     den = math.lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _reduce(level: int, poly: List[int], den: int) -> Tuple[Fraction, ...]:
-    """(poly / den) mod Phi_level as a trimmed tuple of Fractions; poly is consumed."""
-    phi = euler_phi(level)
-    top = len(poly) - 1
-    if top >= phi:
-        rows = _reduction_rows(level)
-        last_row = phi + len(rows) - 1
-        for k in range(top, phi - 1, -1):
-            c = poly[k]
-            if not c:
-                continue
-            if k <= last_row:
-                base, row = 0, rows[k - phi]
-            else:  # x^k = x^(k - phi) * x^phi lands below k; it is folded further down
-                base, row = k - phi, rows[0]
-            for j, r in row:
-                poly[base + j] += c * r
-        del poly[phi:]
+def _canonical(level: int, poly: List[int], den: int) -> "CycNumber":
+    """poly / den for poly of degree below phi(level), trimmed and in lowest terms."""
     while poly and not poly[-1]:
         poly.pop()
-    if den == 1:
-        return tuple(Fraction(c) for c in poly)
-    return tuple(Fraction(c, den) for c in poly)
+    if den != 1:
+        g = math.gcd(den, *poly)
+        if g != 1:
+            poly = [c // g for c in poly]
+            den //= g
+    return CycNumber(level, tuple(poly), den)
+
+
+def _reduce(level: int, poly: List[int], den: int) -> "CycNumber":
+    """(poly / den) mod Phi_level, by long division by the monic Phi_level; poly is consumed."""
+    cached = _fold_cache.get(level)
+    if cached is None:
+        modulus = cyclotomic_polynomial(level)
+        cached = _fold_cache[level] = (len(modulus) - 1, tuple(
+            (i, -int(c)) for i, c in enumerate(modulus[:-1]) if c))
+    phi, row = cached
+    for k in range(len(poly) - 1, phi - 1, -1):  # x^k = x^(k - phi) * x^phi lands below k
+        c = poly[k]
+        if c:
+            base = k - phi
+            for j, r in row:
+                poly[base + j] += c * r
+    del poly[phi:]
+    return _canonical(level, poly, den)
 
 
 class CycNumber:
     """An element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
-    Coefficients are reduced modulo Phi_N and trimmed: the tuple never ends in
-    a zero, and zero is (). Representations at a fixed level are therefore
-    canonical, and equality at a common level is tuple equality.
+    The coefficients are the integers `nums` over one positive denominator `den`,
+    reduced modulo Phi_N, trimmed and in lowest terms: `nums` never ends in a
+    zero, gcd(den, *nums) == 1, and zero is ((), 1). Representations at a fixed
+    level are therefore canonical, and equality at a common level is tuple equality.
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "nums", "den")
 
-    def __init__(self, level: int, coeffs: Tuple[Fraction, ...]):
+    def __init__(self, level: int, nums: Tuple[int, ...], den: int = 1):
         self.level = level
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, trimmed; zero is ()."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @staticmethod
     def from_poly(level: int, coeffs: Iterable[Rational]) -> "CycNumber":
         num, den = _numerators([Fraction(c) for c in coeffs])
-        return CycNumber(level, _reduce(level, num, den))
+        return _reduce(level, num, den)
 
     @staticmethod
     def rational(value: Rational) -> "CycNumber":
         value = Fraction(value)
-        return CycNumber(1, (value,) if value else ())
+        return CycNumber(1, (value.numerator,), value.denominator) if value else _CYC_ZERO
 
     @staticmethod
     def zero() -> "CycNumber":
@@ -153,16 +147,16 @@ class CycNumber:
         return _CYC_ONE
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises if it is not rational."""
-        if len(self.coeffs) > 1:
+        if len(self.nums) > 1:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return Fraction(self.nums[0], self.den) if self.nums else _ZERO
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def lift(self, level: int) -> "CycNumber":
         """Rewrite at a higher level M; requires self.level | M."""
@@ -170,13 +164,12 @@ class CycNumber:
             return self
         if level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} to {level}")
-        if len(self.coeffs) <= 1:
-            return CycNumber(level, self.coeffs)
+        if len(self.nums) <= 1:
+            return CycNumber(level, self.nums, self.den)
         step = level // self.level
-        num, den = _numerators(self.coeffs)
-        poly = [0] * ((len(num) - 1) * step + 1)
-        poly[::step] = num
-        return CycNumber(level, _reduce(level, poly, den))
+        poly = [0] * ((len(self.nums) - 1) * step + 1)
+        poly[::step] = self.nums
+        return _reduce(level, poly, self.den)
 
     def _common(self, other: "CycNumber") -> Tuple["CycNumber", "CycNumber"]:
         if self.level == other.level:
@@ -197,23 +190,27 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        x, y = a.coeffs, b.coeffs
-        if len(x) < len(y):
-            x, y = y, x
-        if not y:
-            return CycNumber(a.level, x)
-        out = list(x)
-        for i, c in enumerate(y):
-            out[i] += c
-        if len(x) == len(y):
-            while out and not out[-1]:
-                out.pop()
-        return CycNumber(a.level, tuple(out))
+        if len(a.nums) < len(b.nums):
+            a, b = b, a
+        if not b.nums:
+            return a
+        den = a.den
+        if den == b.den:
+            out = list(a.nums)
+            for i, v in enumerate(b.nums):
+                out[i] += v
+        else:
+            den = math.lcm(den, b.den)
+            sa, sb = den // a.den, den // b.den
+            out = [sa * u for u in a.nums]
+            for i, v in enumerate(b.nums):
+                out[i] += sb * v
+        return _canonical(a.level, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber(self.level, tuple(-c for c in self.coeffs))
+        return CycNumber(self.level, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other) -> "CycNumber":
         other = CycNumber._coerce(other)
@@ -228,26 +225,25 @@ class CycNumber:
         other = CycNumber._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        x, y = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
-        if len(y.coeffs) <= 1:  # a rational factor scales the other; lifting it only relabels
+        x, y = (self, other) if len(self.nums) >= len(other.nums) else (other, self)
+        if len(y.nums) <= 1:  # a rational factor scales the other; lifting it only relabels
             level = math.lcm(x.level, y.level)
-            if not y.coeffs:
+            if not y.nums:
                 return CycNumber(level, ())
             if x.level != level:
                 x = x.lift(level)
-            c = y.coeffs[0]
-            if c == 1:
+            c, d = y.nums[0], y.den
+            if c == 1 == d:
                 return x
-            return CycNumber(level, tuple(c * v for v in x.coeffs))
+            return _canonical(level, [c * v for v in x.nums], d * x.den)
         x, y = self._common(other)
-        a, da = _numerators(x.coeffs)
-        b, db = _numerators(y.coeffs)
+        a, b = x.nums, y.nums
         prod = [0] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
             if u:
                 for j, v in enumerate(b, i):
                     prod[j] += u * v
-        return CycNumber(x.level, _reduce(x.level, prod, da * db))
+        return _reduce(x.level, prod, x.den * y.den)
 
     __rmul__ = __mul__
 
@@ -257,10 +253,11 @@ class CycNumber:
         Each pair keeps r = s * self mod Phi_N; reducing r0 by r1 subtracts
         c * x^k * (r1, s1) from (r0, s0) in place until r0 is shorter than r1.
         """
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroDivisionError("inverse of zero")
-        if len(self.coeffs) == 1:
-            return CycNumber(self.level, (_ONE / self.coeffs[0],))
+        if len(self.nums) == 1:
+            c, d = self.nums[0], self.den
+            return CycNumber(self.level, (d,), c) if c > 0 else CycNumber(self.level, (-d,), -c)
         r0, r1 = list(cyclotomic_polynomial(self.level)), list(self.coeffs)
         s0: List[Fraction] = []
         s1: List[Fraction] = [_ONE]
@@ -282,7 +279,7 @@ class CycNumber:
             raise ZeroDivisionError("element is a zero divisor; modulus not coprime")
         scale = r1[0]
         num, den = _numerators([c / scale for c in s1])
-        return CycNumber(self.level, _reduce(self.level, num, den))
+        return _reduce(self.level, num, den)
 
     def __truediv__(self, other) -> "CycNumber":
         other = CycNumber._coerce(other)
@@ -311,16 +308,17 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # type: ignore[assignment]
 
     def to_string(self) -> str:
         """Canonical textual form, e.g. '1/2 + -1*z4^1'."""
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c == 0:
                 continue
+            c = Fraction(c, self.den)
             if i == 0:
                 terms.append(str(c))
             else:
@@ -334,7 +332,7 @@ class CycNumber:
 
 
 _CYC_ZERO = CycNumber(1, ())
-_CYC_ONE = CycNumber(1, (_ONE,))
+_CYC_ONE = CycNumber(1, (1,))
 
 
 def root_of_unity(level: int, power: int = 1) -> CycNumber:
@@ -342,7 +340,7 @@ def root_of_unity(level: int, power: int = 1) -> CycNumber:
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
     k = power % level
-    return CycNumber(level, _reduce(level, [0] * k + [1], 1))
+    return _reduce(level, [0] * k + [1], 1)
 
 
 _TERM_RE = re.compile(
@@ -351,13 +349,17 @@ _TERM_RE = re.compile(
 
 
 def parse_scalar(text: str) -> CycNumber:
-    """Parse the textual scalar form: rationals 'a/b' and root terms 'a/b*zN^k'."""
+    """Parse the textual scalar form: rationals 'a/b' and root terms 'a/b*zN^k'.
+
+    Root levels, and their lcm, may not exceed MAX_ROOT_LEVEL; the check runs
+    before any arithmetic, since building Phi_N costs time and memory growing with N.
+    """
     if not isinstance(text, str):
         raise ValueError(f"scalar must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty scalar string")
-    total = CycNumber.zero()
+    terms = []
     for raw in stripped.split("+"):
         term = raw.strip()
         if not term:
@@ -366,12 +368,14 @@ def parse_scalar(text: str) -> CycNumber:
         if not m or (m.group("coeff") is None and m.group("level") is None):
             raise ValueError(f"malformed scalar term {term!r} in {text!r}")
         coeff = Fraction(m.group("coeff")) if m.group("coeff") is not None else _ONE
-        if m.group("level") is None:
-            total = total + CycNumber.rational(coeff)
-        else:
-            level = int(m.group("level"))
-            if level < 1:
-                raise ValueError(f"bad root level in term {term!r}")
-            power = int(m.group("power"))
-            total = total + CycNumber.rational(coeff) * root_of_unity(level, power)
+        level, power = int(m.group("level") or 1), int(m.group("power") or 0)
+        if not 1 <= level <= MAX_ROOT_LEVEL:
+            raise ValueError(f"root level of term {term!r} must be between 1 and the cap {MAX_ROOT_LEVEL}")
+        terms.append((coeff, level, power))
+    common = math.lcm(*(level for _, level, _ in terms))
+    if common > MAX_ROOT_LEVEL:
+        raise ValueError(f"root levels in {text!r} have lcm {common}, above the cap {MAX_ROOT_LEVEL}")
+    total = CycNumber.zero()
+    for coeff, level, power in terms:
+        total = total + CycNumber.rational(coeff) * root_of_unity(level, power)
     return total

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .chains import BlockStep, ChainSpec, ChainStep, DoubleStep, TwistStep
-from .cyclotomic import parse_scalar
+from .cyclotomic import MAX_ROOT_LEVEL, parse_scalar
 from .embeddings import DecompositionPair
 from .equivalence import OMEGA, EquivalenceWitness, Signature
 from .groups import FiniteAbelianGroup, GroupElement
@@ -107,6 +108,23 @@ def parse_matrix(obj: Any, path: str, size: Optional[int] = None) -> Matrix:
     return Matrix(rows)
 
 
+def _check_levels(path: str, matrices: Iterable[Matrix]) -> None:
+    """Reject entries whose root levels have an lcm above MAX_ROOT_LEVEL: arithmetic
+    between them would run at that level."""
+    level = 1
+    for m in matrices:
+        for row in m.rows:
+            for x in row.values():
+                level = math.lcm(level, x.level)
+                if level > MAX_ROOT_LEVEL:
+                    raise SpecError(path, f"entries use root levels with lcm {level}, "
+                                          f"above the cap {MAX_ROOT_LEVEL}")
+
+
+def _basis(algebra: GradedAlgebra) -> Iterable[Matrix]:
+    return (m for mats in algebra.components.values() for m in mats)
+
+
 def parse_embedding(obj: Any, path: str = "spec") -> Tuple[
         FiniteAbelianGroup, Tuple[GroupElement, ...], int, int, Tuple[GroupElement, ...]]:
     """Embedding spec: group, source tuple, block count m, remainder r and target tuple."""
@@ -132,6 +150,7 @@ def parse_decomposition_pair(obj: Any, algebra: GradedAlgebra, path: str) -> Dec
     d_units = {parse_element_key(key, algebra.group, f"{path}.d_units.{key}"):
                parse_matrix(d_obj[key], f"{path}.d_units.{key}", n) for key in sorted(d_obj)}
     identity = parse_matrix(id_obj, f"{path}.identity", n)
+    _check_levels(path, (*_basis(algebra), *c_basis, *d_units.values(), identity))
     return DecompositionPair(algebra, c_basis, d_units, identity)
 
 
@@ -179,6 +198,7 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
         right = parse_grading(_field(data, "right", path), f"{path}.right")
         if left.group != right.group:
             raise SpecError(path, "tensor factors must be graded by the same group")
+        _check_levels(path, (*_basis(left), *_basis(right)))
         try:
             return induced_tensor_grading(left, right)
         except ValueError as exc:
@@ -203,6 +223,7 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
                 parsed[g] = out
         if n is None:
             raise SpecError(f"{path}.components", "all components are empty")
+        _check_levels(f"{path}.components", (m for mats in parsed.values() for m in mats))
         try:
             return GradedAlgebra(group, n, parsed)
         except ValueError as exc:
@@ -230,6 +251,7 @@ def parse_map(obj: Any, path: str = "spec") -> GradedMap:
             raise SpecError(f"{path}.pairs[{i}]", "expected exactly two matrices")
         pairs.append((parse_matrix(pair[0], f"{path}.pairs[{i}][0]", domain.n),
                       parse_matrix(pair[1], f"{path}.pairs[{i}][1]", codomain.n)))
+    _check_levels(path, (*_basis(domain), *_basis(codomain), *(m for pair in pairs for m in pair)))
     return GradedMap(domain, codomain, tuple(pairs))
 
 

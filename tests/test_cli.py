@@ -331,6 +331,38 @@ def test_dimension_cap_rejects_a_huge_grading_in_a_child_process_at_once():
     assert result.stdout == ""
 
 
+def _one_by_one(*entries):
+    return {"kind": "explicit", "group": {"factors": [len(entries)]},
+            "components": {str(k): [{"n": 1, "entries": [[x]]}] for k, x in enumerate(entries)}}
+
+
+def _regularize_spec_with_roots(c_entry, identity_entry):
+    spec = _regularize_spec()
+    spec["source"]["c_basis"][0]["entries"][0][0] = c_entry
+    spec["source"]["identity"]["entries"][0][0] = identity_entry
+    return spec
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("verify", _one_by_one("z1000003^1"), "spec.components.0[0].entries[0][0]: root level of "
+                                          "term 'z1000003^1' must be between 1 and the cap 1000"),
+    ("verify", _one_by_one("z997^1", "z991^1"),
+     "spec.components: entries use root levels with lcm 988027, above the cap 1000"),
+    ("verify", {"kind": "map", "domain": _one_by_one("z997^1"),
+                "codomain": _one_by_one("z991^1"),
+                "pairs": [[matrix_to_json(Matrix.identity(1))] * 2]},
+     "spec: entries use root levels with lcm 988027, above the cap 1000"),
+    ("regularize", _regularize_spec_with_roots("z997^1", "z991^1"),
+     "spec.source: entries use root levels with lcm 988027, above the cap 1000"),
+])
+def test_root_level_cap_rejects_a_spec_in_a_child_process_at_once(command, spec, message):
+    result = subprocess.run([sys.executable, "-m", "gradedmat", command, "--spec", json.dumps(spec)],
+                            capture_output=True, text=True, timeout=10,
+                            preexec_fn=_limit_address_space)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_regularize_extracts_each_pairs_cocycle_once(capsys, monkeypatch):
     calls = []
     extract = gradedmat.embeddings.cocycle_from_units

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedmat.cyclotomic import (CycNumber, cyclotomic_polynomial, euler_phi,
+import gradedmat.cyclotomic
+from gradedmat.cyclotomic import (MAX_ROOT_LEVEL, CycNumber, cyclotomic_polynomial, euler_phi,
                                   parse_scalar, root_of_unity)
 
 
@@ -128,6 +129,13 @@ def test_parse_scalar_forms():
 def test_parse_scalar_rejects_garbage():
     for bad in ("", "z", "z4", "one", "1..2", "z4^", "^3", "1 +", "q5^1"):
         with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
+def test_parse_scalar_caps_root_levels_and_their_lcm():
+    assert parse_scalar(f"z{MAX_ROOT_LEVEL}^1") == root_of_unity(MAX_ROOT_LEVEL, 1)
+    for bad in (f"z{MAX_ROOT_LEVEL + 1}^1", "z0^1", "1 + z1000003^2", "z100^1 + z101^1"):
+        with pytest.raises(ValueError, match="cap"):
             parse_scalar(bad)
 
 
@@ -348,3 +356,69 @@ def test_trimmed_zero():
 def test_cyclotomic_polynomial_matches_division_construction():
     for n in range(1, 301):
         assert cyclotomic_polynomial(n) == tuple(Fraction(c) for c in _ref_cyclotomic(n)), n
+
+
+# --- the stored form: integer numerators over one denominator ---------------
+
+def _assert_lowest_terms(x):
+    assert all(type(c) is int for c in x.nums) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert not x.nums or x.nums[-1] != 0
+    assert len(x.nums) <= euler_phi(x.level)
+
+
+def _form(x):
+    return x.level, x.nums, x.den
+
+
+_pairs = st.builds(lambda level, poly: (CycNumber.from_poly(level, poly), _Ref(level, poly)),
+                   st.sampled_from(_LEVELS),
+                   st.lists(st.fractions(-6, 6, max_denominator=12), max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs, _pairs, st.sampled_from((1, 2, 3, 5)))
+def test_every_result_is_in_lowest_terms_and_prints_like_the_reference(xr, yr, step):
+    (x, rx), (y, ry) = xr, yr
+    level = x.level * step
+    results = [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+               (x.lift(level), rx.lift(level))]
+    if not y.is_zero():
+        results += [(x / y, rx / ry), (y.inverse(), ry.inverse())]
+        q = (x * y) / y
+        assert _form(q) == _form(x.lift(q.level))
+    for z, rz in results:
+        _assert_lowest_terms(z)
+        assert z.to_string() == rz.to_string()
+    assert _form(x + x - x) == _form(x)
+    assert _form((x + x) * Fraction(1, 2)) == _form(x)
+
+
+def test_equal_values_reached_by_different_routes_are_stored_alike():
+    half = CycNumber.rational(Fraction(1, 2))
+    assert _form(half + half) == _form(CycNumber.one()) == (1, (1,), 1)
+    z = root_of_unity(6, 1)
+    third = z * Fraction(1, 3) + CycNumber.rational(Fraction(2, 3))
+    assert _form(third + third + third) == _form(z + 2) == (6, (2, 1), 1)
+    assert _form(CycNumber.from_poly(4, [Fraction(1, 6), 0, Fraction(1, 3)])) == (4, (-1,), 6)
+    assert _form(z - z) == _form(third * 0) == (6, (), 1)
+
+
+def test_sums_products_and_lifts_build_no_fraction(monkeypatch):
+    x = root_of_unity(12, 1) * Fraction(2, 3) + Fraction(1, 4)
+    y = root_of_unity(4, 1) + Fraction(5, 6)
+    expected = [(x + y).to_string(), (x * y).to_string(), (y * y).to_string(),
+                x.lift(24).to_string(), y.lift(12).to_string()]
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(gradedmat.cyclotomic, "Fraction", CountingFraction)
+    results = [x + y, x * y, y * y, x.lift(24), y.lift(12)]
+    assert built == []
+    assert [z.to_string() for z in results] == expected
+    assert built  # printing goes through Fraction, so the patch is in effect
