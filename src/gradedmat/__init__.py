@@ -4,7 +4,7 @@ from .cyclotomic import CycNumber, cyclotomic_polynomial, euler_phi, parse_scala
     root_of_unity
 from .groups import Character, FiniteAbelianGroup, GroupElement, subgroup_generated
 from .matrices import Matrix
-from .linalg import SpanSolver, independent_subset, nullspace, rref, solve_linear
+from .linalg import SpanSolver, independent_subset, nullspace
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        GradingReport, HomomorphismReport, IdentityComponentIdeal,
                        centralizer, character_action, cocycle_from_units,
@@ -27,7 +27,7 @@ __all__ = [
     "CycNumber", "cyclotomic_polynomial", "euler_phi", "parse_scalar", "root_of_unity",
     "Character", "FiniteAbelianGroup", "GroupElement", "subgroup_generated",
     "Matrix",
-    "SpanSolver", "independent_subset", "nullspace", "rref", "solve_linear",
+    "SpanSolver", "independent_subset", "nullspace",
     "Cocycle", "ElementaryUnits", "GradedAlgebra", "GradedMap", "GradingReport",
     "HomomorphismReport", "IdentityComponentIdeal", "centralizer", "character_action",
     "cocycle_from_units", "elementary_grading", "epsilon_grading", "extract_cocycle",

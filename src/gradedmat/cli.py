@@ -16,9 +16,8 @@ from .gradings import (GradedMap, elementary_grading, extract_cocycle,
                        graded_homomorphism_check, verify_grading)
 from .specio import (SpecError, chain_to_json, declared_dimension, element_key,
                      element_to_json, map_to_json, matrix_to_json, parse_chain,
-                     parse_decomposition_pair, parse_embedding, parse_grading,
-                     parse_group, parse_map, parse_tuple,
-                     signature_to_json, witness_to_json)
+                     parse_embedding, parse_grading, parse_group, parse_map,
+                     parse_regularize_pairs, parse_tuple, signature_to_json, witness_to_json)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -178,8 +177,7 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
         raise SpecError("spec.map", "missing field")
     _check_map_dims(obj["map"])
     gmap = parse_map(obj["map"], "spec.map")
-    source = parse_decomposition_pair(obj.get("source"), gmap.domain, "spec.source")
-    target = parse_decomposition_pair(obj.get("target"), gmap.codomain, "spec.target")
+    source, target = parse_regularize_pairs(obj, gmap)
     problems = source.verify() + target.verify()
     if problems:
         payload = {"verdict": "fail", "problems": problems}

@@ -185,7 +185,7 @@ def split_module_decomposition(space: GradedVectorSpace,
     annihilated: List[Tuple[CycNumber, ...]] = []
     for d in sorted(classes, key=GroupElement.sort_key):
         idx = classes[d]
-        for sol in nullspace([[e_c[i, j] for j in idx] for i in range(n)], len(idx)):
+        for sol in nullspace(e_c.column(j) for j in idx):
             vec = [zero] * n
             for c, j in zip(sol, idx):
                 vec[j] = c
@@ -241,14 +241,14 @@ class DecompositionPair:
         if len(self.c_basis) * len(self.d_units) != n * n:
             problems.append(
                 f"dimension product {len(self.c_basis)}*{len(self.d_units)} != {n * n}")
-        products = [c * x for c in self.c_basis for x in self.d_units.values()]
-        solver = SpanSolver()
-        for m in products:
-            solver.add(m.vector())
+        solver = SpanSolver((c * x).vector() for c in self.c_basis for x in self.d_units.values())
         if solver.rank != n * n:
             problems.append("products of the two factors do not span the algebra")
         c_degrees = set()
         for c in self.c_basis:
+            if c.is_zero():
+                problems.append("a C-basis element is zero")
+                continue
             d = self.algebra.degree_of(c)
             if d is None:
                 problems.append("a C-basis element is not homogeneous")

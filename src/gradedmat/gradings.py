@@ -10,7 +10,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import Character, FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
-from .linalg import SpanSolver, _accumulate, independent_subset, nullspace, solve_linear
+from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
 from .matrices import Matrix
 
 
@@ -360,6 +360,13 @@ def extract_cocycle(algebra: GradedAlgebra) -> Cocycle:
     return cocycle_from_units(algebra.group, basis)
 
 
+def _stacked(mats: Sequence[Matrix]) -> SparseVector:
+    """The entries of the (equal-size) matrices, one after another, as one vector."""
+    size = mats[0].n ** 2 if mats else 0
+    return SparseVector(len(mats) * size, {k * size + p: x for k, m in enumerate(mats)
+                                           for p, x in m.vector().items()})
+
+
 def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
     """Basis of the centralizer of the given matrices inside M_n.
 
@@ -368,30 +375,14 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
     """
     n = algebra.n
 
-    def commutator_rows(basis: Sequence[Matrix]) -> List[List[CycNumber]]:
-        rows = []
-        for s in mats:
-            images = [b * s - s * b for b in basis]
-            positions = sorted({p for img in images for p in img.nonzero_positions()})
-            rows.extend([img[i, j] for img in images] for i, j in positions)
-        return rows
+    def kernel(basis: Sequence[Matrix]) -> List[Matrix]:
+        return [Matrix.combination(n, zip(sol, basis))
+                for sol in nullspace(_stacked([b * s - s * b for s in mats]) for b in basis)]
 
-    full_basis = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
-    full_solutions = nullspace(commutator_rows(full_basis), n * n)
-
-    graded: List[Matrix] = []
-    for basis in algebra.components.values():
-        for sol in nullspace(commutator_rows(basis), len(basis)):
-            m = Matrix.combination(n, zip(sol, basis))
-            if not m.is_zero():
-                graded.append(m)
-    if len(graded) == len(full_solutions):
-        return graded
-    out = []
-    for sol in full_solutions:
-        rows_m = [[sol[i * n + j] for j in range(n)] for i in range(n)]
-        out.append(Matrix(rows_m))
-    return out
+    full_solutions = kernel([Matrix.unit(n, i, j) for i in range(n) for j in range(n)])
+    graded = [m for basis in algebra.components.values() for m in kernel(basis)
+              if not m.is_zero()]
+    return graded if len(graded) == len(full_solutions) else full_solutions
 
 
 @dataclass(frozen=True)
@@ -618,8 +609,7 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         for w in candidate_vectors(u, cc):
             for g in sorted_degrees(cc):
                 basis = cc[g]
-                images = [b.apply(w) for b in basis]
-                solutions = nullspace([[img[i] for img in images] for i in range(n)], len(basis))
+                solutions = nullspace([b.apply(w) for b in basis])
                 if solutions:
                     x = Matrix.combination(n, zip(solutions[0], basis))
                     if not x.is_zero():
@@ -654,18 +644,12 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         if not identity_part:
             raise ValueError("graded left ideal has no identity-degree part; cannot split")
         all_members = [m for g in sorted_degrees(ideal_by_degree) for m in ideal_by_degree[g]]
-        rows = []
-        rhs = []
-        for y in all_members:
-            products = [y * fk for fk in identity_part]
-            # positions where y and every product vanish give only zero equations
-            for i, j in sorted({p for m in products + [y] for p in m.nonzero_positions()}):
-                rows.append([prod[i, j] for prod in products])
-                rhs.append(y[i, j])
-        solution = solve_linear(rows, rhs)
+        # f = sum c_k f_k with y*f = y for every member y
+        solver = SpanSolver(_stacked([y * fk for y in all_members]) for fk in identity_part)
+        solution = solver.sparse_coordinates(_stacked(all_members))
         if solution is None:
             raise ValueError("graded left ideal has no homogeneous right identity")
-        f = Matrix.combination(n, zip(solution, identity_part))
+        f = Matrix.combination(n, ((c, identity_part[k]) for k, c in solution.items()))
         if f.is_zero() or f * f != f:
             raise ValueError("right identity solve produced a non-idempotent")
         if f == u:

@@ -1,7 +1,8 @@
-"""Exact Gaussian elimination over cyclotomic scalars.
+"""Exact elimination over cyclotomic scalars: one incremental echelon, SpanSolver.
 
-Vectors are sequences of CycNumber, or SparseVectors for the span solver; all
-routines avoid floating point.
+Vectors are sequences of CycNumber or SparseVectors.  Membership, coordinates,
+independent subsets and relations (nullspace) are all read off its reduction;
+no routine uses floating point.
 """
 
 from __future__ import annotations
@@ -93,18 +94,26 @@ class SpanSolver:
                     heapq.heappush(todo, i)
         return vec, combo
 
-    def add(self, vector: Vector) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
+    def _insert(self, vector: Vector) -> Optional[_Sparse]:
+        """Insert a vector; None when it enlarges the span, else its relation.
+
+        The relation holds the coefficients c of sum c_i v_i = 0 over the vectors
+        added so far, with c = 1 on this one and 0 on every other dependent one.
+        """
         vec, combo = self._reduce(vector)
         combo[self._count] = CycNumber.one()
         self._count += 1
         if not vec:
-            return False
+            return combo
         pivot = min(vec)
         inv = vec[pivot].inverse()
         self._rows[pivot] = ({i: x * inv for i, x in vec.items()},
                              {i: x * inv for i, x in combo.items()})
-        return True
+        return None
+
+    def add(self, vector: Vector) -> bool:
+        """Insert a vector; returns True when it enlarges the span."""
+        return self._insert(vector) is None
 
     def contains(self, vector: Vector) -> bool:
         vec, _ = self._reduce(vector, track=False)
@@ -118,7 +127,6 @@ class SpanSolver:
         return {i: -combo[i] for i in sorted(combo)}
 
 
-
 def independent_subset(vectors: Sequence[Vector]) -> List[int]:
     """Indices of a maximal independent subset, greedily from the front."""
     solver = SpanSolver()
@@ -129,51 +137,15 @@ def independent_subset(vectors: Sequence[Vector]) -> List[int]:
     return out
 
 
-def rref(rows: Sequence[Vector]) -> Tuple[List[List[CycNumber]], List[int]]:
-    """Reduced row echelon form and pivot columns."""
-    solver = SpanSolver(rows)
-    echelon = sorted((pivot, row) for pivot, (row, _) in solver._rows.items())
-    # clear each pivot column from the rows above it, last pivot first
-    for k in range(len(echelon) - 1, 0, -1):
-        pivot, row = echelon[k]
-        for _, above in echelon[:k]:
-            if pivot in above:
-                factor = -above[pivot]
-                _accumulate(above, ((i, factor * x) for i, x in row.items()))
+def nullspace(columns: Iterable[Vector]) -> List[List[CycNumber]]:
+    """Basis of the relations sum c_i v_i = 0 among the vectors.
+
+    One relation per vector in the span of those before it, with coefficient 1
+    on that vector and support on it and the earlier independent vectors (the
+    free columns of the reduced echelon form, in order).
+    """
+    solver = SpanSolver()
+    relations = [solver._insert(v) for v in columns]
     zero = CycNumber.zero()
-    return ([[row.get(i, zero) for i in range(solver._length)] for _, row in echelon],
-            [pivot for pivot, _ in echelon])
-
-
-def nullspace(rows: Sequence[Vector], ncols: int) -> List[List[CycNumber]]:
-    """Basis of the solution space of the homogeneous system rows * x = 0."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero, one = CycNumber.zero(), CycNumber.one()
-    for free in free_cols:
-        vec = [zero] * ncols
-        vec[free] = one
-        for row, pivot in zip(reduced, pivots):
-            vec[pivot] = -row[free]
-        basis.append(vec)
-    return basis
-
-
-def solve_linear(rows: Sequence[Vector], rhs: Sequence[CycNumber]) -> Optional[List[CycNumber]]:
-    """One exact solution of rows * x = rhs, or None when inconsistent."""
-    if len(rows) != len(rhs):
-        raise ValueError("rows and right-hand side differ in length")
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    zero = CycNumber.zero()
-    solution = [zero] * ncols
-    for row, pivot in zip(reduced, pivots):
-        if pivot == ncols:
-            return None  # pivot in the constant column
-        solution[pivot] = row[ncols]
-    return solution
+    return [[rel.get(i, zero) for i in range(len(relations))]
+            for rel in relations if rel is not None]

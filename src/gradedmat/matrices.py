@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import CycNumber
-from .linalg import SparseVector, _accumulate, rref
+from .linalg import SpanSolver, SparseVector, _accumulate
 
 Scalar = Union[CycNumber, int, Fraction]
 Row = Dict[int, CycNumber]
@@ -148,13 +148,13 @@ class Matrix:
         return Matrix._of(self.n, out)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by row reduction of [A | I]; raises on singular input."""
+        """Exact inverse: row i holds the coordinates of e_i over the rows; raises on singular input."""
         n, one = self.n, CycNumber.one()
-        reduced, pivots = rref([SparseVector(2 * n, {**row, n + i: one})
-                                for i, row in enumerate(self.rows)])
-        if pivots[:n] != list(range(n)):
+        solver = SpanSolver(SparseVector(n, row) for row in self.rows)
+        if solver.rank < n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
+        return Matrix._of(n, (solver.sparse_coordinates(SparseVector(n, {i: one}))
+                              for i in range(n)))
 
     def trace(self) -> CycNumber:
         total = CycNumber.zero()

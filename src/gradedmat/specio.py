@@ -154,6 +154,21 @@ def parse_decomposition_pair(obj: Any, algebra: GradedAlgebra, path: str) -> Dec
     return DecompositionPair(algebra, c_basis, d_units, identity)
 
 
+def parse_regularize_pairs(obj: Dict[str, Any], gmap: GradedMap,
+                           path: str = "spec") -> Tuple[DecompositionPair, DecompositionPair]:
+    """The source and target pairs of a regularize spec, over the map's domain and codomain.
+
+    Root levels are capped per pair and then across the map and both pairs,
+    since regularizing computes with all three together."""
+    source = parse_decomposition_pair(obj.get("source"), gmap.domain, f"{path}.source")
+    target = parse_decomposition_pair(obj.get("target"), gmap.codomain, f"{path}.target")
+    _check_levels(path, (*_basis(gmap.domain), *_basis(gmap.codomain),
+                         *(m for pair in gmap.pairs for m in pair),
+                         *(m for p in (source, target)
+                           for m in (*p.c_basis, *p.d_units.values(), p.identity))))
+    return source, target
+
+
 def element_to_json(g: GroupElement) -> List[int]:
     return list(g.exponents)
 

@@ -343,6 +343,11 @@ def _regularize_spec_with_roots(c_entry, identity_entry):
     return spec
 
 
+def _one_by_one_pair(d_unit):
+    one = matrix_to_json(Matrix.identity(1))
+    return {"c_basis": [one], "d_units": {"0": {"n": 1, "entries": [[d_unit]]}}, "identity": one}
+
+
 @pytest.mark.parametrize("command, spec, message", [
     ("verify", _one_by_one("z1000003^1"), "spec.components.0[0].entries[0][0]: root level of "
                                           "term 'z1000003^1' must be between 1 and the cap 1000"),
@@ -354,6 +359,11 @@ def _regularize_spec_with_roots(c_entry, identity_entry):
      "spec: entries use root levels with lcm 988027, above the cap 1000"),
     ("regularize", _regularize_spec_with_roots("z997^1", "z991^1"),
      "spec.source: entries use root levels with lcm 988027, above the cap 1000"),
+    # each part passes on its own; the lcm across the map and both pairs does not
+    ("regularize", {"map": {"kind": "map", "domain": _one_by_one("1"), "codomain": _one_by_one("1"),
+                            "pairs": [[matrix_to_json(Matrix.identity(1))] * 2]},
+                    "source": _one_by_one_pair("z997^1"), "target": _one_by_one_pair("z991^1")},
+     "spec: entries use root levels with lcm 988027, above the cap 1000"),
 ])
 def test_root_level_cap_rejects_a_spec_in_a_child_process_at_once(command, spec, message):
     result = subprocess.run([sys.executable, "-m", "gradedmat", command, "--spec", json.dumps(spec)],
@@ -361,6 +371,19 @@ def test_root_level_cap_rejects_a_spec_in_a_child_process_at_once(command, spec,
                             preexec_fn=_limit_address_space)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("pair", ["source", "target"])
+def test_regularize_reports_a_zero_c_basis_element_in_a_child_process(pair):
+    spec = _regularize_spec()
+    spec[pair]["c_basis"][0] = matrix_to_json(Matrix.zeros(spec[pair]["c_basis"][0]["n"]))
+    result = subprocess.run([sys.executable, "-m", "gradedmat", "regularize", "--spec",
+                             json.dumps(spec)], capture_output=True, text=True, timeout=10,
+                            preexec_fn=_limit_address_space)
+    assert (result.returncode, result.stderr) == (1, "")
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "fail"
+    assert "a C-basis element is zero" in payload["problems"]
 
 
 def test_regularize_extracts_each_pairs_cocycle_once(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
-from gradedmat.linalg import SpanSolver, independent_subset, nullspace, rref, solve_linear
+from gradedmat.linalg import SpanSolver, independent_subset, nullspace
 from gradedmat.matrices import Matrix
 
 
@@ -130,31 +130,30 @@ def test_rank_and_independent_subset():
     assert independent_subset(rows) == [0, 2]
 
 
+def _dot(coeffs, vectors, length):
+    total = [CycNumber.zero()] * length
+    for c, v in zip(coeffs, vectors):
+        total = [x + c * y for x, y in zip(total, v)]
+    return total
+
+
 def test_rref_and_nullspace():
-    rows = [
-        [_rat(1), _rat(2), _rat(3)],
-        [_rat(2), _rat(4), _rat(6)],
-    ]
-    reduced, pivots = rref(rows)
+    # the columns of the rows [1 2 3] and [2 4 6]
+    columns = [[_rat(1), _rat(2)], [_rat(2), _rat(4)], [_rat(3), _rat(6)]]
+    reduced, pivots = rref([list(row) for row in zip(*columns)])
     assert pivots == [0]
-    basis = nullspace(rows, 3)
-    assert len(basis) == 2
+    basis = nullspace(columns)
+    assert basis == [[_rat(-2), _rat(1), _rat(0)], [_rat(-3), _rat(0), _rat(1)]]
     for vec in basis:
-        for row in rows:
-            dot = CycNumber.zero()
-            for a, b in zip(row, vec):
-                dot = dot + a * b
-            assert dot.is_zero()
+        assert all(x.is_zero() for x in _dot(vec, columns, 2))
 
 
-def test_solve_linear():
-    rows = [
-        [_rat(1), _rat(1)],
-        [_rat(0), _rat(1)],
-    ]
-    sol = solve_linear(rows, [_rat(3), _rat(1)])
-    assert sol == [_rat(2), _rat(1)]
-    assert solve_linear([[_rat(0), _rat(0)]], [_rat(1)]) is None
+def test_coordinates_solve_a_square_system_and_reject_an_inconsistent_one():
+    # the columns of the rows [1 1] and [0 1], right-hand side (3, 1)
+    solver = SpanSolver([[_rat(1), _rat(0)], [_rat(1), _rat(1)]])
+    assert solver.sparse_coordinates([_rat(3), _rat(1)]) == {0: _rat(2), 1: _rat(1)}
+    # the row [0 0] with right-hand side 1
+    assert SpanSolver([[_rat(0)], [_rat(0)]]).sparse_coordinates([_rat(1)]) is None
 
 
 _entries = st.integers(-5, 5)
@@ -347,5 +346,127 @@ def test_combination_edge_cases():
 def test_nullspace_of_no_rows_or_zero_rows_is_the_identity_basis():
     zero, one = CycNumber.zero(), CycNumber.one()
     identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert nullspace([], 3) == identity
-    assert nullspace([[zero] * 3, [zero] * 3], 3) == identity
+    assert nullspace([[]] * 3) == identity  # no rows
+    assert nullspace([[zero] * 2] * 3) == identity  # two zero rows
+    assert nullspace([]) == []
+
+
+# Reference elimination: textbook Gauss-Jordan on dense rows, and the nullspace,
+# solve and inverse read off it the way the package once did.  SpanSolver must
+# give the same values; printed forms agree when the input uses one root level.
+
+def rref(rows):
+    """Reduced row echelon form (nonzero rows) and pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not row[c].is_zero():
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _ref_nullspace(rows, ncols):
+    reduced, pivots = rref(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [CycNumber.zero()] * ncols
+        vec[free] = CycNumber.one()
+        for row, pivot in zip(reduced, pivots):
+            vec[pivot] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _ref_solve(rows, rhs, ncols):
+    """The solution with free variables zero, or None when inconsistent."""
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    solution = [CycNumber.zero()] * ncols
+    for row, pivot in zip(reduced, pivots):
+        solution[pivot] = row[ncols]
+    return solution
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    reduced, pivots = rref([list(row) + [_rat(int(i == j)) for j in range(n)]
+                            for i, row in enumerate(rows)])
+    return [row[n:] for row in reduced] if pivots[:n] == list(range(n)) else None
+
+
+def _level_scalars(level):
+    return st.tuples(st.integers(0, 5), st.integers(-3, 3), st.just(level),
+                     st.integers(0, 4)).map(lambda t: _scalar(*t))
+
+
+@st.composite
+def _systems(draw, scalars):
+    """Columns (with zero and dependent ones mixed in), a right-hand side and a square matrix."""
+    length = draw(st.integers(0, 4))
+    vectors = st.lists(scalars, min_size=length, max_size=length)
+    columns = draw(st.lists(vectors, max_size=4))
+    for kind, c, i, j in draw(st.lists(st.tuples(st.integers(0, 2), scalars, st.integers(0, 9),
+                                                 st.integers(0, 9)), max_size=3)):
+        if kind == 0 or not columns:
+            columns.insert(i % (len(columns) + 1), [CycNumber.zero()] * length)
+        else:  # a column in the span of two others
+            a, b = columns[i % len(columns)], columns[j % len(columns)]
+            columns.append([x + c * y for x, y in zip(a, b)])
+    weights = draw(st.lists(scalars, min_size=len(columns), max_size=len(columns)))
+    rhs = draw(st.one_of(vectors, st.just(_dot(weights, columns, length))))
+    n = draw(st.integers(1, 3))
+    square = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):  # a row in the span of the others
+        square[-1] = _dot(weights[:n - 1] + [CycNumber.zero()] * n, square[:-1], n)
+    return columns, rhs, square
+
+
+def _printed(value):
+    """Nested lists of scalars as their strings; None stays None."""
+    if isinstance(value, CycNumber):
+        return value.to_string()
+    return None if value is None else [_printed(x) for x in value]
+
+
+def _check_against_reference(system, printed):
+    columns, rhs, square = system
+    rows = [[col[i] for col in columns] for i in range(len(rhs))]
+    coords = SpanSolver(columns).sparse_coordinates(rhs)
+    assert coords is None or all(not x.is_zero() for x in coords.values())
+    try:
+        inverse = Matrix(square).inverse()
+    except ZeroDivisionError:
+        inverse = None
+    else:
+        assert all(not x.is_zero() for row in inverse.rows for x in row.values())
+    zero = CycNumber.zero()
+    got = (nullspace(columns),
+           None if coords is None else [coords.get(k, zero) for k in range(len(columns))],
+           None if inverse is None else [list(row) for row in inverse.entries])
+    want = (_ref_nullspace(rows, len(columns)), _ref_solve(rows, rhs, len(columns)),
+            _ref_inverse(square))
+    assert got == want
+    if printed:
+        assert _printed(got) == _printed(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems(_sparse_scalars))
+def test_elimination_matches_the_reference_on_mixed_levels(system):
+    _check_against_reference(system, printed=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 4, 5)).flatmap(lambda level: _systems(_level_scalars(level))))
+def test_elimination_prints_like_the_reference_on_one_level(system):
+    _check_against_reference(system, printed=True)

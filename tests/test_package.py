@@ -13,7 +13,7 @@ REMOVED = {
     chains: ("run_cycle", "_STABILIZATION_SLACK", "_tuple_ideals"),
     gradings.Cocycle: ("is_cocycle",),
     cyclotomic: ("_poly_mul", "_poly_sub", "_poly_divmod"),
-    linalg: ("rank_of",),
+    linalg: ("rank_of", "rref", "solve_linear"),
     linalg.SpanSolver: ("coordinates", "echelon_rows"),
     matrices.Matrix: ("flatten",),
     embeddings: ("check_block_condition",),
