@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .equivalence import OMEGA, DefiningSequence, Signature
 from .embeddings import find_block_violation
-from .groups import FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
+from .groups import FiniteAbelianGroup, GroupElement, _Frozen, degree_classes, subgroup_generated
 from .gradings import GradedAlgebra, elementary_grading
 
 
-@dataclass(frozen=True)
-class DoubleStep:
+class DoubleStep(_Frozen):
     """tau -> (tau, tau) realized by the unital embedding X -> diag(X, X)."""
 
     def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
@@ -26,10 +24,10 @@ class DoubleStep:
         return True
 
 
-@dataclass(frozen=True)
-class TwistStep:
+class TwistStep(_Frozen):
     """tau -> (tau, a*tau) realized by the unital embedding X -> diag(X, X)."""
 
+    _fields = ("a",)
     a: GroupElement
 
     def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
@@ -43,10 +41,10 @@ class TwistStep:
         return True
 
 
-@dataclass(frozen=True)
-class BlockStep:
+class BlockStep(_Frozen):
     """tau -> explicit target tuple realized by X -> diag(X, ..., X, 0)."""
 
+    _fields = ("k", "m", "r", "target")
     k: int
     m: int
     r: int
@@ -75,15 +73,17 @@ class BlockStep:
 ChainStep = Union[DoubleStep, TwistStep, BlockStep]
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(_Frozen):
     """Base tuple and extension rules; the rules repeat cyclically past the end."""
 
+    _fields = ("group", "base", "steps")
     group: FiniteAbelianGroup
     base: Tuple[GroupElement, ...]
     steps: Tuple[ChainStep, ...]
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteAbelianGroup, base: Tuple[GroupElement, ...],
+                 steps: Tuple[ChainStep, ...]):
+        super().__init__(group, base, steps)
         if not self.base:
             raise ValueError("the base tuple must be non-empty")
         if not self.steps:
@@ -257,10 +257,10 @@ def steinitz_signature(spec: ChainSpec) -> Signature:
     return Signature.from_mapping(spec.group, {g * h: OMEGA for g in spec.base for h in spread})
 
 
-@dataclass(frozen=True)
-class FinitaryGrading:
+class FinitaryGrading(_Frozen):
     """Elementary grading of finitary matrices given by an infinite tuple limit."""
 
+    _fields = ("group", "spec", "sequence")
     group: FiniteAbelianGroup
     spec: ChainSpec
     sequence: DefiningSequence

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber
-from .groups import FiniteAbelianGroup, GroupElement, degree_classes
+from .groups import FiniteAbelianGroup, GroupElement, _Frozen, degree_classes
 from .linalg import SpanSolver, nullspace
 from .matrices import Matrix
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
@@ -72,10 +71,10 @@ def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
     return GradedMap(domain, codomain, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class GradedVectorSpace:
+class GradedVectorSpace(_Frozen):
     """F^n with homogeneous coordinates; deg v_i = g_i^(-1) for the tuple entry g_i."""
 
+    _fields = ("group", "degrees")
     group: FiniteAbelianGroup
     degrees: Tuple[GroupElement, ...]
 
@@ -105,10 +104,10 @@ class GradedVectorSpace:
         return degree
 
 
-@dataclass(frozen=True)
-class ModuleSplit:
+class ModuleSplit(_Frozen):
     """Decomposition V = V_1 + ... + V_m + V_0 under a copy of M_k."""
 
+    _fields = ("summands", "annihilated", "change_of_basis", "induced_tuple")
     summands: Tuple[Tuple[Tuple[CycNumber, ...], ...], ...]
     annihilated: Tuple[Tuple[CycNumber, ...], ...]
     change_of_basis: Matrix
@@ -214,10 +213,10 @@ def split_module_decomposition(space: GradedVectorSpace,
     return ModuleSplit(tuple(summands), tuple(annihilated), basis_matrix, tuple(induced))
 
 
-@dataclass(frozen=True)
-class DecompositionPair:
+class DecompositionPair(_Frozen):
     """R = C * D with C elementary-graded, D fine with a fixed homogeneous basis."""
 
+    _fields = ("algebra", "c_basis", "d_units", "identity")
     algebra: GradedAlgebra
     c_basis: Tuple[Matrix, ...]
     d_units: Dict[GroupElement, Matrix]
@@ -234,10 +233,13 @@ class DecompositionPair:
         """Structural checks; returns a list of human-readable problems."""
         problems = []
         n = self.algebra.n
-        for c in self.c_basis:
+        for i, c in enumerate(self.c_basis):
             for t, x in self.d_units.items():
                 if c * x != x * c:
-                    problems.append(f"factor bases do not commute at degree {t}")
+                    problems.append(f"factor bases do not commute: C-basis element {i} at degree {t}")
+        if any(self.identity * b != b or b * self.identity != b
+               for b in (*self.c_basis, *self.d_units.values())):
+            problems.append("identity is not the unit of the factors")
         if len(self.c_basis) * len(self.d_units) != n * n:
             problems.append(
                 f"dimension product {len(self.c_basis)}*{len(self.d_units)} != {n * n}")
@@ -267,10 +269,10 @@ class DecompositionPair:
         return problems
 
 
-@dataclass(frozen=True)
-class RegularizationResult:
+class RegularizationResult(_Frozen):
     """Adjusted fine factor and its centralizer after straightening an embedding."""
 
+    _fields = ("pair", "psi", "multipliers", "c_units", "corner_equal")
     pair: DecompositionPair
     psi: Dict[GroupElement, Matrix]
     multipliers: Dict[GroupElement, Matrix]

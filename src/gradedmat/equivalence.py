@@ -8,10 +8,9 @@ the k-th index of each degree class to the k-th index of the shifted class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .groups import FiniteAbelianGroup, GroupElement, degree_classes
+from .groups import FiniteAbelianGroup, GroupElement, _Frozen, degree_classes
 from .matrices import Matrix
 
 
@@ -33,10 +32,10 @@ OMEGA = _Omega()
 Count = Union[int, _Omega]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """Counting function g -> number of tuple entries equal to g (omega allowed)."""
 
+    _fields = ("group", "counts")
     group: FiniteAbelianGroup
     counts: Tuple[Tuple[GroupElement, Count], ...]
 
@@ -73,10 +72,10 @@ class Signature:
         return sum(value for _, value in self.counts)  # type: ignore[misc]
 
 
-@dataclass(frozen=True)
-class DefiningSequence:
+class DefiningSequence(_Frozen):
     """Either a finite tuple of degrees or a counting function with omega entries."""
 
+    _fields = ("group", "entries", "counting")
     group: FiniteAbelianGroup
     entries: Optional[Tuple[GroupElement, ...]]
     counting: Optional[Signature]
@@ -108,10 +107,10 @@ class DefiningSequence:
         return Signature.from_mapping(self.group, Counter(self.entries))  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(_Frozen):
     """Shift g0 with S_tau(g) = S_tau'(g0 g), plus the index matching when finite."""
 
+    _fields = ("shift", "beta", "class_pairing")
     shift: GroupElement
     beta: Optional[Tuple[int, ...]]
     class_pairing: Optional[Tuple[Tuple[GroupElement, GroupElement], ...]]

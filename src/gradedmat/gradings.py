@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
-from .groups import Character, FiniteAbelianGroup, GroupElement, degree_classes, subgroup_generated
+from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, degree_classes,
+                     subgroup_generated)
 from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
 from .matrices import Matrix
 
@@ -177,8 +177,8 @@ def induced_tensor_grading(left: GradedAlgebra, right: GradedAlgebra) -> GradedA
     return GradedAlgebra(left.group, k * right.n, components)
 
 
-@dataclass(frozen=True)
-class GradingReport:
+class GradingReport(_Frozen):
+    _fields = ("n", "total_dimension", "dimension_ok", "independent", "closure_failures")
     n: int
     total_dimension: int
     dimension_ok: bool
@@ -244,10 +244,10 @@ def _greedy_generators(support: Sequence[GroupElement]) -> Tuple[List[GroupEleme
     return generators, span == set(support)
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(_Frozen):
     """Table alpha(t, s) with X_t X_s = alpha(t, s) X_(ts) for a fine grading."""
 
+    _fields = ("group", "support", "values")
     group: FiniteAbelianGroup
     support: Tuple[GroupElement, ...]
     values: Dict[Tuple[GroupElement, GroupElement], CycNumber]
@@ -385,10 +385,10 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
     return graded if len(graded) == len(full_solutions) else full_solutions
 
 
-@dataclass(frozen=True)
-class IdentityComponentIdeal:
+class IdentityComponentIdeal(_Frozen):
     """Simple block of the identity component of an elementary grading."""
 
+    _fields = ("degree", "indices")
     degree: GroupElement
     indices: Tuple[int, ...]
 
@@ -440,10 +440,10 @@ def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
     return True
 
 
-@dataclass(frozen=True)
-class GradedMap:
+class GradedMap(_Frozen):
     """A linear map between graded matrix algebras, given on a basis."""
 
+    _fields = ("domain", "codomain", "pairs")
     domain: GradedAlgebra
     codomain: GradedAlgebra
     pairs: Tuple[Tuple[Matrix, Matrix], ...]
@@ -459,8 +459,8 @@ class GradedMap:
         return Matrix.combination(self.codomain.n, ((c, self.pairs[i][1]) for i, c in coords.items()))
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
+class HomomorphismReport(_Frozen):
+    _fields = ("basis_ok", "multiplicative_failures", "injective", "degree_failures")
     basis_ok: bool
     multiplicative_failures: Tuple[Tuple[int, int], ...]
     injective: bool
@@ -523,10 +523,10 @@ def matrix_degree_for_tuple(m: Matrix, tau: Sequence[GroupElement]) -> Optional[
     return degree
 
 
-@dataclass(frozen=True)
-class ElementaryUnits:
+class ElementaryUnits(_Frozen):
     """Homogeneous matrix units certifying that a graded algebra is elementary."""
 
+    _fields = ("size", "units", "degrees")
     size: int
     units: Dict[Tuple[int, int], Matrix]
     degrees: Tuple[GroupElement, ...]

@@ -4,26 +4,77 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable value with the fields named in `_fields`: built by position or
+    keyword, equal only to an instance of the same class with equal fields,
+    hashed as the tuple of its fields, shown as `Name(field=value, ...)`.
+    Written out by hand because generating these methods at import time cost
+    the command line most of its start-up."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(fields)})")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteAbelianGroup(_Frozen):
     """Z_{n1} x ... x Z_{nk} with exponent vectors reduced componentwise."""
 
+    _fields = ("factors",)
     factors: Tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.factors, tuple):
-            object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors: Tuple[int, ...]):
+        if not isinstance(factors, tuple):
+            factors = tuple(factors)
+        if not factors:
             raise ValueError("group needs at least one cyclic factor")
-        for n in self.factors:
+        for n in factors:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"cyclic factor orders must be positive integers, got {n}")
+        _set(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @property
     def order(self) -> int:
@@ -55,10 +106,23 @@ class FiniteAbelianGroup:
         return "Z" + "xZ".join(str(n) for n in self.factors)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Frozen):
+    _fields = ("group", "exponents")
     group: FiniteAbelianGroup
     exponents: Tuple[int, ...]
+
+    def __init__(self, group: FiniteAbelianGroup, exponents: Tuple[int, ...]):
+        _set(self, "group", group)
+        _set(self, "exponents", exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents and \
+            (self.group is other.group or self.group == other.group)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.exponents))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.group != other.group:
@@ -95,12 +159,16 @@ def degree_classes(tau: Sequence[GroupElement]) -> Dict[GroupElement, List[int]]
     return classes
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Frozen):
     """chi(g) = zeta_N^(sum_i (N/n_i) a_i g_i) with N = lcm of the factors."""
 
+    _fields = ("group", "exponents")
     group: FiniteAbelianGroup
     exponents: Tuple[int, ...]
+
+    __init__ = GroupElement.__init__
+    __eq__ = GroupElement.__eq__
+    __hash__ = GroupElement.__hash__
 
     def __call__(self, g: GroupElement) -> CycNumber:
         if g.group != self.group:

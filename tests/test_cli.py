@@ -386,6 +386,30 @@ def test_regularize_reports_a_zero_c_basis_element_in_a_child_process(pair):
     assert "a C-basis element is zero" in payload["problems"]
 
 
+@pytest.mark.parametrize("pair", ["source", "target"])
+def test_regularize_reports_an_identity_that_is_not_the_unit(capsys, pair):
+    spec = _regularize_spec()
+    spec[pair]["identity"] = matrix_to_json(Matrix.zeros(spec[pair]["identity"]["n"]))
+    code, out, _ = run_cli(capsys, "regularize", "--spec", json.dumps(spec))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["problems"] == ["identity is not the unit of the factors"]
+
+
+def test_regularize_names_each_c_basis_element_that_does_not_commute(capsys):
+    spec = _regularize_spec()
+    # E_11 commutes with the C-basis elements E_11 (x) I and E_22 (x) I, not with the other two
+    spec["target"]["d_units"]["0,1,0"] = matrix_to_json(Matrix.unit(4, 0, 0))
+    code, out, _ = run_cli(capsys, "regularize", "--spec", json.dumps(spec))
+    assert code == 1
+    problems = json.loads(out)["problems"]
+    assert len(problems) == len(set(problems))
+    assert [p for p in problems if p.startswith("factor bases do not commute")] == [
+        "factor bases do not commute: C-basis element 1 at degree (0,1,0)",
+        "factor bases do not commute: C-basis element 2 at degree (0,1,0)"]
+
+
 def test_regularize_extracts_each_pairs_cocycle_once(capsys, monkeypatch):
     calls = []
     extract = gradedmat.embeddings.cocycle_from_units
