@@ -27,7 +27,6 @@ class DoubleStep(_Frozen):
 class TwistStep(_Frozen):
     """tau -> (tau, a*tau) realized by the unital embedding X -> diag(X, X)."""
 
-    _fields = ("a",)
     a: GroupElement
 
     def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
@@ -44,7 +43,6 @@ class TwistStep(_Frozen):
 class BlockStep(_Frozen):
     """tau -> explicit target tuple realized by X -> diag(X, ..., X, 0)."""
 
-    _fields = ("k", "m", "r", "target")
     k: int
     m: int
     r: int
@@ -76,7 +74,6 @@ ChainStep = Union[DoubleStep, TwistStep, BlockStep]
 class ChainSpec(_Frozen):
     """Base tuple and extension rules; the rules repeat cyclically past the end."""
 
-    _fields = ("group", "base", "steps")
     group: FiniteAbelianGroup
     base: Tuple[GroupElement, ...]
     steps: Tuple[ChainStep, ...]
@@ -163,74 +160,52 @@ class BratteliDiagram:
         return "\n".join(lines) + "\n"
 
 
-def _twist_element(step: ChainStep, group: FiniteAbelianGroup) -> GroupElement:
-    """The a of a step tau -> (tau, a tau); a doubling twists by the identity."""
-    return step.a if isinstance(step, TwistStep) else group.identity()
+def _shifts(step: ChainStep, identity: GroupElement,
+            first: Optional[GroupElement] = None) -> Tuple[GroupElement, ...]:
+    """The s with which a step sends every entry g of a level to the entries s g.
+
+    A doubling has (e, e) and a twist by a has (e, a).  A block step checked by
+    `extend` holds target[j + l k] = target[l k] first^-1 tau[j] for l < m, where
+    first = tau[0] is the level's first entry.
+    """
+    if isinstance(step, BlockStep):
+        return tuple(step.target[l * step.k] * first.inverse() for l in range(step.m))
+    return (identity, step.a if isinstance(step, TwistStep) else identity)
 
 
 def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
     """Block dimensions and edge multiplicities of the first `depth` levels.
 
     Multiplicity g -> h counts the images of one diagonal unit of class g in class h.
-    A double or twist step by a (a = e for a doubling) sends index j to j and j + n, with
-    entries tau[j] and a tau[j]: every unit of class g has images in g and a g, and
-    c_(i+1)(h) = c_i(h) + c_i(a^-1 h).  Such chains are walked as degree counts in
-    O(depth |supp|); no multiplicity can depend on the representative, and dim_(i+1)(h) =
-    sum_g mult(g -> h) * dim_i(g) holds.  A block-step chain is traced and checked for both.
+    A step sends every entry g to s g for each of its shifts s, so the level counts
+    walk as c_(i+1)(h) = sum_s c_i(s^-1 h) in O(depth |supp|), plus the r remainder
+    entries of a block step, which have no incoming edge.  Tuples are unfolded only
+    when a block step is present, to validate it and to read its level's first entry.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not all(isinstance(step, (DoubleStep, TwistStep)) for step in spec.steps):
-        return _traced_bratteli(spec, depth)
+    identity = spec.group.identity()
+    has_block = any(isinstance(step, BlockStep) for step in spec.steps)
+    tuples = spec.unfold(depth) if has_block else None
     dims = [{g: len(members) for g, members in degree_classes(spec.base).items()}]
     edges: List[Dict[Tuple[GroupElement, GroupElement], int]] = []
-    for a in [_twist_element(spec.step_at(i), spec.group) for i in range(depth - 1)]:
-        counts, layer = {}, {}
-        for g, c in dims[-1].items():
-            for h in (g, a * g):
+    for i in range(depth - 1):
+        step = spec.step_at(i)
+        counts: Dict[GroupElement, int] = {}
+        layer: Dict[Tuple[GroupElement, GroupElement], int] = {}
+        for s in _shifts(step, identity, tuples[i][0] if tuples else None):
+            fixed = s.is_identity()
+            for g, c in dims[-1].items():
+                h = g if fixed else s * g
                 counts[h] = counts.get(h, 0) + c
                 layer[(g, h)] = layer.get((g, h), 0) + 1
+        if isinstance(step, BlockStep):
+            for h in step.target[step.k * step.m:]:
+                counts[h] = counts.get(h, 0) + 1
         dims.append(counts)
         edges.append(layer)
     return BratteliDiagram([[(g, c[g]) for g in sorted(c, key=GroupElement.sort_key)]
                             for c in dims], edges)
-
-
-def _traced_bratteli(spec: ChainSpec, depth: int) -> BratteliDiagram:
-    tuples = spec.unfold(depth)
-    level_classes = [degree_classes(tau) for tau in tuples]
-    levels = [[(g, len(classes[g])) for g in sorted(classes, key=GroupElement.sort_key)]
-              for classes in level_classes]
-    edges: List[Dict[Tuple[GroupElement, GroupElement], int]] = []
-    for i in range(depth - 1):
-        source, target = tuples[i], tuples[i + 1]
-        step = spec.step_at(i)
-        n = len(source)
-        classes = level_classes[i]
-        layer: Dict[Tuple[GroupElement, GroupElement], int] = {}
-        for g, members in classes.items():
-            counts: Optional[Dict[GroupElement, int]] = None
-            for j in members:
-                local: Dict[GroupElement, int] = {}
-                for jp in step.images(j, n):
-                    local[target[jp]] = local.get(target[jp], 0) + 1
-                if counts is None:
-                    counts = local
-                elif counts != local:
-                    raise ValueError(
-                        f"edge multiplicities at level {i + 1} depend on the representative of class {g}")
-            assert counts is not None
-            for h, m in counts.items():
-                layer[(g, h)] = m
-        if step.unital:
-            source_dims = {g: len(members) for g, members in classes.items()}
-            for h, dim in levels[i + 1]:
-                total = sum(layer.get((g, h), 0) * source_dims[g] for g in source_dims)
-                if total != dim:
-                    raise ValueError(
-                        f"dimension bookkeeping fails at level {i + 2}, class {h}: {total} != {dim}")
-        edges.append(layer)
-    return BratteliDiagram(levels, edges)
 
 
 def diagrams_equal(d1: BratteliDiagram, d2: BratteliDiagram) -> bool:
@@ -247,12 +222,12 @@ def steinitz_signature(spec: ChainSpec) -> Signature:
     support is closed under H every count in it grows at each step, so the
     limit is omega on supp(base) H and zero elsewhere.
     """
-    twists = []
+    identity, twists = spec.group.identity(), []
     for i, step in enumerate(spec.steps):
         if isinstance(step, BlockStep):
             raise ValueError(f"step {i} is an explicit block step; "
                              "limiting signatures require steps that repeat uniformly")
-        twists.append(_twist_element(step, spec.group))
+        twists.append(_shifts(step, identity)[1])
     spread = subgroup_generated(twists)
     return Signature.from_mapping(spec.group, {g * h: OMEGA for g in spec.base for h in spread})
 
@@ -260,7 +235,6 @@ def steinitz_signature(spec: ChainSpec) -> Signature:
 class FinitaryGrading(_Frozen):
     """Elementary grading of finitary matrices given by an infinite tuple limit."""
 
-    _fields = ("group", "spec", "sequence")
     group: FiniteAbelianGroup
     spec: ChainSpec
     sequence: DefiningSequence

@@ -150,6 +150,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     group, source, m, r, target = parse_embedding(_load_json(args.spec, "spec"))
     _check_dim(len(target), "the target algebra")
+    _check_dim(len(source), "the source algebra")
     domain = elementary_grading(group, source)
     try:
         gmap = block_diagonal_embedding(domain, m, r, target)

@@ -74,7 +74,6 @@ def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
 class GradedVectorSpace(_Frozen):
     """F^n with homogeneous coordinates; deg v_i = g_i^(-1) for the tuple entry g_i."""
 
-    _fields = ("group", "degrees")
     group: FiniteAbelianGroup
     degrees: Tuple[GroupElement, ...]
 
@@ -107,7 +106,6 @@ class GradedVectorSpace(_Frozen):
 class ModuleSplit(_Frozen):
     """Decomposition V = V_1 + ... + V_m + V_0 under a copy of M_k."""
 
-    _fields = ("summands", "annihilated", "change_of_basis", "induced_tuple")
     summands: Tuple[Tuple[Tuple[CycNumber, ...], ...], ...]
     annihilated: Tuple[Tuple[CycNumber, ...], ...]
     change_of_basis: Matrix
@@ -216,7 +214,6 @@ def split_module_decomposition(space: GradedVectorSpace,
 class DecompositionPair(_Frozen):
     """R = C * D with C elementary-graded, D fine with a fixed homogeneous basis."""
 
-    _fields = ("algebra", "c_basis", "d_units", "identity")
     algebra: GradedAlgebra
     c_basis: Tuple[Matrix, ...]
     d_units: Dict[GroupElement, Matrix]
@@ -246,10 +243,17 @@ class DecompositionPair(_Frozen):
         solver = SpanSolver((c * x).vector() for c in self.c_basis for x in self.d_units.values())
         if solver.rank != n * n:
             problems.append("products of the two factors do not span the algebra")
+        components = self.algebra._component_solvers
+        for t, x in self.d_units.items():
+            if t not in components or not components[t].contains(x.vector()):
+                problems.append(f"the D-unit at degree {t} is not homogeneous of degree {t}")
         c_degrees = set()
         for c in self.c_basis:
             if c.is_zero():
                 problems.append("a C-basis element is zero")
+                continue
+            if not self.algebra._solver.contains(c.vector()):
+                problems.append("a C-basis element is not in the span of the components")
                 continue
             d = self.algebra.degree_of(c)
             if d is None:
@@ -272,7 +276,6 @@ class DecompositionPair(_Frozen):
 class RegularizationResult(_Frozen):
     """Adjusted fine factor and its centralizer after straightening an embedding."""
 
-    _fields = ("pair", "psi", "multipliers", "c_units", "corner_equal")
     pair: DecompositionPair
     psi: Dict[GroupElement, Matrix]
     multipliers: Dict[GroupElement, Matrix]

@@ -35,7 +35,6 @@ Count = Union[int, _Omega]
 class Signature(_Frozen):
     """Counting function g -> number of tuple entries equal to g (omega allowed)."""
 
-    _fields = ("group", "counts")
     group: FiniteAbelianGroup
     counts: Tuple[Tuple[GroupElement, Count], ...]
 
@@ -75,7 +74,6 @@ class Signature(_Frozen):
 class DefiningSequence(_Frozen):
     """Either a finite tuple of degrees or a counting function with omega entries."""
 
-    _fields = ("group", "entries", "counting")
     group: FiniteAbelianGroup
     entries: Optional[Tuple[GroupElement, ...]]
     counting: Optional[Signature]
@@ -110,7 +108,6 @@ class DefiningSequence(_Frozen):
 class EquivalenceWitness(_Frozen):
     """Shift g0 with S_tau(g) = S_tau'(g0 g), plus the index matching when finite."""
 
-    _fields = ("shift", "beta", "class_pairing")
     shift: GroupElement
     beta: Optional[Tuple[int, ...]]
     class_pairing: Optional[Tuple[Tuple[GroupElement, GroupElement], ...]]

@@ -46,7 +46,7 @@ class GradedAlgebra:
 
     @property
     def dimension(self) -> int:
-        return sum(len(mats) for mats in self.components.values())
+        return _dimension(self.components)
 
     def component(self, g: GroupElement) -> Tuple[Matrix, ...]:
         return self.components.get(g, ())
@@ -178,7 +178,6 @@ def induced_tensor_grading(left: GradedAlgebra, right: GradedAlgebra) -> GradedA
 
 
 class GradingReport(_Frozen):
-    _fields = ("n", "total_dimension", "dimension_ok", "independent", "closure_failures")
     n: int
     total_dimension: int
     dimension_ok: bool
@@ -247,7 +246,6 @@ def _greedy_generators(support: Sequence[GroupElement]) -> Tuple[List[GroupEleme
 class Cocycle(_Frozen):
     """Table alpha(t, s) with X_t X_s = alpha(t, s) X_(ts) for a fine grading."""
 
-    _fields = ("group", "support", "values")
     group: FiniteAbelianGroup
     support: Tuple[GroupElement, ...]
     values: Dict[Tuple[GroupElement, GroupElement], CycNumber]
@@ -344,10 +342,10 @@ def cocycle_from_units(group: FiniteAbelianGroup,
 
 
 def _product_entry(x: Matrix, y: Matrix, i: int, j: int) -> CycNumber:
-    """(xy)[i, j], added up in the order Matrix.__mul__ adds it; it must be nonzero."""
+    """(xy)[i, j], added up in the order Matrix.__mul__ adds it."""
     entry: Dict[int, CycNumber] = {}
     _accumulate(entry, ((j, a * y.rows[k][j]) for k, a in x.rows[i].items() if j in y.rows[k]))
-    return entry[j]
+    return entry.get(j, CycNumber.zero())
 
 
 def extract_cocycle(algebra: GradedAlgebra) -> Cocycle:
@@ -388,7 +386,6 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
 class IdentityComponentIdeal(_Frozen):
     """Simple block of the identity component of an elementary grading."""
 
-    _fields = ("degree", "indices")
     degree: GroupElement
     indices: Tuple[int, ...]
 
@@ -443,7 +440,6 @@ def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
 class GradedMap(_Frozen):
     """A linear map between graded matrix algebras, given on a basis."""
 
-    _fields = ("domain", "codomain", "pairs")
     domain: GradedAlgebra
     codomain: GradedAlgebra
     pairs: Tuple[Tuple[Matrix, Matrix], ...]
@@ -460,7 +456,6 @@ class GradedMap(_Frozen):
 
 
 class HomomorphismReport(_Frozen):
-    _fields = ("basis_ok", "multiplicative_failures", "injective", "degree_failures")
     basis_ok: bool
     multiplicative_failures: Tuple[Tuple[int, int], ...]
     injective: bool
@@ -526,7 +521,6 @@ def matrix_degree_for_tuple(m: Matrix, tau: Sequence[GroupElement]) -> Optional[
 class ElementaryUnits(_Frozen):
     """Homogeneous matrix units certifying that a graded algebra is elementary."""
 
-    _fields = ("size", "units", "degrees")
     size: int
     units: Dict[Tuple[int, int], Matrix]
     degrees: Tuple[GroupElement, ...]
@@ -557,24 +551,30 @@ def _reduce_component(mats: Sequence[Matrix]) -> List[Matrix]:
     return [mats[i] for i in independent_subset([m.vector() for m in mats])]
 
 
+def _dimension(components: Mapping[GroupElement, Sequence[Matrix]]) -> int:
+    return sum(len(mats) for mats in components.values())
+
+
 def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]],
                              unit: Matrix) -> ElementaryUnits:
-    """Find homogeneous matrix units of a simple algebra spanned homogeneously.
+    """Find homogeneous matrix units of a simple algebra C spanned homogeneously.
 
-    The search splits the unit into primitive homogeneous idempotents by exact
-    linear algebra: an annihilator of a module vector gives a singular
-    homogeneous element, the graded left ideal it generates has a homogeneous
-    right identity, and that idempotent splits the algebra into corners.
-    Raises ValueError when the bounded candidate search fails; success is a
-    proof that the grading is elementary, failure is not a disproof.
+    The search descends from the unit to one primitive homogeneous idempotent f0 by
+    exact linear algebra: an annihilator of a module vector gives a singular
+    homogeneous element, the graded left ideal it generates has a homogeneous right
+    identity f, and the smaller of the corners of f and u - f is searched next.
+    Homogeneous bases v_i of C f0 and w_j of f0 C pair into the one-dimensional
+    corner, w_j v_i = B_ji f0, and E_ij = v_i sum_k (B^-1)_jk w_k are matrix units
+    of degree deg(v_i) deg(v_j)^-1.  Raises ValueError when the bounded candidate
+    search fails; success is a proof that the grading is elementary, failure is
+    not a disproof.
     """
     comps = {g: _reduce_component(mats) for g, mats in components.items()}
     comps = {g: mats for g, mats in comps.items() if mats}
     if not comps:
         raise ValueError("empty algebra")
-    group = next(iter(comps)).group
-    identity = group.identity()
-    total_dim = sum(len(mats) for mats in comps.values())
+    identity = next(iter(comps)).group.identity()
+    total_dim = _dimension(comps)
     p = math.isqrt(total_dim)
     if p * p != total_dim:
         raise ValueError(f"dimension {total_dim} is not a perfect square")
@@ -624,10 +624,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
                 out[g] = reduced
         return out
 
-    def split(u: Matrix, cc) -> List[Matrix]:
-        dim = sum(len(mats) for mats in cc.values())
-        if dim == 1:
-            return [u]
+    def split(u: Matrix, cc) -> Matrix:
+        """A homogeneous idempotent f with 0 != f != u inside the corner of u."""
         found = find_singular(u, cc)
         if found is None:
             raise ValueError("no homogeneous singular element found; cannot certify an elementary structure")
@@ -654,48 +652,30 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
             raise ValueError("right identity solve produced a non-idempotent")
         if f == u:
             raise ValueError("ideal splitting degenerated to the whole algebra")
-        complement = u - f
-        return split(f, corner_components(f, cc)) + split(complement, corner_components(complement, cc))
+        return f
 
-    primitives = split(unit, comps)
-    if len(primitives) != p:
-        raise ValueError(f"found {len(primitives)} primitive idempotents, expected {p}")
+    f0, corner = unit, comps
+    while _dimension(corner) > 1:
+        f = split(f0, corner)
+        f0, corner = min(((e, corner_components(e, corner)) for e in (f, f0 - f)),
+                         key=lambda pair: _dimension(pair[1]))
 
-    def bridge(i: int, j: int) -> Tuple[Matrix, GroupElement]:
-        candidates = []
-        for g in sorted_degrees(comps):
-            for b in comps[g]:
-                m = primitives[i] * b * primitives[j]
-                if not m.is_zero():
-                    candidates.append((m, g))
-        reduced = _reduce_component([m for m, _ in candidates])
-        if len(reduced) != 1:
-            raise ValueError(f"corner space ({i},{j}) has dimension {len(reduced)}, expected 1")
-        # all nonzero candidates are proportional, hence share one degree
-        return candidates[0]
-
-    units: Dict[Tuple[int, int], Matrix] = {(0, 0): primitives[0]}
-    degrees: List[GroupElement] = [identity]
-    row_units: Dict[int, Matrix] = {0: primitives[0]}
-    col_units: Dict[int, Matrix] = {0: primitives[0]}
-    for j in range(1, p):
-        u1j, g1j = bridge(0, j)
-        vj1, _ = bridge(j, 0)
-        product = u1j * vj1
-        solver = SpanSolver([primitives[0].vector()])
-        coords = solver.sparse_coordinates(product.vector())
-        if coords is None or 0 not in coords:
-            raise ValueError("corner bridges do not compose to the base idempotent")
-        row_units[j] = u1j
-        col_units[j] = vj1.scale(coords[0].inverse())
-        degrees.append(g1j)
-    for i in range(p):
-        for j in range(p):
-            if i == j == 0:
-                continue
-            left = col_units[i] if i else primitives[0]
-            right = row_units[j] if j else primitives[0]
-            units[(i, j)] = left * right
+    # homogeneous bases of C f0 and f0 C, with the degree of each member
+    columns = [(m, g) for g in sorted_degrees(comps)
+               for m in _reduce_component([b * f0 for b in comps[g]])]
+    rows = [w for g in sorted_degrees(comps) for w in _reduce_component([f0 * b for b in comps[g]])]
+    if len(columns) != p or len(rows) != p:
+        raise ValueError(f"a primitive idempotent has {len(columns)} columns and {len(rows)} rows, "
+                         f"expected {p}")
+    i0, j0 = f0.nonzero_positions()[0]
+    scale = f0[i0, j0].inverse()
+    pairing = Matrix([[_product_entry(w, v, i0, j0) * scale for v, _ in columns] for w in rows])
+    try:
+        inverse = pairing.inverse()
+    except ZeroDivisionError:
+        raise ValueError("the column and row spaces of the primitive idempotent pair singularly") from None
+    duals = [Matrix.combination(n, ((c, rows[k]) for k, c in row.items())) for row in inverse.rows]
+    units = {(i, j): v * duals[j] for i, (v, _) in enumerate(columns) for j in range(p)}
     if not _unit_relations_hold([[units[(i, j)] for j in range(p)] for i in range(p)]):
         raise ValueError("candidate matrix units violate the unit relations")
     if sum((units[(i, i)] for i in range(p)), Matrix.zeros(n)) != unit:
@@ -705,15 +685,17 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         for j in range(p):
             if not solver.add(units[(i, j)].vector()):
                 raise ValueError("matrix units are not independent")
-    return ElementaryUnits(p, units, tuple(degrees))
+    return ElementaryUnits(p, units, tuple(g.inverse() for _, g in columns))
 
 
 def is_elementary(algebra: GradedAlgebra) -> bool:
-    """True when a homogeneous matrix-unit system certifies the grading elementary.
+    """True when homogeneous matrix units certify the grading elementary.
 
-    Complete for fine gradings (answer False for n > 1) and for gradings whose
-    identity component contains the diagonal; otherwise a failed certificate
-    search reports False.
+    Every True carries units that `homogeneous_matrix_units` has checked.  Complete
+    for fine gradings (answer False for n > 1) and for gradings whose identity
+    component contains the diagonal; otherwise False means that the bounded search
+    for a singular element failed in a corner on the way down to a primitive
+    idempotent, not that no units exist.
     """
     if algebra.n == 1:
         return True

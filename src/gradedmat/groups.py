@@ -13,13 +13,17 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable value with the fields named in `_fields`: built by position or
-    keyword, equal only to an instance of the same class with equal fields,
-    hashed as the tuple of its fields, shown as `Name(field=value, ...)`.
-    Written out by hand because generating these methods at import time cost
-    the command line most of its start-up."""
+    """Immutable value whose fields are the annotations of its class, in order:
+    built by position or keyword, equal only to an instance of the same class
+    with equal fields, hashed as the tuple of its fields, shown as
+    `Name(field=value, ...)`.  Written out by hand because generating these
+    methods at import time cost the command line most of its start-up."""
 
     _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -55,7 +59,6 @@ class _Frozen:
 class FiniteAbelianGroup(_Frozen):
     """Z_{n1} x ... x Z_{nk} with exponent vectors reduced componentwise."""
 
-    _fields = ("factors",)
     factors: Tuple[int, ...]
 
     def __init__(self, factors: Tuple[int, ...]):
@@ -107,7 +110,6 @@ class FiniteAbelianGroup(_Frozen):
 
 
 class GroupElement(_Frozen):
-    _fields = ("group", "exponents")
     group: FiniteAbelianGroup
     exponents: Tuple[int, ...]
 
@@ -162,7 +164,6 @@ def degree_classes(tau: Sequence[GroupElement]) -> Dict[GroupElement, List[int]]
 class Character(_Frozen):
     """chi(g) = zeta_N^(sum_i (N/n_i) a_i g_i) with N = lcm of the factors."""
 
-    _fields = ("group", "exponents")
     group: FiniteAbelianGroup
     exponents: Tuple[int, ...]
 

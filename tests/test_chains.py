@@ -145,24 +145,47 @@ _CHAIN_GROUPS = [(1,), (2,), (4,), (6,), (2, 2), (3, 3), (12,), (2, 6), (5, 5)]
 
 
 @st.composite
-def _double_twist_chains(draw):
+def _chains(draw, with_blocks=False):
+    """A chain and a depth.  With blocks, at least one step is a valid block step:
+    its target is m translates of the level it extends plus r random entries, and
+    the depth stops before the steps repeat, so every level has the length its step expects."""
     group = FiniteAbelianGroup(draw(st.sampled_from(_CHAIN_GROUPS)))
     element = st.tuples(*(st.integers(0, n - 1) for n in group.factors)).map(group.element)
     base = draw(st.lists(element, min_size=1, max_size=4))
     steps = draw(st.lists(st.one_of(st.just(DoubleStep()), element.map(TwistStep)),
                           min_size=1, max_size=3))
-    return ChainSpec(group, tuple(base), tuple(steps)), draw(st.integers(1, 8))
+    if not with_blocks:
+        return ChainSpec(group, tuple(base), tuple(steps)), draw(st.integers(1, 8))
+    steps.insert(draw(st.integers(0, len(steps))), None)
+    tau = tuple(base)
+    for i, step in enumerate(steps):
+        if step is None:
+            shifts = draw(st.lists(element, min_size=1, max_size=3))
+            remainder = tuple(draw(st.lists(element, max_size=2)))
+            target = tuple(s * g for s in shifts for g in tau) + remainder
+            steps[i] = step = BlockStep(len(tau), len(shifts), len(remainder), target)
+        tau = step.extend(tau)
+    return ChainSpec(group, tuple(base), tuple(steps)), draw(st.integers(1, len(steps) + 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_double_twist_chains())
-def test_bratteli_of_double_twist_chains_matches_the_trace(case):
-    spec, depth = case
+def _assert_matches_the_trace(spec, depth):
     got, want = bratteli_of_chain(spec, depth), _traced_diagram(spec, depth)
     assert got.levels == want.levels
     assert got.edges == want.edges
     assert got.to_json_dict() == want.to_json_dict()
     assert got.to_dot() == want.to_dot()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains())
+def test_bratteli_of_double_twist_chains_matches_the_trace(case):
+    _assert_matches_the_trace(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains(with_blocks=True))
+def test_bratteli_of_chains_with_block_steps_matches_the_trace(case):
+    _assert_matches_the_trace(*case)
 
 
 def test_deep_double_twist_diagrams_do_not_unfold(monkeypatch):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import gradedmat.cli
 import gradedmat.embeddings
 import gradedmat.specio
 from gradedmat.cli import main
@@ -302,11 +303,15 @@ _HUGE_DOMAIN_MAP = dict(_HUGE_MAP, domain=_HUGE_EPS, codomain={"kind": "epsilon"
     (["verify", "--spec", json.dumps(_HUGE_DOMAIN_MAP)], "the domain has dimension 100000"),
     (["regularize", "--spec", json.dumps({"map": _HUGE_DOMAIN_MAP})],
      "the domain has dimension 100000"),
+    (["embed", "--spec", json.dumps({"group": {"factors": [2]}, "source": [[0]] * 5,
+                                     "m": 1, "r": 0, "target": [[0], [1]]})],
+     "the source algebra has dimension 5"),
 ])
 def test_dimension_cap_is_checked_before_anything_is_built(capsys, monkeypatch, argv, what):
     for name in ("GradedAlgebra", "elementary_grading", "epsilon_grading",
                  "induced_tensor_grading"):
         monkeypatch.setattr(gradedmat.specio, name, _refuse_to_build)
+    monkeypatch.setattr(gradedmat.cli, "elementary_grading", _refuse_to_build)
     monkeypatch.setenv("GMK_MAX_DIM", "4")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -395,6 +400,31 @@ def test_regularize_reports_an_identity_that_is_not_the_unit(capsys, pair):
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
     assert payload["problems"] == ["identity is not the unit of the factors"]
+
+
+def _swap_d_units(spec):
+    for pair in ("source", "target"):
+        units = spec[pair]["d_units"]
+        units["0,1,0"], units["1,0,0"] = units["1,0,0"], units["0,1,0"]
+
+
+@pytest.mark.parametrize("mutate, problem", [
+    (_swap_d_units, "the D-unit at degree (0,1,0) is not homogeneous of degree (0,1,0)"),
+    (lambda spec: spec["map"]["domain"]["components"].pop("1,1,0"),
+     "the D-unit at degree (1,1,0) is not homogeneous of degree (1,1,0)"),
+    (lambda spec: spec["map"]["codomain"]["components"].pop("0,0,1"),
+     "a C-basis element is not in the span of the components"),
+], ids=["swapped-d-units", "domain-component-dropped", "codomain-component-dropped"])
+def test_regularize_reports_a_factor_outside_its_component_in_a_child_process(mutate, problem):
+    spec = _regularize_spec()
+    mutate(spec)
+    result = subprocess.run([sys.executable, "-m", "gradedmat", "regularize", "--spec",
+                             json.dumps(spec), "--format", "text"], capture_output=True, text=True,
+                            timeout=30, preexec_fn=_limit_address_space)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "fail" and problem in lines[1:]
 
 
 def test_regularize_names_each_c_basis_element_that_does_not_commute(capsys):

@@ -16,7 +16,7 @@ from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport
                                 graded_homomorphism_check, homogeneous_matrix_units,
                                 identity_component_ideals, induced_tensor_grading,
                                 is_elementary, is_graded_subspace, is_invariant_subspace,
-                                support_is_subgroup, verify_grading)
+                                support_is_subgroup, verify_grading, _unit_relation_violation)
 from gradedmat.linalg import SpanSolver
 from gradedmat.matrices import Matrix
 
@@ -345,6 +345,48 @@ def test_homogeneous_matrix_units_certify_elementary():
                     product = units.units[(i, j)] * units.units[(k, l)]
                     expected = units.units[(i, l)] if j == k else Matrix.zeros(3)
                     assert product == expected
+
+
+@st.composite
+def _conjugated_elementary_gradings(draw):
+    """An elementary grading over a small group, conjugated by an invertible rational matrix."""
+    group = FiniteAbelianGroup(draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (6,)])))
+    element = st.tuples(*(st.integers(0, k - 1) for k in group.factors)).map(group.element)
+    n = draw(st.integers(2, 5))
+    tau = tuple(draw(st.lists(element, min_size=n, max_size=n)))
+    p = Matrix(draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                             min_size=n, max_size=n)))
+    try:
+        p_inverse = p.inverse()
+    except ZeroDivisionError:
+        p, p_inverse = Matrix.identity(n), Matrix.identity(n)
+    components = {g: [p_inverse * m * p for m in mats]
+                  for g, mats in elementary_grading(group, tau).components.items()}
+    return GradedAlgebra(group, n, components)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_conjugated_elementary_gradings())
+def test_homogeneous_matrix_units_of_conjugated_elementary_gradings(alg):
+    n = alg.n
+    units = homogeneous_matrix_units(alg.components, Matrix.identity(n))
+    assert units.size == n
+    table = [[units.units[(i, j)] for j in range(n)] for i in range(n)]
+    assert _unit_relation_violation(table) is None
+    assert sum((table[i][i] for i in range(n)), Matrix.zeros(n)) == Matrix.identity(n)
+    for (i, j), unit in units.units.items():
+        assert alg.degree_of(unit) == units.degrees[i].inverse() * units.degrees[j]
+    assert is_elementary(alg)
+
+
+def test_homogeneous_matrix_units_report_a_singular_pairing(monkeypatch):
+    def singular(self):
+        raise ZeroDivisionError("matrix is singular")
+
+    monkeypatch.setattr(Matrix, "inverse", singular)
+    with pytest.raises(ValueError, match="^the column and row spaces of the primitive idempotent "
+                                         "pair singularly$"):
+        homogeneous_matrix_units(elementary_grading(Z2, (E0, A0)).components, Matrix.identity(2))
 
 
 def test_is_elementary_distinguishes_species():
