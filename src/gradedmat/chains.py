@@ -16,13 +16,6 @@ class DoubleStep(_Frozen):
     def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
         return tau + tau
 
-    def images(self, j: int, n: int) -> Tuple[int, ...]:
-        return (j, j + n)
-
-    @property
-    def unital(self) -> bool:
-        return True
-
 
 class TwistStep(_Frozen):
     """tau -> (tau, a*tau) realized by the unital embedding X -> diag(X, X)."""
@@ -31,13 +24,6 @@ class TwistStep(_Frozen):
 
     def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
         return tau + tuple(self.a * g for g in tau)
-
-    def images(self, j: int, n: int) -> Tuple[int, ...]:
-        return (j, j + n)
-
-    @property
-    def unital(self) -> bool:
-        return True
 
 
 class BlockStep(_Frozen):
@@ -59,13 +45,6 @@ class BlockStep(_Frozen):
             if self.target[alpha] != shift * tau[alpha]:
                 raise ValueError(f"block step target prefix is not a translate of the source at index {alpha}")
         return self.target
-
-    def images(self, j: int, n: int) -> Tuple[int, ...]:
-        return tuple(j + l * self.k for l in range(self.m))
-
-    @property
-    def unital(self) -> bool:
-        return self.r == 0
 
 
 ChainStep = Union[DoubleStep, TwistStep, BlockStep]

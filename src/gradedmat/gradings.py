@@ -197,32 +197,70 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     Every violating (g, h, witness product) triple is reported.
 
     When the components span M_n directly, they grade it exactly when each generator
-    chi of the dual group acts by an algebra map sum chi(g) pi_g, i.e. its images of
-    the matrix units satisfy the unit relations; basis pairs are scanned only if not.
+    chi of the dual group acts by an automorphism phi = sum chi(g) pi_g, and every
+    automorphism of M_n is inner.  The certificate builds a candidate implementer Y
+    from the n images phi(E_k0): with a the column of the first nonzero entry of
+    phi(E_00), column k of Y is column a of phi(E_k0).  It passes when
+    Y B = chi(g) B Y for every basis matrix B of every R_g.  This is exact:
+      - if it passes, Y M = phi(M) Y for all M; Y is nonzero (its column 0 is column a
+        of phi(E_00)), so Yv = 0 would give Y M v = 0 for all M and Y = 0; hence Y is
+        invertible, phi = Ad Y and phi is multiplicative;
+      - if phi = Ad X, then phi(E_k0) = X E_k0 X^-1 and Y = (X^-1)_0a X, where
+        (X^-1)_0a != 0 because column a of phi(E_00) = X E_00 X^-1 is nonzero.
+    Y is the implementer of chi up to a scalar.  Basis pairs are scanned only when
+    the certificate fails; a pair is skipped when no nonzero column of the left
+    factor is a nonzero row of the right, since its product is zero.
     """
     n = algebra.n
     total = algebra.dimension
     dimension_ok = total == n * n
     independent = algebra._solver.rank == total
     if dimension_ok and independent:
-        parts = [[algebra.decompose(Matrix.unit(n, i, j)) for j in range(n)] for i in range(n)]
-        factors = range(len(algebra.group.factors))
-        generators = [Character(algebra.group, tuple(int(s == t) for s in factors)) for t in factors]
-        if all(_unit_relations_hold([[_act(chi, n, p) for p in row] for row in parts])
-               for chi in generators):
+        columns = [algebra.decompose(Matrix.unit(n, k, 0)) for k in range(n)]
+        if all(_implementer(algebra, chi, columns) for chi in _dual_generators(algebra.group)):
             return GradingReport(n, total, True, True, ())
+    basis = {g: [(x, {j for row in x.rows for j in row}, {i for i, row in enumerate(x.rows) if row})
+                 for x in mats] for g, mats in algebra.components.items()}
     failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
-    for g, g_mats in algebra.components.items():
-        for h, h_mats in algebra.components.items():
+    for g, g_mats in basis.items():
+        for h, h_mats in basis.items():
             target_solver = algebra._component_solvers.get(g * h)
-            for x in g_mats:
-                for y in h_mats:
+            for x, x_columns, _ in g_mats:
+                for y, _, y_rows in h_mats:
+                    if x_columns.isdisjoint(y_rows):
+                        continue
                     product = x * y
                     if product.is_zero():
                         continue
                     if target_solver is None or not target_solver.contains(product.vector()):
                         failures.append((g, h, product))
     return GradingReport(n, total, dimension_ok, independent, tuple(failures))
+
+
+def _dual_generators(group: FiniteAbelianGroup) -> List[Character]:
+    """One character per cyclic factor; together they generate the dual group."""
+    factors = range(len(group.factors))
+    return [Character(group, tuple(int(s == t) for s in factors)) for t in factors]
+
+
+def _implementer(algebra: GradedAlgebra, chi: Character,
+                 columns: Sequence[Dict[GroupElement, Matrix]]) -> Optional[Matrix]:
+    """Y with Y M = phi(M) Y for all M, phi = sum chi(g) pi_g, built from the homogeneous
+    parts of E_00, ..., E_(n-1)0; None when no such Y exists (see verify_grading)."""
+    n = algebra.n
+    images = [_act(chi, n, parts) for parts in columns]
+    first = next((row for row in images[0].rows if row), None)
+    if first is None:
+        return None
+    a = min(first)
+    y = Matrix._of(n, ({k: image.rows[i][a] for k, image in enumerate(images) if a in image.rows[i]}
+                       for i in range(n)))
+    for g, mats in algebra.components.items():
+        c = chi(g)
+        for b in mats:
+            if y * b != (b * y).scale(c):
+                return None
+    return y
 
 
 def support_is_subgroup(algebra: GradedAlgebra) -> bool:
@@ -425,9 +463,13 @@ def is_graded_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix]) -> boo
 
 def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
                           characters: Optional[Sequence[Character]] = None) -> bool:
-    """True when the subspace is stable under the character action."""
+    """True when the subspace is stable under the character action.
+
+    By default only the generators of the dual group are applied: phi_(chi psi) is
+    phi_chi after phi_psi, so stability under them is stability under every character.
+    """
     if characters is None:
-        characters = algebra.group.characters()
+        characters = _dual_generators(algebra.group)
     solver = SpanSolver([v.vector() for v in vectors])
     for v in vectors:
         parts = algebra.decompose(v)

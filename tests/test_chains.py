@@ -64,9 +64,6 @@ def test_chain_rejects_step_elements_of_another_group():
 def test_block_step_extends_explicitly():
     step = BlockStep(2, 2, 1, (E0, A0, E0, A0, A0))
     assert step.extend((E0, A0)) == (E0, A0, E0, A0, A0)
-    assert step.images(1, 2) == (1, 3)
-    assert not step.unital
-    assert BlockStep(2, 2, 0, (E0, A0, E0, A0)).unital
 
 
 def test_block_step_rejections_carry_the_step_index():
@@ -127,11 +124,13 @@ def _traced_diagram(spec, depth):
     for i in range(depth - 1):
         source, target, step = tuples[i], tuples[i + 1], spec.step_at(i)
         per_class = {}
+        # index j lands on j + l*k in each diagonal block; a remainder r > 0 is not unital
+        k, blocks, r = (step.k, step.m, step.r) if isinstance(step, BlockStep) else (len(source), 2, 0)
         for j, g in enumerate(source):
-            local = Counter(target[jp] for jp in step.images(j, len(source)))
+            local = Counter(target[j + l * k] for l in range(blocks))
             assert per_class.setdefault(g, local) == local
         layer = {(g, h): m for g, local in per_class.items() for h, m in local.items()}
-        if step.unital:
+        if r == 0:
             sizes = Counter(source)
             landed = Counter()
             for (g, h), m in layer.items():

@@ -299,6 +299,26 @@ def test_graded_and_invariant_agree_on_examples():
     assert is_invariant_subspace(alg, plane, chars)
 
 
+def test_invariant_subspace_defaults_to_the_generators_of_the_dual_group():
+    V4 = FiniteAbelianGroup((2, 2))
+    elementary = elementary_grading(V4, (V4.identity(), V4.element((0, 1)), V4.element((1, 1))))
+    eps = epsilon_grading(3)
+    x, y = (eps.components[eps.group.element(g)][0] for g in ((1, 0), (0, 1)))
+    inputs = [(elementary_grading(Z2, (E0, A0)), [Matrix.unit(2, 0, 1)]),
+              (elementary_grading(Z2, (E0, A0)), [Matrix.unit(2, 0, 0) + Matrix.unit(2, 0, 1)]),
+              (elementary_grading(Z2, (E0, A0)), [Matrix.unit(2, 0, 0), Matrix.unit(2, 0, 1)]),
+              (elementary, [Matrix.unit(3, 0, 1) + Matrix.unit(3, 1, 2)]),
+              (elementary, [Matrix.unit(3, 0, 2) + Matrix.unit(3, 1, 2)]),
+              (elementary, [Matrix.unit(3, 0, 1), Matrix.unit(3, 1, 2)]),
+              (eps, [x, y]), (eps, [x + y]), (eps, [x + x * x]), (eps, [x * y, y * x])]
+    verdicts = []
+    for algebra, vectors in inputs:
+        verdict = is_invariant_subspace(algebra, vectors)
+        assert verdict == is_invariant_subspace(algebra, vectors, algebra.group.characters())
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_invariant_subspace_decomposes_each_vector_once(monkeypatch):
     alg = epsilon_grading(3)
     vectors = [alg.components[g][0] for g in list(alg.components)[:4]]
@@ -484,6 +504,31 @@ def _random_tuple(rng, group, n):
     return tuple(rng.choice(elements) for _ in range(n))
 
 
+def _conjugated(algebra, rng):
+    """The same grading carried by a random invertible integer matrix p: m -> p^-1 m p."""
+    n = algebra.n
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        try:
+            p_inverse = p.inverse()
+        except ZeroDivisionError:
+            continue
+        return GradedAlgebra(algebra.group, n, {g: [p_inverse * m * p for m in mats]
+                                                for g, mats in algebra.components.items()})
+
+
+def _companion_grading():
+    """The Z3-grading of M_3 by the eigenspaces of Ad X, X the companion matrix of x^3 - 2
+    (X^3 = 2I): R_k is spanned by X^j D_k with D_k = diag(1, w^-k, w^-2k), w = zeta_3."""
+    Z3 = FiniteAbelianGroup((3,))
+    x = Matrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+    components = {}
+    for k in range(3):
+        d = Matrix.diagonal([root_of_unity(3, -k * i) for i in range(3)])
+        components[Z3.element((k,))] = [d, x * d, x * x * d]
+    return GradedAlgebra(Z3, 3, components)
+
+
 def _relabeled(algebra, swap):
     """The same component bases with the labels of two degrees exchanged."""
     g, h = swap
@@ -518,6 +563,17 @@ def _grading_cases():
     units = [Matrix.unit(2, i, j) for i in range(2) for j in range(2)]
     cases.append(GradedAlgebra(Z2, 2, {E0: units[:1] + units[3:] + units[:1], A0: units[1:3]}))
     cases.append(GradedAlgebra(Z2, 2, {E0: units[:1] + units[3:], A0: units[1:2]}))
+    # dense implementers: gradings carried by random integer matrices, valid and relabeled
+    rng = random.Random(15)
+    for group, n in ((Z2, 2), (Z4, 3), (V4, 4), (FiniteAbelianGroup((3,)), 4), (Z4, 5)):
+        carried = _conjugated(elementary_grading(group, _random_tuple(rng, group, n)), rng)
+        support = carried.support()
+        other = support[1] if len(support) > 1 else next(g for g in group.elements() if g != support[0])
+        cases.extend((carried, _relabeled(carried, (support[0], other))))
+    for n in (2, 3, 4):
+        carried = _conjugated(epsilon_grading(n), rng)
+        cases.extend((carried, _relabeled(carried, carried.support()[1:3])))
+    cases.append(_companion_grading())
     return cases
 
 
@@ -609,9 +665,32 @@ def test_homomorphism_oracle_covers_every_failure_kind():
 
 def test_passing_verify_builds_no_component_solvers():
     for algebra in (elementary_grading(FiniteAbelianGroup((4,)), tuple(
-            FiniteAbelianGroup((4,)).element((i % 3,)) for i in range(6))), epsilon_grading(4)):
+            FiniteAbelianGroup((4,)).element((i % 3,)) for i in range(6))), epsilon_grading(4),
+                    _companion_grading()):
         assert verify_grading(algebra).passed
         assert "_component_solvers" not in algebra.__dict__
+
+
+def test_passing_verify_decomposes_at_most_n_units(monkeypatch):
+    G = FiniteAbelianGroup((4,))
+    algebras = [elementary_grading(G, tuple(G.element((i,)) for i in (0, 1, 1, 3, 2, 0))),
+                epsilon_grading(4), _conjugated(epsilon_grading(3), random.Random(7))]
+    calls = _count_calls(monkeypatch, GradedAlgebra, "decompose")
+    for algebra in algebras:
+        calls.clear()
+        assert verify_grading(algebra).passed
+        assert len(calls) <= algebra.n
+
+
+def test_relabeled_verify_multiplies_fewer_than_n4_pairs(monkeypatch):
+    n = 6
+    G = FiniteAbelianGroup((6,))
+    tau = tuple(G.element((i,)) for i in (0, 1, 2, 3, 4, 5))
+    algebra = _relabeled(elementary_grading(G, tau), (G.element((1,)), G.element((2,))))
+    calls = _count_calls(monkeypatch, Matrix, "__mul__")
+    report = verify_grading(algebra)
+    assert report.closure_failures and report.dimension_ok and report.independent
+    assert len(calls) < n ** 4
 
 
 def test_passing_homomorphism_check_applies_the_map_at_most_twice_per_unit(monkeypatch):
