@@ -179,7 +179,8 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
     _check_map_dims(obj["map"])
     gmap = parse_map(obj["map"], "spec.map")
     source, target = parse_regularize_pairs(obj, gmap)
-    problems = source.verify() + target.verify()
+    problems = [f"{name}: {problem}" for name, pair in (("source", source), ("target", target))
+                for problem in pair.verify()]
     if problems:
         payload = {"verdict": "fail", "problems": problems}
         _emit(payload, args.format, ["fail"] + problems)

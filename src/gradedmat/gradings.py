@@ -111,9 +111,9 @@ def elementary_grading(group: FiniteAbelianGroup,
     n = len(tau)
     components: Dict[GroupElement, List[Matrix]] = {}
     for i in range(n):
+        inverse = tau[i].inverse()
         for j in range(n):
-            degree = tau[i].inverse() * tau[j]
-            components.setdefault(degree, []).append(Matrix.unit(n, i, j))
+            components.setdefault(inverse * tau[j], []).append(Matrix.unit(n, i, j))
     return GradedAlgebra(group, n, components, elementary_tuple=tau)
 
 
@@ -512,38 +512,68 @@ class HomomorphismReport(_Frozen):
 def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     """Verify that a basis table defines an injective degree-preserving algebra map.
 
-    The map is multiplicative exactly when its images of the matrix units
-    satisfy the unit relations; all basis pairs are compared only if they fail.
+    The certificate applies the map f to 2n - 1 units only: F_i = f(E_i0) and
+    G_j = f(E_0j), with G_0 = F_0.  With T_ij = F_i G_j it passes when F_i F_0 = F_i,
+    G_j F_a = delta_ja F_0 and f(x) = sum x_ij T_ij on every given pair (x, f(x)).
+    This is exact:
+      - if it passes, T_ij T_ab = F_i G_j F_a G_b = delta_ja F_i F_0 G_b = delta_ja T_ib,
+        so psi(x) = sum x_ij T_ij is multiplicative, and f = psi on a basis of M_n;
+      - if f is multiplicative, F_i F_0 = f(E_i0 E_00) = F_i, G_j F_a = f(E_0j E_a0) =
+        delta_ja F_0 and T_ij = f(E_i0 E_0j) = f(E_ij), so f(x) = sum x_ij T_ij.
+    Either way T_ij = f(E_ij) once it passes.  Only when it fails are all n^2 units
+    applied and all basis pairs compared, f(xy) read as sum (xy)_ab f(E_ab).  In an
+    elementary codomain an image's degree is read off its nonzero positions, since each
+    component is spanned by the matrix units of its degree.
     """
-    domain = gmap.domain
-    n1 = domain.n
-    basis_ok = len(gmap.pairs) == gmap._source_solver.rank == n1 * n1
-    images = [[gmap.apply(Matrix.unit(n1, i, j)) for j in range(n1)] for i in range(n1)] if basis_ok else []
+    domain, codomain = gmap.domain, gmap.codomain
+    n = domain.n
+    basis_ok = len(gmap.pairs) == gmap._source_solver.rank == n * n
+    if not basis_ok:
+        image_solver = SpanSolver()
+        injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
+        return HomomorphismReport(False, (), injective, ())
+    fs = [gmap.apply(Matrix.unit(n, i, 0)) for i in range(n)]
+    gs = fs[:1] + [gmap.apply(Matrix.unit(n, 0, j)) for j in range(1, n)]
+    zero = Matrix.zeros(codomain.n)
+    units: Optional[List[List[Matrix]]] = None
+    if all(f * fs[0] == f for f in fs) and all(
+            g * f == (fs[0] if j == a else zero) for j, g in enumerate(gs) for a, f in enumerate(fs)):
+        units = [[f] + [f * g for g in gs[1:]] for f in fs]  # T_i0 = F_i F_0 = F_i
+        if any(_image(x, units) != fx for x, fx in gmap.pairs):
+            units = None
     mult_failures: List[Tuple[int, int]] = []
-    if basis_ok and not _unit_relations_hold(images):
-        for i, (x, fx) in enumerate(gmap.pairs):
-            for j, (y, fy) in enumerate(gmap.pairs):
-                if gmap.apply(x * y) != fx * fy:
-                    mult_failures.append((i, j))
-    if basis_ok and not mult_failures:  # the kernel is an ideal of the simple M_n, so 0 or all
-        injective = any(not image.is_zero() for row in images for image in row)
+    if units is None:
+        units = [[fs[i] if j == 0 else gs[j] if i == 0 else gmap.apply(Matrix.unit(n, i, j))
+                  for j in range(n)] for i in range(n)]
+        mult_failures = [(i, j) for i, (x, fx) in enumerate(gmap.pairs)
+                         for j, (y, fy) in enumerate(gmap.pairs) if _image(x * y, units) != fx * fy]
+    if not mult_failures:  # the kernel is an ideal of the simple M_n, so 0 or all
+        injective = any(not t.is_zero() for row in units for t in row)
     else:
         image_solver = SpanSolver()
         injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
+    tau = codomain.elementary_tuple
     degree_failures: List[GroupElement] = []
-    if basis_ok:
-        codomain_solvers = gmap.codomain._component_solvers
-        for g, mats in domain.components.items():
-            target = codomain_solvers.get(g)
-            for b in mats:
-                image = Matrix.combination(gmap.codomain.n, (
-                    (a, images[i][j]) for i, row in enumerate(b.rows) for j, a in row.items()))
-                if image.is_zero():
-                    continue
-                if target is None or not target.contains(image.vector()):
-                    if g not in degree_failures:
-                        degree_failures.append(g)
-    return HomomorphismReport(basis_ok, tuple(mult_failures), injective, tuple(degree_failures))
+    for g, mats in domain.components.items():
+        for b in mats:
+            image = _image(b, units)
+            if image.is_zero():
+                continue
+            if tau is not None:
+                homogeneous = matrix_degree_for_tuple(image, tau) == g
+            else:
+                target = codomain._component_solvers.get(g)
+                homogeneous = target is not None and target.contains(image.vector())
+            if not homogeneous:
+                degree_failures.append(g)
+                break
+    return HomomorphismReport(True, tuple(mult_failures), injective, tuple(degree_failures))
+
+
+def _image(x: Matrix, units: Sequence[Sequence[Matrix]]) -> Matrix:
+    """sum x_ij units[i][j]: x under the linear map sending E_ij to units[i][j]."""
+    return Matrix.combination(units[0][0].n, (
+        (a, units[i][j]) for i, row in enumerate(x.rows) for j, a in row.items()))
 
 
 def matrix_degree_for_tuple(m: Matrix, tau: Sequence[GroupElement]) -> Optional[GroupElement]:

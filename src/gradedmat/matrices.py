@@ -58,9 +58,12 @@ class Matrix:
             if m.n != n:
                 raise ValueError(f"size mismatch: {n} vs {m.n}")
             c = _coerce(c)
-            if not c.is_zero():
-                for acc, row in zip(rows, m.rows):
-                    _accumulate(acc, ((j, c * a) for j, a in row.items()))
+            if c.is_zero():
+                continue
+            one = c.level == 1 and c.nums == (1,) and c.den == 1  # 1 * a is a, at a's level
+            for acc, row in zip(rows, m.rows):
+                if row:
+                    _accumulate(acc, row.items() if one else ((j, c * a) for j, a in row.items()))
         return Matrix._of(n, rows)
 
     @staticmethod

@@ -388,7 +388,7 @@ def test_regularize_reports_a_zero_c_basis_element_in_a_child_process(pair):
     assert (result.returncode, result.stderr) == (1, "")
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "fail"
-    assert "a C-basis element is zero" in payload["problems"]
+    assert f"{pair}: a C-basis element is zero" in payload["problems"]
 
 
 @pytest.mark.parametrize("pair", ["source", "target"])
@@ -399,7 +399,7 @@ def test_regularize_reports_an_identity_that_is_not_the_unit(capsys, pair):
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
-    assert payload["problems"] == ["identity is not the unit of the factors"]
+    assert payload["problems"] == [f"{pair}: identity is not the unit of the factors"]
 
 
 def _swap_d_units(spec):
@@ -408,14 +408,15 @@ def _swap_d_units(spec):
         units["0,1,0"], units["1,0,0"] = units["1,0,0"], units["0,1,0"]
 
 
-@pytest.mark.parametrize("mutate, problem", [
-    (_swap_d_units, "the D-unit at degree (0,1,0) is not homogeneous of degree (0,1,0)"),
+@pytest.mark.parametrize("mutate, problems", [
+    (_swap_d_units, [f"{pair}: the D-unit at degree {t} is not homogeneous of degree {t}"
+                     for pair in ("source", "target") for t in ("(0,1,0)", "(1,0,0)")]),
     (lambda spec: spec["map"]["domain"]["components"].pop("1,1,0"),
-     "the D-unit at degree (1,1,0) is not homogeneous of degree (1,1,0)"),
+     ["source: the D-unit at degree (1,1,0) is not homogeneous of degree (1,1,0)"]),
     (lambda spec: spec["map"]["codomain"]["components"].pop("0,0,1"),
-     "a C-basis element is not in the span of the components"),
+     ["target: a C-basis element is not in the span of the components"]),
 ], ids=["swapped-d-units", "domain-component-dropped", "codomain-component-dropped"])
-def test_regularize_reports_a_factor_outside_its_component_in_a_child_process(mutate, problem):
+def test_regularize_reports_a_factor_outside_its_component_in_a_child_process(mutate, problems):
     spec = _regularize_spec()
     mutate(spec)
     result = subprocess.run([sys.executable, "-m", "gradedmat", "regularize", "--spec",
@@ -424,7 +425,8 @@ def test_regularize_reports_a_factor_outside_its_component_in_a_child_process(mu
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "fail" and problem in lines[1:]
+    # each problem names its pair, so a fault in both pairs reads as two lines
+    assert lines[0] == "fail" and set(lines[1:]) == set(problems)
 
 
 def test_regularize_names_each_c_basis_element_that_does_not_commute(capsys):
@@ -435,9 +437,10 @@ def test_regularize_names_each_c_basis_element_that_does_not_commute(capsys):
     assert code == 1
     problems = json.loads(out)["problems"]
     assert len(problems) == len(set(problems))
-    assert [p for p in problems if p.startswith("factor bases do not commute")] == [
-        "factor bases do not commute: C-basis element 1 at degree (0,1,0)",
-        "factor bases do not commute: C-basis element 2 at degree (0,1,0)"]
+    assert [p for p in problems if p.startswith("target: factor bases do not commute")] == [
+        "target: factor bases do not commute: C-basis element 1 at degree (0,1,0)",
+        "target: factor bases do not commute: C-basis element 2 at degree (0,1,0)"]
+    assert all(p.startswith("target: ") for p in problems)
 
 
 def test_regularize_extracts_each_pairs_cocycle_once(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
+from gradedmat.embeddings import block_diagonal_embedding
 from gradedmat.groups import FiniteAbelianGroup, GroupElement, subgroup_generated
 from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport,
                                 HomomorphismReport, centralizer, character_action,
@@ -644,7 +645,61 @@ def _map_cases():
     cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis + basis[:1])))
     cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis[:3] + basis[:1])))
     cases.append(GradedMap(alg, alg, tuple((m, m) for m in basis[:3])))
+    # non-unital embeddings X -> diag(X, X, 0), with k = 1..3
+    for k in (1, 2, 3):
+        tau = _random_tuple(rng, Z4, k)
+        a, b, c = (rng.choice(Z4.elements()) for _ in range(3))
+        embedding = block_diagonal_embedding(elementary_grading(Z4, tau), 2, 1,
+                                             tuple(a * t for t in tau) + tuple(b * t for t in tau) + (c,))
+        cases.append(embedding)
+    # the certificate's relations broken one at a time, and psi != f on one pair alone
+    tau = tuple(Z4.element((i,)) for i in (0, 1, 3))
+    alg3 = elementary_grading(Z4, tau)
+
+    def changed(domain, codomain, key, image):
+        """E_ij -> E_ij in the codomain's size, except the unit at key."""
+        n, m = domain.n, codomain.n
+        return GradedMap(domain, codomain, tuple(
+            (Matrix.unit(n, i, j), image if (i, j) == key else Matrix.unit(m, i, j))
+            for i in range(n) for j in range(n)))
+
+    # F_1 = E_10 + E_21 in M_3: F_1 F_0 = E_10 != F_1, while every G_j F_a is right
+    cases.append(changed(elementary_grading(Z4, tau[:2]), alg3, (1, 0),
+                         Matrix.unit(3, 1, 0) + Matrix.unit(3, 2, 1)))
+    # F_1 = 2 E_10: F_i F_0 = F_i holds, G_1 F_1 = 2 F_0 does not
+    cases.append(changed(alg3, alg3, (1, 0), Matrix.unit(3, 1, 0).scale(2)))
+    # every relation on the 2n - 1 images holds; f(E_21) = 2 E_21 differs from T_21
+    cases.append(changed(alg3, alg3, (2, 1), Matrix.unit(3, 2, 1).scale(2)))
+    # f(E_12) = E_12 + E_11 differs from T_12 on that pair alone, and is not homogeneous
+    cases.append(changed(alg3, alg3, (1, 2), Matrix.unit(3, 1, 2) + Matrix.unit(3, 1, 1)))
+    # the identity onto the grading of a tuple with its last entry moved: E_i2 changes degree
+    moved = elementary_grading(Z4, tau[:2] + (tau[2] * Z4.element((1,)),))
+    cases.append(GradedMap(alg3, moved, tuple((m, m) for _, m in alg3.union_basis)))
+    # isomorphisms onto a codomain carried by a dense matrix, and one onto the relabeled copy
+    rng = random.Random(16)
+    for group, n in ((Z4, 3), (FiniteAbelianGroup((2, 2)), 4)):
+        alg = elementary_grading(group, _random_tuple(rng, group, n))
+        carried = _conjugated(alg, rng)
+        pairs = tuple(zip((m for _, m in alg.union_basis), (m for _, m in carried.union_basis)))
+        cases.append(GradedMap(alg, carried, pairs))
+        support = carried.support()
+        if len(support) > 1:
+            cases.append(GradedMap(alg, _relabeled(carried, support[:2]), pairs))
+    # elementary codomains against the same components without the tuple
+    for gmap in list(cases):
+        if gmap.codomain.elementary_tuple is not None:
+            cases.append(GradedMap(gmap.domain, _untupled(gmap.codomain), gmap.pairs))
+    # n = 1: into M_1, doubled, and the zero map
+    one = elementary_grading(Z4, (Z4.element((1,)),))
+    e00 = Matrix.unit(1, 0, 0)
+    for image in (e00, e00.scale(2), Matrix.zeros(1)):
+        cases.append(GradedMap(one, one, ((e00, image),)))
     return cases
+
+
+def _untupled(algebra):
+    """The same components with no elementary tuple, so degrees are read by elimination."""
+    return GradedAlgebra(algebra.group, algebra.n, algebra.components)
 
 
 @pytest.mark.parametrize("case", range(len(_map_cases())))
@@ -708,6 +763,32 @@ def test_passing_homomorphism_check_applies_the_map_at_most_twice_per_unit(monke
     pairs = tuple((m, m) for mats in alg.components.values() for m in mats)
     assert graded_homomorphism_check(GradedMap(alg, alg, pairs)).passed
     assert len(calls) <= 2 * n * n
+
+
+def _passing_maps():
+    G = FiniteAbelianGroup((4,))
+    alg = elementary_grading(G, tuple(G.element((i,)) for i in (0, 1, 1, 3, 2)))
+    d = Matrix.diagonal([1, 2, -1, 3, 5])
+    yield GradedMap(alg, alg, tuple((m, d * m * d.inverse()) for _, m in alg.union_basis))
+    yield block_diagonal_embedding(alg, 2, 1, alg.elementary_tuple * 2 + (G.identity(),))
+    eps = epsilon_grading(3)
+    x_a = eps.components[eps.group.element((1, 0))][0]
+    yield GradedMap(eps, eps, tuple((m, x_a * m * x_a.inverse()) for _, m in eps.union_basis))
+
+
+def test_passing_homomorphism_check_applies_the_map_to_2n_minus_1_units(monkeypatch):
+    calls = _count_calls(monkeypatch, GradedMap, "apply")
+    for gmap in _passing_maps():
+        calls.clear()
+        assert graded_homomorphism_check(gmap).passed
+        assert len(calls) <= 2 * gmap.domain.n - 1
+
+
+def test_passing_homomorphism_check_reads_elementary_degrees_off_positions():
+    for gmap in _passing_maps():
+        assert graded_homomorphism_check(gmap).passed
+        if gmap.codomain.elementary_tuple is not None:
+            assert "_component_solvers" not in gmap.codomain.__dict__
 
 
 # --- oracle: the |T|^3 scan of the 2-cocycle identity, kept as the reference ---

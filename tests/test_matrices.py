@@ -341,6 +341,11 @@ def test_combination_edge_cases():
     assert Matrix.combination(2, [(0, Matrix.identity(2)), (half, e)]) == e.scale(half)
     with pytest.raises(ValueError):
         Matrix.combination(3, [(1, e)])
+    # a rational one adds the entries as they are; a one at level 3 still lifts them
+    m = Matrix.diagonal([root_of_unity(5, 1), 2])
+    assert [x.level for x in Matrix.combination(2, [(1, m)]).rows[0].values()] == [5]
+    lifted = Matrix.combination(2, [(root_of_unity(3, 0), m)])
+    assert lifted == m and [row[i].level for i, row in enumerate(lifted.rows)] == [15, 3]
 
 
 def test_nullspace_of_no_rows_or_zero_rows_is_the_identity_basis():
