@@ -248,16 +248,16 @@ class DecompositionPair(_Frozen):
             if t not in components or not components[t].contains(x.vector()):
                 problems.append(f"the D-unit at degree {t} is not homogeneous of degree {t}")
         c_degrees = set()
-        for c in self.c_basis:
+        for i, c in enumerate(self.c_basis):
             if c.is_zero():
-                problems.append("a C-basis element is zero")
+                problems.append(f"C-basis element {i} is zero")
                 continue
             if not self.algebra._solver.contains(c.vector()):
-                problems.append("a C-basis element is not in the span of the components")
+                problems.append(f"C-basis element {i} is not in the span of the components")
                 continue
             d = self.algebra.degree_of(c)
             if d is None:
-                problems.append("a C-basis element is not homogeneous")
+                problems.append(f"C-basis element {i} is not homogeneous")
             else:
                 c_degrees.add(d)
         identity_g = self.algebra.group.identity()

@@ -5,13 +5,32 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, degree_classes,
                      subgroup_generated)
 from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
 from .matrices import Matrix
+
+# (i, j) -> (k, label, 1/c) when the k-th basis matrix is c E_ij
+_UnitIndex = Dict[Tuple[int, int], Tuple[int, object, CycNumber]]
+
+
+def _unit_index(labelled: Iterable[Tuple[object, Matrix]], n: int) -> Optional[_UnitIndex]:
+    """The position index of a basis of n x n matrices with exactly one nonzero entry
+    each, built in one pass; a repeated position keeps its first matrix.  None for
+    any other basis."""
+    index: _UnitIndex = {}
+    for k, (label, m) in enumerate(labelled):
+        filled = list(filter(None, m.rows))
+        if m.n != n or len(filled) != 1 or len(filled[0]) != 1:
+            return None
+        (j, c), = filled[0].items()
+        position = (m.rows.index(filled[0]), j)  # every other row is empty
+        if position not in index:
+            index[position] = (k, label, c.inverse())
+    return index
 
 
 class GradedAlgebra:
@@ -64,6 +83,10 @@ class GradedAlgebra:
     @cached_property
     def _solver(self) -> SpanSolver:
         return SpanSolver([m.vector() for _, m in self.union_basis])
+
+    @cached_property
+    def _positions(self) -> Optional[_UnitIndex]:
+        return _unit_index(self.union_basis, self.n)
 
     @cached_property
     def _component_solvers(self) -> Dict[GroupElement, SpanSolver]:
@@ -210,10 +233,32 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     Y is the implementer of chi up to a scalar.  Basis pairs are scanned only when
     the certificate fails; a pair is skipped when no nonzero column of the left
     factor is a nonzero row of the right, since its product is zero.
+
+    A basis of scaled matrix units c E_ij is read by position instead, with no
+    elimination: it is independent exactly when its positions are distinct, and
+    R_g spans the matrices supported on the positions of its units.  With all n^2
+    positions distinct it grades M_n exactly when deg(i, j) = h_i^-1 h_j for all
+    i, j, where h_j = deg(0, j):
+      - if that holds, (a E_ij)(b E_jl) = ab E_il lies in the component of degree
+        h_i^-1 h_l = deg(i, j) deg(j, l), and units in other positions multiply to
+        zero, so every product of basis matrices lands in its component;
+      - if the products close, (a E_0i)(b E_ij) = ab E_0j lies in R_(deg(0, i) deg(i, j)),
+        and (0, j) is the position of one unit only, of degree h_j; so
+        h_i deg(i, j) = h_j.
+    Otherwise the pair (a E_ij, b E_jl) of R_g x R_h fails exactly when (i, l) is not
+    a position of R_gh; only failing pairs are multiplied.
     """
     n = algebra.n
     total = algebra.dimension
     dimension_ok = total == n * n
+    index = algebra._positions
+    if index is not None:
+        independent = len(index) == total
+        if dimension_ok and independent:
+            h = [index[(0, j)][1] for j in range(n)]
+            if all(h[i] * index[(i, j)][1] == h[j] for i in range(n) for j in range(n)):
+                return GradingReport(n, total, True, True, ())
+        return GradingReport(n, total, dimension_ok, independent, _unit_closure_failures(algebra))
     independent = algebra._solver.rank == total
     if dimension_ok and independent:
         columns = [algebra.decompose(Matrix.unit(n, k, 0)) for k in range(n)]
@@ -235,6 +280,27 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
                     if target_solver is None or not target_solver.contains(product.vector()):
                         failures.append((g, h, product))
     return GradingReport(n, total, dimension_ok, independent, tuple(failures))
+
+
+def _unit_closure_failures(algebra: GradedAlgebra) -> Tuple[Tuple[GroupElement, GroupElement, Matrix], ...]:
+    """The failing (g, h, x y) of a basis of scaled units, in the order of the full scan:
+    x = a E_ij in R_g and y = b E_jl in R_h multiply to ab E_il, which lies in R_gh
+    exactly when (i, l) is one of its positions."""
+    cells = {g: [(m, *m.nonzero_positions()[0]) for m in mats]
+             for g, mats in algebra.components.items()}
+    positions = {g: {(i, j) for _, i, j in units} for g, units in cells.items()}
+    by_row: Dict[GroupElement, Dict[int, List[Tuple[Matrix, int]]]] = {}
+    for h, units in cells.items():
+        rows = by_row[h] = {}
+        for y, k, l in units:
+            rows.setdefault(k, []).append((y, l))
+    failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
+    for g, g_units in cells.items():
+        for h, rows in by_row.items():
+            target = positions.get(g * h, ())
+            for x, i, j in g_units:
+                failures.extend((g, h, x * y) for y, l in rows.get(j, ()) if (i, l) not in target)
+    return tuple(failures)
 
 
 def _dual_generators(group: FiniteAbelianGroup) -> List[Character]:
@@ -490,11 +556,28 @@ class GradedMap(_Frozen):
     def _source_solver(self) -> SpanSolver:
         return SpanSolver([src.vector() for src, _ in self.pairs])
 
+    @cached_property
+    def _source_positions(self) -> Optional[_UnitIndex]:
+        return _unit_index(((image, src) for src, image in self.pairs), self.domain.n)
+
     def apply(self, m: Matrix) -> Matrix:
-        coords = self._source_solver.sparse_coordinates(m.vector())
-        if coords is None:
+        """f(m) from the coordinates of m over the sources.  Over scaled units c E_ij they
+        are read off the positions, m_ij / c, and summed in source order, so every entry
+        has the value and level that the elimination gives."""
+        index = self._source_positions
+        if index is None or m.n != self.domain.n:
+            coords = self._source_solver.sparse_coordinates(m.vector())
+            terms = None if coords is None else [(c, self.pairs[k][1]) for k, c in coords.items()]
+        else:
+            try:  # (k, f(c E_ij), 1/c, m_ij), k unique
+                cells = sorted(index[(i, j)] + (a,) for i, row in enumerate(m.rows) for j, a in row.items())
+            except KeyError:
+                terms = None
+            else:
+                terms = [(a * inverse, image) for _, image, inverse, a in cells]
+        if terms is None:
             raise ValueError("matrix is outside the span of the map's source basis")
-        return Matrix.combination(self.codomain.n, ((c, self.pairs[i][1]) for i, c in coords.items()))
+        return Matrix.combination(self.codomain.n, terms)
 
 
 class HomomorphismReport(_Frozen):
@@ -521,13 +604,17 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
       - if f is multiplicative, F_i F_0 = f(E_i0 E_00) = F_i, G_j F_a = f(E_0j E_a0) =
         delta_ja F_0 and T_ij = f(E_i0 E_0j) = f(E_ij), so f(x) = sum x_ij T_ij.
     Either way T_ij = f(E_ij) once it passes.  Only when it fails are all n^2 units
-    applied and all basis pairs compared, f(xy) read as sum (xy)_ab f(E_ab).  In an
-    elementary codomain an image's degree is read off its nonzero positions, since each
-    component is spanned by the matrix units of its degree.
+    applied and all basis pairs compared, f(xy) read as sum (xy)_ab f(E_ab).  Sources
+    that are scaled matrix units are read by position: their rank is the number of
+    distinct positions.  In a codomain of scaled units at distinct positions an image's
+    degree is read off its nonzero positions, since each component spans the matrices
+    supported on the positions of its units.
     """
     domain, codomain = gmap.domain, gmap.codomain
     n = domain.n
-    basis_ok = len(gmap.pairs) == gmap._source_solver.rank == n * n
+    sources = gmap._source_positions
+    rank = gmap._source_solver.rank if sources is None else len(sources)
+    basis_ok = len(gmap.pairs) == rank == n * n
     if not basis_ok:
         image_solver = SpanSolver()
         injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
@@ -552,15 +639,18 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     else:
         image_solver = SpanSolver()
         injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
-    tau = codomain.elementary_tuple
+    positions = codomain._positions
+    if positions is not None and len(positions) < codomain.dimension:
+        positions = None  # a repeated position may lie in two components
     degree_failures: List[GroupElement] = []
     for g, mats in domain.components.items():
         for b in mats:
             image = _image(b, units)
             if image.is_zero():
                 continue
-            if tau is not None:
-                homogeneous = matrix_degree_for_tuple(image, tau) == g
+            if positions is not None:
+                homogeneous = all((i, j) in positions and positions[(i, j)][1] == g
+                                  for i, row in enumerate(image.rows) for j in row)
             else:
                 target = codomain._component_solvers.get(g)
                 homogeneous = target is not None and target.contains(image.vector())

@@ -388,7 +388,7 @@ def test_regularize_reports_a_zero_c_basis_element_in_a_child_process(pair):
     assert (result.returncode, result.stderr) == (1, "")
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "fail"
-    assert f"{pair}: a C-basis element is zero" in payload["problems"]
+    assert f"{pair}: C-basis element 0 is zero" in payload["problems"]
 
 
 @pytest.mark.parametrize("pair", ["source", "target"])
@@ -414,7 +414,7 @@ def _swap_d_units(spec):
     (lambda spec: spec["map"]["domain"]["components"].pop("1,1,0"),
      ["source: the D-unit at degree (1,1,0) is not homogeneous of degree (1,1,0)"]),
     (lambda spec: spec["map"]["codomain"]["components"].pop("0,0,1"),
-     ["target: a C-basis element is not in the span of the components"]),
+     [f"target: C-basis element {i} is not in the span of the components" for i in (1, 2)]),
 ], ids=["swapped-d-units", "domain-component-dropped", "codomain-component-dropped"])
 def test_regularize_reports_a_factor_outside_its_component_in_a_child_process(mutate, problems):
     spec = _regularize_spec()
@@ -425,8 +425,8 @@ def test_regularize_reports_a_factor_outside_its_component_in_a_child_process(mu
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     lines = result.stdout.splitlines()
-    # each problem names its pair, so a fault in both pairs reads as two lines
-    assert lines[0] == "fail" and set(lines[1:]) == set(problems)
+    # each problem names its pair and element, so no two lines are the same
+    assert lines[0] == "fail" and set(lines[1:]) == set(problems) and len(lines) == len(set(lines))
 
 
 def test_regularize_names_each_c_basis_element_that_does_not_commute(capsys):

@@ -1,6 +1,7 @@
 """Grading constructors, verification, structure queries, and duality."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -575,7 +576,46 @@ def _grading_cases():
         carried = _conjugated(epsilon_grading(n), rng)
         cases.extend((carried, _relabeled(carried, carried.support()[1:3])))
     cases.append(_companion_grading())
+    # bases of scaled units, read by position
+    Z3 = FiniteAbelianGroup((3,))
+    for group, n in ((Z3, 3), (V4, 4)):
+        scaled = _scaled(elementary_grading(group, _random_tuple(rng, group, n)))
+        cases.extend((scaled, _relabeled(scaled, scaled.support()[:2])))
+    e = [[Matrix.unit(3, i, j) for j in range(3)] for i in range(3)]
+    Z3g = [Z3.element((k,)) for k in range(3)]
+    # nine matrices with E_00 twice and E_22 missing: dimension_ok, dependent
+    cases.append(GradedAlgebra(Z3, 3, {Z3g[0]: [e[0][0], e[1][1], e[0][0].scale(2)],
+                                       Z3g[1]: [e[0][1], e[1][2], e[2][0]],
+                                       Z3g[2]: [e[0][2], e[1][0], e[2][1]]}))
+    # E_12 missing
+    cases.append(GradedAlgebra(Z3, 3, {Z3g[0]: [e[0][0], e[1][1], e[2][2]],
+                                       Z3g[1]: [e[0][1], e[2][0]],
+                                       Z3g[2]: [e[0][2], e[1][0], e[2][1]]}))
+    # a zero matrix in a component: not a unit basis, so eliminated as before
+    cases.append(GradedAlgebra(Z2, 2, {E0: [units[0], units[3], Matrix.zeros(2)], A0: units[1:3]}))
+    # n = 1: 3 E_00 at the identity, and E_00 at a degree whose square differs from it
+    one = Matrix.unit(1, 0, 0)
+    cases.extend((GradedAlgebra(Z4, 1, {Z4.identity(): [one.scale(3)]}),
+                   GradedAlgebra(Z4, 1, {Z4.element((1,)): [one]})))
+    # every degree shifted by a generator: each of the n^3 nonzero products fails
+    cases.append(_shifted(elementary_grading(Z4, _random_tuple(rng, Z4, 4))))
     return cases
+
+
+_SCALARS = (CycNumber.rational(2), CycNumber.rational(-1), root_of_unity(3, 1))
+
+
+def _scaled(algebra):
+    """The same components with their matrices scaled by 2, -1 and zeta_3 in turn."""
+    scale = itertools.cycle(_SCALARS)
+    return GradedAlgebra(algebra.group, algebra.n, {g: [m.scale(next(scale)) for m in mats]
+                                                    for g, mats in algebra.components.items()})
+
+
+def _shifted(algebra):
+    """The same components with every degree multiplied by the first generator."""
+    a = algebra.group.element((1,) + (0,) * (len(algebra.group.factors) - 1))
+    return GradedAlgebra(algebra.group, algebra.n, {g * a: mats for g, mats in algebra.components.items()})
 
 
 @pytest.mark.parametrize("case", range(len(_grading_cases())))
@@ -685,6 +725,24 @@ def _map_cases():
         support = carried.support()
         if len(support) > 1:
             cases.append(GradedMap(alg, _relabeled(carried, support[:2]), pairs))
+    # sources that are scaled units in shuffled order, onto the grading of the permuted tuple
+    for n in (3, 4):
+        tau = _random_tuple(rng, Z4, n)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        target = elementary_grading(Z4, tuple(tau[sigma.index(i)] for i in range(n)))
+        pairs = [(Matrix.unit(n, i, j).scale(c), Matrix.unit(n, sigma[i], sigma[j]).scale(c))
+                 for (i, j), c in zip(itertools.product(range(n), repeat=2), itertools.cycle(_SCALARS))]
+        rng.shuffle(pairs)
+        cases.append(GradedMap(elementary_grading(Z4, tau), target, tuple(pairs)))
+    # E_00 and 2 E_00 among n^2 sources, E_11 missing
+    cases.append(GradedMap(alg3, alg3, tuple(
+        (Matrix.unit(3, 0, 0).scale(2) if (i, j) == (1, 1) else Matrix.unit(3, i, j), Matrix.unit(3, i, j))
+        for i in range(3) for j in range(3))))
+    # one source E_00 + E_11, which is not a unit: coordinates by elimination
+    cases.append(GradedMap(alg3, alg3, tuple(
+        (m + Matrix.unit(3, 1, 1), m + Matrix.unit(3, 1, 1)) if m == Matrix.unit(3, 0, 0) else (m, m)
+        for _, m in alg3.union_basis)))
     # elementary codomains against the same components without the tuple
     for gmap in list(cases):
         if gmap.codomain.elementary_tuple is not None:
@@ -789,6 +847,84 @@ def test_passing_homomorphism_check_reads_elementary_degrees_off_positions():
         assert graded_homomorphism_check(gmap).passed
         if gmap.codomain.elementary_tuple is not None:
             assert "_component_solvers" not in gmap.codomain.__dict__
+
+
+def _solved_apply(gmap, m):
+    """f(m) from the coordinates of m that the source solver gives."""
+    coords = gmap._source_solver.sparse_coordinates(m.vector())
+    return Matrix.combination(gmap.codomain.n, ((c, gmap.pairs[k][1]) for k, c in coords.items()))
+
+
+def _entries(m):
+    return [(i, j, a.level, a.nums, a.den) for i, row in enumerate(m.rows) for j, a in sorted(row.items())]
+
+
+def test_apply_reads_unit_sources_by_position_with_the_solver_levels():
+    n = 3
+    G = FiniteAbelianGroup((4,))
+    alg = elementary_grading(G, tuple(G.element((i,)) for i in (0, 1, 3)))
+    scalars = _SCALARS + (root_of_unity(4, 1), root_of_unity(4, 1) + CycNumber.rational(1))
+    sources = [m.scale(scalars[k % 5]) for k, (_, m) in enumerate(alg.union_basis)]
+    images = [m.scale(scalars[(k + 2) % 5]) + Matrix.unit(n, 0, 0).scale(scalars[k % 5])
+              for k, (_, m) in enumerate(alg.union_basis)]
+    gmap = GradedMap(alg, alg, tuple(zip(sources, images)))
+    rng = random.Random(17)
+    levels = {1: CycNumber.rational(3), 3: root_of_unity(3, 2), 4: root_of_unity(4, 3) - CycNumber.rational(2)}
+    inputs = [Matrix([[levels[rng.choice((1, 3, 4))] if rng.random() < 0.7 else 0 for _ in range(n)]
+                      for _ in range(n)]) for _ in range(12)]
+    inputs += [Matrix.unit(n, i, j) for i in range(n) for j in range(n)] + [Matrix.zeros(n)]
+    for m in inputs:
+        assert _entries(gmap.apply(m)) == _entries(_solved_apply(gmap, m))
+    assert {a.level for m in inputs for row in gmap.apply(m).rows for a in row.values()} >= {1, 3, 4, 12}
+    short = GradedMap(alg, alg, tuple(zip(sources[1:], images[1:])))
+    outside = alg.union_basis[0][1]
+    assert short._source_solver.sparse_coordinates(outside.vector()) is None
+    with pytest.raises(ValueError, match="^matrix is outside the span of the map's source basis$"):
+        short.apply(outside)
+
+
+def _unit_gradings():
+    G = FiniteAbelianGroup((4,))
+    alg = elementary_grading(G, tuple(G.element((i,)) for i in (0, 1, 1, 3, 2, 0)))
+    yield alg
+    yield _scaled(alg)
+    yield _untupled(alg)
+
+
+def test_passing_unit_verify_multiplies_nothing_and_builds_no_solver(monkeypatch):
+    calls = _count_calls(monkeypatch, Matrix, "__mul__")
+    for algebra in _unit_gradings():
+        assert verify_grading(algebra).passed
+        assert not calls
+        assert "_solver" not in vars(algebra) and "_component_solvers" not in vars(algebra)
+
+
+def test_relabeled_unit_verify_multiplies_only_the_failing_pairs(monkeypatch):
+    calls = _count_calls(monkeypatch, Matrix, "__mul__")
+    for algebra in _unit_gradings():
+        G = algebra.group
+        for relabeled in (_relabeled(algebra, (G.element((1,)), G.element((2,)))), _shifted(algebra)):
+            calls.clear()
+            report = verify_grading(relabeled)
+            assert report.closure_failures and len(calls) == len(report.closure_failures)
+            assert "_solver" not in vars(relabeled) and "_component_solvers" not in vars(relabeled)
+
+
+def test_unit_source_maps_build_no_source_solver():
+    maps = [gmap for gmap in _map_cases() if gmap._source_positions is not None]
+    assert len(maps) >= 40
+    for gmap in maps:
+        graded_homomorphism_check(gmap)
+        assert "_source_solver" not in vars(gmap)
+
+
+def test_untupled_elementary_codomains_build_no_component_solvers():
+    maps = [GradedMap(gmap.domain, _untupled(gmap.codomain), gmap.pairs) for gmap in _passing_maps()
+            if gmap.codomain.elementary_tuple is not None]
+    assert maps
+    for gmap in maps:
+        assert graded_homomorphism_check(gmap).passed
+        assert "_component_solvers" not in vars(gmap.codomain)
 
 
 # --- oracle: the |T|^3 scan of the 2-cocycle identity, kept as the reference ---
