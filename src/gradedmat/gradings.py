@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
-from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, degree_classes,
+from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, _set, degree_classes,
                      subgroup_generated)
 from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
 from .matrices import Matrix
@@ -247,6 +247,24 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
         h_i deg(i, j) = h_j.
     Otherwise the pair (a E_ij, b E_jl) of R_g x R_h fails exactly when (i, l) is not
     a position of R_gh; only failing pairs are multiplied.
+
+    A fine basis, one matrix X_t per degree and n^2 of them, is certified by its
+    cocycle instead, with no elimination: it passes when the support is a subgroup,
+    every X_t is nonzero, X_t X_g is a nonzero multiple of X_(tg) for every t and every
+    g in the greedy generating set S of the support (_generator_scalars), and
+    tr X_u = 0 for u != e while tr X_e != 0.  That is n^2 |S| products and n^2 traces.
+      - if it passes, every X_t X_s = alpha(t, s) X_(ts) with alpha != 0, by the
+        induction of cocycle_from_units, so the products close; and if sum c_s X_s = 0,
+        multiplying by X_t and taking traces leaves c_(t^-1) alpha(t, t^-1) tr X_e = 0,
+        so every c_s = 0 and the n^2 matrices are independent;
+      - if the X_t grade M_n, it is a graded division algebra: I is homogeneous of
+        degree e (compare degrees in x = x I = sum x I_g), so X_e is a nonzero multiple
+        of I and tr X_e != 0; I lies in M_n X_t M_n, and the degree-e part of that ideal
+        is spanned by the X_a X_t X_b with atb = e, each a multiple of I, so one of them
+        is invertible and so is X_t; products of the X_t are then nonzero, so the
+        support is closed and a subgroup; and for u != e some chi has chi(u) != 1 while
+        phi_chi is inner, so tr X_u = tr phi_chi(X_u) = chi(u) tr X_u = 0.
+    So a failed certificate is a failed grading, and only the scan runs to list why.
     """
     n = algebra.n
     total = algebra.dimension
@@ -259,8 +277,11 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
             if all(h[i] * index[(i, j)][1] == h[j] for i in range(n) for j in range(n)):
                 return GradingReport(n, total, True, True, ())
         return GradingReport(n, total, dimension_ok, independent, _unit_closure_failures(algebra))
+    fine = algebra.is_fine()
+    if fine and _cocycle_certifies(algebra):
+        return GradingReport(n, total, True, True, ())
     independent = algebra._solver.rank == total
-    if dimension_ok and independent:
+    if dimension_ok and independent and not fine:
         columns = [algebra.decompose(Matrix.unit(n, k, 0)) for k in range(n)]
         if all(_implementer(algebra, chi, columns) for chi in _dual_generators(algebra.group)):
             return GradingReport(n, total, True, True, ())
@@ -329,6 +350,21 @@ def _implementer(algebra: GradedAlgebra, chi: Character,
     return y
 
 
+def _cocycle_certifies(algebra: GradedAlgebra) -> bool:
+    """The certificate of a fine basis (see verify_grading): a subgroup support, every
+    X_t nonzero, X_t X_g a nonzero multiple of X_(tg) for g in S, and the trace test."""
+    support = algebra.support()
+    generators, spans = _greedy_generators(support)
+    basis = {g: mats[0] for g, mats in algebra.components.items()}
+    return spans and not any(m.is_zero() for m in basis.values()) and _traces_separate(basis) \
+        and _generator_scalars(basis, _pivots(basis), support, generators or support) is not None
+
+
+def _traces_separate(basis: Mapping[GroupElement, Matrix]) -> bool:
+    """tr X_e != 0 and tr X_u = 0 for every other degree u."""
+    return all(m.trace().is_zero() != t.is_identity() for t, m in basis.items())
+
+
 def support_is_subgroup(algebra: GradedAlgebra) -> bool:
     return _greedy_generators(algebra.support())[1]
 
@@ -354,19 +390,27 @@ class Cocycle(_Frozen):
     support: Tuple[GroupElement, ...]
     values: Dict[Tuple[GroupElement, GroupElement], CycNumber]
 
+    _from_units = False  # set on the tables that cocycle_from_units reads off matrices
+
     def __call__(self, t: GroupElement, s: GroupElement) -> CycNumber:
         return self.values[(t, s)]
 
     def first_identity_violation(self) -> Optional[Tuple[GroupElement, GroupElement, GroupElement]]:
         """First triple violating alpha(t,s) alpha(ts,u) = alpha(s,u) alpha(t,su), if any.
 
-        On a subgroup support with nonzero values this is associativity of the twisted group
-        algebra on (e_t, e_s, e_u), so it holds for all u once it holds for u in a generating
-        set: reassociate (e_t e_s)(e_z e_g) for u = zg, g a generator, and divide by
-        alpha(z, g).  The certificate indexes the support once, so its |T|^2 |S| terms are
-        scalar products and list lookups.  All triples are scanned only when it fails.
+        A table returned by cocycle_from_units holds the identity with no check: it was
+        read off X_t X_s = alpha(t, s) X_(ts) for nonzero matrices on a subgroup support,
+        and (X_t X_s) X_u = X_t (X_s X_u) reads alpha(t,s) alpha(ts,u) X_(tsu) =
+        alpha(s,u) alpha(t,su) X_(tsu) with X_(tsu) != 0.
+
+        On any other table with a subgroup support and nonzero values the identity is
+        associativity of the twisted group algebra on (e_t, e_s, e_u), so it holds for
+        all u once it holds for u in a generating set: reassociate (e_t e_s)(e_z e_g) for
+        u = zg, g a generator, and divide by alpha(z, g).  The certificate indexes the
+        support once, so its |T|^2 |S| terms are scalar products and list lookups.  All
+        triples are scanned only when it fails.
         """
-        if self._identity_holds_on_generators():
+        if self._from_units or self._identity_holds_on_generators():
             return None
         for t in self.support:
             for s in self.support:
@@ -396,18 +440,55 @@ class Cocycle(_Frozen):
                    for t in self.support for s in self.support)
 
 
+def _pivots(basis: Mapping[GroupElement, Matrix]) -> Dict[GroupElement, Tuple[int, int, CycNumber]]:
+    """degree -> (i, j, 1/X[i, j]) at the first nonzero entry of X; a zero X has none.
+    Each distinct entry is inverted once: in a fine basis they are mostly a few roots
+    of unity, and an inverse costs far more than a product."""
+    inverses: Dict[Tuple[int, Tuple[int, ...], int], CycNumber] = {}
+    pivots = {}
+    for t, m in basis.items():
+        for p in m.nonzero_positions()[:1]:
+            c = m[p]
+            key = (c.level, c.nums, c.den)
+            if key not in inverses:
+                inverses[key] = c.inverse()
+            pivots[t] = (*p, inverses[key])
+    return pivots
+
+
+def _generator_scalars(basis: Mapping[GroupElement, Matrix],
+                       pivots: Mapping[GroupElement, Tuple[int, int, CycNumber]],
+                       support: Sequence[GroupElement], generators: Sequence[GroupElement]
+                       ) -> Optional[Dict[Tuple[GroupElement, GroupElement], CycNumber]]:
+    """alpha(t, g) with X_t X_g = alpha(t, g) X_(tg) != 0 for t in support and g in
+    generators, or None at the first product that is no such multiple.  The support must
+    be a subgroup and every X_t nonzero and of one size."""
+    scalars = {}
+    for t in support:
+        for g in generators:
+            product = basis[t] * basis[g]
+            i, j, inverse = pivots[t * g]
+            scalar = product[i, j] * inverse
+            if scalar.is_zero() or product != basis[t * g].scale(scalar):
+                return None
+            scalars[(t, g)] = scalar
+    return scalars
+
+
 def cocycle_from_units(group: FiniteAbelianGroup,
                        basis: Dict[GroupElement, Matrix]) -> Cocycle:
     """Twisting scalars of a one-matrix-per-degree family closed under products.
 
     Full products X_t X_g are compared with alpha(t, g) X_(tg) only for g in the greedy
-    generating set S of the support, once every X_t is known to be nonzero.  That is
-    enough: if s = zg with g in S and z a shorter word in S, then X_s = alpha(z, g)^(-1)
-    X_z X_g, so X_t X_s = alpha(z, g)^(-1) alpha(t, z) alpha(tz, g) X_(ts) is a nonzero
-    multiple by induction on the word length.  Every other alpha(t, s) is then read from
-    the pivot entry (i, j) of X_(ts) alone, summed in the order Matrix.__mul__ uses, so
-    each value is the one the full product gives.  All pairs are multiplied out, and the
-    first fault in (t, s) order raised, only when that certificate fails.
+    generating set S of the support, once every X_t is known to be nonzero
+    (_generator_scalars).  That is enough: if s = zg with g in S and z a shorter word in
+    S, then X_s = alpha(z, g)^(-1) X_z X_g, so X_t X_s = alpha(z, g)^(-1) alpha(t, z)
+    alpha(tz, g) X_(ts) is a nonzero multiple by induction on the word length.  Every
+    other alpha(t, s) is then read from the pivot entry (i, j) of X_(ts) alone, summed in
+    the order Matrix.__mul__ uses, so each value is the one the full product gives.  All
+    pairs are multiplied out, and the first fault in (t, s) order raised, only when that
+    certificate fails.  The returned table holds the 2-cocycle identity by associativity
+    (see Cocycle.first_identity_violation).
     """
     support = tuple(sorted(basis, key=GroupElement.sort_key))
     if not support:
@@ -415,15 +496,19 @@ def cocycle_from_units(group: FiniteAbelianGroup,
     generators, spans = _greedy_generators(support)
     if not spans:
         raise ValueError("the degrees of the basis must form a subgroup")
-    pivots = {t: (*p, basis[t][p].inverse())  # degree -> (i, j, 1/X[i, j]), its first nonzero
-              for t in support for p in basis[t].nonzero_positions()[:1]}
+    pivots = _pivots(basis)
+    certified = None
+    if len(pivots) == len(support) and len({m.n for m in basis.values()}) == 1:
+        certified = _generator_scalars(basis, pivots, support, generators or support)
 
-    def alpha(t: GroupElement, s: GroupElement, certified: bool) -> CycNumber:
+    def alpha(t: GroupElement, s: GroupElement) -> CycNumber:
         ts = t * s
-        if certified:  # X_t X_s is known to be a nonzero multiple of X_(ts)
+        if certified is not None:  # X_t X_s is known to be a nonzero multiple of X_(ts)
+            if (t, s) in certified:
+                return certified[(t, s)]
             i, j, inverse = pivots[ts]
             return _product_entry(basis[t], basis[s], i, j) * inverse
-        product = basis[t] * basis[s]
+        product = basis[t] * basis[s]  # uncertified: every pair is checked, in (t, s) order
         if ts not in pivots:
             raise ValueError(f"basis element of degree {ts} is zero")
         i, j, inverse = pivots[ts]
@@ -433,16 +518,9 @@ def cocycle_from_units(group: FiniteAbelianGroup,
                 f"product of degrees {t} and {s} is not a nonzero multiple of the {ts} basis")
         return scalar
 
-    pairs = [(t, s) for t in support for s in support]
-    if len(pivots) == len(support) and len({m.n for m in basis.values()}) == 1:
-        try:  # every X_t is nonzero and of one size: multiply out the generator pairs only
-            known = {(t, g): alpha(t, g, False) for t in support for g in generators or support}
-        except ValueError:  # scan every pair below for the first fault in (t, s) order
-            pass
-        else:
-            return Cocycle(group, support, {p: known[p] if p in known else alpha(*p, True)
-                                            for p in pairs})
-    return Cocycle(group, support, {p: alpha(*p, False) for p in pairs})
+    cocycle = Cocycle(group, support, {(t, s): alpha(t, s) for t in support for s in support})
+    _set(cocycle, "_from_units", True)
+    return cocycle
 
 
 def _product_entry(x: Matrix, y: Matrix, i: int, j: int) -> CycNumber:
@@ -453,13 +531,20 @@ def _product_entry(x: Matrix, y: Matrix, i: int, j: int) -> CycNumber:
 
 
 def extract_cocycle(algebra: GradedAlgebra) -> Cocycle:
-    """Read off the twisting cocycle of a fine grading from its fixed basis."""
+    """Read off the twisting cocycle of a fine grading from its fixed basis.
+
+    Once the products close, the n^2 matrices are independent exactly when tr X_e != 0
+    and tr X_u = 0 for every other degree u (see verify_grading), so a closed but
+    dependent family raises too."""
     if not algebra.is_fine():
         raise ValueError("cocycle extraction requires a fine grading")
     if not support_is_subgroup(algebra):
         raise ValueError("the support of a fine grading must be a subgroup")
     basis = {g: mats[0] for g, mats in algebra.components.items()}
-    return cocycle_from_units(algebra.group, basis)
+    cocycle = cocycle_from_units(algebra.group, basis)
+    if not _traces_separate(basis):
+        raise ValueError("the basis of the fine grading is not linearly independent")
+    return cocycle
 
 
 def _stacked(mats: Sequence[Matrix]) -> SparseVector:

@@ -248,6 +248,21 @@ def test_cocycle_rejects_non_fine_grading(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+def test_cocycle_fails_a_closed_dependent_family(capsys):
+    # I, diag(-1, 1), diag(1, -1), -I: closed under products, spanning only the diagonal
+    spec = json.dumps({"kind": "explicit", "group": {"factors": [2, 2]}, "components": {
+        f"{a},{b}": [matrix_to_json(Matrix.diagonal([(-1) ** a, (-1) ** b]))]
+        for a in range(2) for b in range(2)}})
+    problem = "the basis of the fine grading is not linearly independent"
+    code, out, _ = run_cli(capsys, "cocycle", "--spec", spec)
+    assert code == 1 and json.loads(out) == {"verdict": "fail", "problems": [problem]}
+    code, out, _ = run_cli(capsys, "cocycle", "--spec", spec, "--format", "text")
+    assert code == 1 and out.splitlines() == ["fail", problem]
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec)
+    payload = json.loads(out)
+    assert code == 1 and payload["independent"] is False and payload["closure_failures"] == []
+
+
 def test_malformed_json_reports_position(capsys):
     code, _, err = run_cli(capsys, "verify", "--spec", '{"kind": "epsilon", ')
     assert code == 2

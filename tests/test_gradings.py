@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.embeddings import block_diagonal_embedding
 from gradedmat.groups import FiniteAbelianGroup, GroupElement, subgroup_generated
+from gradedmat import gradings
 from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport,
                                 HomomorphismReport, centralizer, character_action,
                                 cocycle_from_units,
@@ -18,7 +19,8 @@ from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport
                                 graded_homomorphism_check, homogeneous_matrix_units,
                                 identity_component_ideals, induced_tensor_grading,
                                 is_elementary, is_graded_subspace, is_invariant_subspace,
-                                support_is_subgroup, verify_grading, _unit_relation_violation)
+                                support_is_subgroup, verify_grading, _greedy_generators,
+                                _unit_relation_violation)
 from gradedmat.linalg import SpanSolver
 from gradedmat.matrices import Matrix
 
@@ -501,6 +503,38 @@ def _reference_homomorphism_check(gmap):
     return HomomorphismReport(basis_ok, tuple(mult_failures), injective, tuple(degree_failures))
 
 
+def _random_epsilon_grading(rng, n, group):
+    """An epsilon grading on random generators inside group; its labels need not be a subgroup."""
+    elements = group.elements()
+    while True:
+        a, b = rng.choice(elements), rng.choice(elements)
+        try:
+            return epsilon_grading(n, group=group, a=a, b=b)
+        except ValueError:  # the labels repeat
+            continue
+
+
+def _basis(algebra):
+    return {g: mats[0] for g, mats in algebra.components.items()}
+
+
+def _monomial(rng, n):
+    """A random permutation matrix with random nonzero rational entries, and its inverse."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Matrix([[rng.choice([1, -1, 2, -3]) if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)])
+    return p, p.inverse()
+
+
+def _pauli_basis():
+    G = FiniteAbelianGroup((2, 2))
+    z = Matrix.diagonal([1, -1])
+    x = Matrix([[0, 1], [1, 0]])
+    return G, {G.element((0, 0)): Matrix.identity(2), G.element((1, 0)): z,
+               G.element((0, 1)): x, G.element((1, 1)): z * x}
+
+
 def _random_tuple(rng, group, n):
     elements = group.elements()
     return tuple(rng.choice(elements) for _ in range(n))
@@ -599,7 +633,54 @@ def _grading_cases():
                    GradedAlgebra(Z4, 1, {Z4.element((1,)): [one]})))
     # every degree shifted by a generator: each of the n^3 nonzero products fails
     cases.append(_shifted(elementary_grading(Z4, _random_tuple(rng, Z4, 4))))
+    cases.extend(_fine_cases())
     return cases
+
+
+def _fine_cases():
+    """Fine bases, one matrix per degree, reaching every step of the cocycle certificate."""
+    rng = random.Random(18)
+    cases = []
+    # epsilon on random generators in larger groups (labels not always a subgroup),
+    # scaled by roots of unity, conjugated by monomial and dense matrices, labels swapped
+    for n, factors in ((2, (2, 4)), (3, (3, 6)), (3, (3, 3)), (4, (4, 4)), (4, (2, 4, 4))):
+        eps = _random_epsilon_grading(rng, n, FiniteAbelianGroup(factors))
+        p, p_inverse = _monomial(rng, n)
+        for fine in (eps, _rooted(eps, rng), _from_basis(eps.group, {
+                g: p * m * p_inverse for g, m in _basis(eps).items()}), _conjugated(eps, rng)):
+            cases.extend((fine, _relabeled(fine, fine.support()[1:3])))
+    G, pauli = _pauli_basis()
+    cases.append(_from_basis(G, pauli))
+    cases.append(_relabeled(_from_basis(G, pauli), G.elements()[:2]))  # X_e = X: tr X_e = 0
+    # closed but dependent: I, diag(-1, 1), diag(1, -1), -I
+    cases.append(_from_basis(G, _diagonal_family()))
+    # a zero X_t, one at the identity, and the zero 1 x 1 matrix
+    cases.append(_from_basis(G, {**pauli, G.element((1, 1)): Matrix.zeros(2)}))
+    cases.append(_from_basis(G, {**pauli, G.identity(): Matrix.zeros(2)}))
+    Z4 = FiniteAbelianGroup((4,))
+    cases.append(GradedAlgebra(Z4, 1, {Z4.identity(): [Matrix.zeros(1)]}))
+    # a support that is not a subgroup: (2, 0) is missing
+    ambient = FiniteAbelianGroup((4, 2))
+    cases.append(epsilon_grading(2, ambient, ambient.element((1, 0)), ambient.element((0, 1))))
+    return cases
+
+
+def _from_basis(group, basis):
+    return GradedAlgebra(group, next(iter(basis.values())).n, {g: [m] for g, m in basis.items()})
+
+
+def _rooted(algebra, rng):
+    """The same fine basis with each matrix scaled by a random root of unity."""
+    return _from_basis(algebra.group, {
+        g: m.scale(root_of_unity(rng.choice((2, 3, 4, 6)), rng.randrange(6)))
+        for g, m in _basis(algebra).items()})
+
+
+def _diagonal_family():
+    """I, diag(-1, 1), diag(1, -1) and -I over Z2 x Z2: closed under products, dependent."""
+    G = FiniteAbelianGroup((2, 2))
+    return {G.element((a, b)): Matrix.diagonal([(-1) ** a, (-1) ** b])
+            for a in range(2) for b in range(2)}
 
 
 _SCALARS = (CycNumber.rational(2), CycNumber.rational(-1), root_of_unity(3, 1))
@@ -806,6 +887,41 @@ def test_relabeled_verify_multiplies_fewer_than_n4_pairs(monkeypatch):
     assert len(calls) < n ** 4
 
 
+def _passing_fine_gradings():
+    rng = random.Random(5)
+    yield epsilon_grading(4)
+    yield _rooted(epsilon_grading(4), rng)
+    yield _conjugated(epsilon_grading(3), rng)
+    yield _from_basis(*_pauli_basis())
+    ambient = FiniteAbelianGroup((3, 6))  # (1, 2) and (0, 2) span a subgroup of order 9
+    yield epsilon_grading(3, ambient, ambient.element((1, 2)), ambient.element((0, 2)))
+
+
+def test_passing_fine_verify_multiplies_generator_pairs_and_eliminates_nothing(monkeypatch):
+    products = _count_calls(monkeypatch, Matrix, "__mul__")
+    decompositions = _count_calls(monkeypatch, GradedAlgebra, "decompose")
+    implementers = _count_calls(monkeypatch, gradings, "_implementer")
+    for algebra in _passing_fine_gradings():
+        products.clear()
+        assert verify_grading(algebra).passed
+        generators, _ = _greedy_generators(algebra.support())
+        assert len(products) <= algebra.n ** 2 * len(generators)
+        assert "_solver" not in vars(algebra) and "_component_solvers" not in vars(algebra)
+    assert not decompositions and not implementers
+
+
+def test_relabeled_fine_verify_builds_no_implementer(monkeypatch):
+    decompositions = _count_calls(monkeypatch, GradedAlgebra, "decompose")
+    implementers = _count_calls(monkeypatch, gradings, "_implementer")
+    failed = 0
+    for fine in _passing_fine_gradings():
+        algebra = _relabeled(fine, fine.support()[1:3])
+        report = verify_grading(algebra)
+        assert report == _reference_verify(algebra)
+        failed += not report.passed  # Pauli's swap is an automorphism of Z2 x Z2
+    assert failed == 4 and not decompositions and not implementers
+
+
 def test_passing_homomorphism_check_applies_the_map_at_most_twice_per_unit(monkeypatch):
     calls = []
     apply = GradedMap.apply
@@ -947,17 +1063,6 @@ def _outcome(check, cocycle):
         return ("KeyError", exc.args)
 
 
-def _random_epsilon_grading(rng, n, group):
-    """An epsilon grading on random generators inside group; its labels need not be a subgroup."""
-    elements = group.elements()
-    while True:
-        a, b = rng.choice(elements), rng.choice(elements)
-        try:
-            return epsilon_grading(n, group=group, a=a, b=b)
-        except ValueError:  # the labels repeat
-            continue
-
-
 def _random_epsilon_cocycle(rng, n, group):
     """The extracted cocycle of an epsilon grading on random generators inside group."""
     while True:
@@ -965,6 +1070,11 @@ def _random_epsilon_cocycle(rng, n, group):
             return extract_cocycle(_random_epsilon_grading(rng, n, group))
         except ValueError:  # the support is not a subgroup, or not closed under products
             continue
+
+
+def _by_hand(cocycle):
+    """A table with the same values, built directly rather than read off matrices."""
+    return Cocycle(cocycle.group, cocycle.support, dict(cocycle.values))
 
 
 def _bicharacter(group, rng):
@@ -1013,6 +1123,7 @@ def _cocycle_cases():
     for n in range(1, 7):
         cocycles.append(_random_epsilon_cocycle(rng, n, FiniteAbelianGroup((n, n))))
         cocycles.append(_random_epsilon_cocycle(rng, n, FiniteAbelianGroup((n, 2 * n))))
+    extracted = list(cocycles)
     for factors in ((2, 2, 2), (2, 4, 3)):
         cocycles.extend(_twisted_tables(rng, FiniteAbelianGroup(factors)))
     cases = list(cocycles)
@@ -1026,6 +1137,8 @@ def _cocycle_cases():
     # a support that is not a subgroup: the scan reaches a missing value
     partial = tuple(t for t in G.elements() if t != G.element((1, 1, 1)))
     cases.append(Cocycle(G, partial, {(t, s): CycNumber.one() for t in partial for s in partial}))
+    # the extracted tables built by hand, so that the generator certificate checks them
+    cases.extend(_by_hand(co) for co in extracted)
     return cases
 
 
@@ -1062,7 +1175,7 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def test_passing_identity_check_multiplies_only_generator_triples(monkeypatch):
-    co = extract_cocycle(epsilon_grading(5))
+    co = _by_hand(extract_cocycle(epsilon_grading(5)))
     calls = _count_calls(monkeypatch, CycNumber, "__mul__")
     assert co.first_identity_violation() is None
     size, generators = 25, 2  # Z5 x Z5 is generated by (0, 1) and (1, 0)
@@ -1101,11 +1214,50 @@ def test_extraction_multiplies_only_generator_pairs(monkeypatch):
 
 
 def test_passing_identity_check_indexes_the_support_once(monkeypatch):
-    co = extract_cocycle(epsilon_grading(5))
+    co = _by_hand(extract_cocycle(epsilon_grading(5)))
     calls = _count_calls(monkeypatch, GroupElement, "__mul__")
     assert co.first_identity_violation() is None
     size = 25
     assert len(calls) <= 2 * size * size
+
+
+def test_extracted_tables_answer_the_identity_without_multiplying(monkeypatch):
+    G, pauli = _pauli_basis()
+    tables = [extract_cocycle(epsilon_grading(5)), cocycle_from_units(G, pauli)]
+    copies = [_by_hand(co) for co in tables]
+    calls = _count_calls(monkeypatch, CycNumber, "__mul__")
+    for co in tables:
+        assert co.first_identity_violation() is None
+    assert not calls
+    for co, copy in zip(tables, copies):
+        assert copy == co and copy.first_identity_violation() is None
+    assert calls  # a table built by hand keeps its certificate
+
+
+def test_extraction_rejects_a_closed_dependent_family():
+    G, basis = FiniteAbelianGroup((2, 2)), _diagonal_family()
+    assert cocycle_from_units(G, basis).first_identity_violation() is None
+    report = verify_grading(_from_basis(G, basis))
+    assert report.dimension_ok and not report.independent and not report.closure_failures
+    with pytest.raises(ValueError, match="^the basis of the fine grading is not linearly independent$"):
+        extract_cocycle(_from_basis(G, basis))
+
+
+def test_extraction_succeeds_exactly_on_fine_gradings():
+    outcomes = []
+    for algebra in _fine_cases():
+        try:
+            extract_cocycle(algebra)
+        except ValueError as exc:
+            outcomes.append((str(exc), verify_grading(algebra).passed))
+        else:
+            outcomes.append(("extracted", verify_grading(algebra).passed))
+    assert all((text == "extracted") == passed for text, passed in outcomes)
+    texts = {text for text, _ in outcomes}
+    assert {"extracted", "the support of a fine grading must be a subgroup",
+            "the basis of the fine grading is not linearly independent"} <= texts
+    assert any(text.startswith("product of degrees") for text in texts)
+    assert any(text.startswith("basis element of degree") for text in texts)
 
 
 def test_support_is_subgroup_matches_closure():
@@ -1153,27 +1305,6 @@ def _extraction_outcome(extract, group, basis):
         return ("ValueError", str(exc))
     return ("returned", co.support,
             [(key, value.to_string(), value.level) for key, value in co.values.items()])
-
-
-def _basis(algebra):
-    return {g: mats[0] for g, mats in algebra.components.items()}
-
-
-def _monomial(rng, n):
-    """A random permutation matrix with random nonzero rational entries, and its inverse."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    p = Matrix([[rng.choice([1, -1, 2, -3]) if j == perm[i] else 0 for j in range(n)]
-                for i in range(n)])
-    return p, p.inverse()
-
-
-def _pauli_basis():
-    G = FiniteAbelianGroup((2, 2))
-    z = Matrix.diagonal([1, -1])
-    x = Matrix([[0, 1], [1, 0]])
-    return G, {G.element((0, 0)): Matrix.identity(2), G.element((1, 0)): z,
-               G.element((0, 1)): x, G.element((1, 1)): z * x}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1287,3 +1418,12 @@ def test_generator_pairs_certify_the_pair_scan(family):
     if _generator_pairs_pass(basis):
         assert reference[0] == "returned"
     assert _extraction_outcome(cocycle_from_units, group, basis) == reference
+    if reference[0] == "returned":  # a table read off matrices holds the identity
+        assert _reference_identity_violation(cocycle_from_units(group, basis)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbed_families())
+def test_verify_grading_matches_the_full_scan_on_perturbed_families(family):
+    algebra = _from_basis(*family)
+    assert verify_grading(algebra) == _reference_verify(algebra)
