@@ -65,13 +65,15 @@ def _load_json(source: str, what: str) -> Any:
         try:
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {what} file {source!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{what}: JSON nested too deeply") from exc
 
 
 def _emit(payload: Dict[str, Any], fmt: str, text_lines: List[str]) -> None:
@@ -218,9 +220,16 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
     return EXIT_PASS if not check else EXIT_FAIL
 
 
-def _chain_dimension(spec: ChainSpec, depth: int) -> int:
+def _check_chain_dims(spec: ChainSpec, depth: int) -> None:
+    """Apply the cap to the levels in order, refusing the first one above it; no level
+    is built, and a deep chain is refused once its levels outgrow the cap."""
+    cap = _max_dim()
     n = len(spec.base)
-    for i in range(depth - 1):
+    for i in range(depth):
+        if n > cap:
+            raise InputError(f"level {i + 1} has dimension {n}, above the GMK_MAX_DIM cap {cap}")
+        if i == depth - 1:
+            break
         step = spec.step_at(i)
         if isinstance(step, BlockStep):
             if step.k != n:
@@ -229,14 +238,13 @@ def _chain_dimension(spec: ChainSpec, depth: int) -> int:
             n = step.k * step.m + step.r
         else:
             n *= 2
-    return n
 
 
 def _cmd_bratteli(args: argparse.Namespace) -> int:
     spec = parse_chain(_load_json(args.spec, "spec"))
     if args.depth < 1:
         raise InputError(f"depth must be >= 1, got {args.depth}")
-    _check_dim(_chain_dimension(spec, args.depth), "the deepest level")
+    _check_chain_dims(spec, args.depth)
     try:
         diagram = bratteli_of_chain(spec, args.depth)
     except ValueError as exc:
@@ -265,7 +273,7 @@ def _cmd_demo_remark1(args: argparse.Namespace) -> int:
     a = group.element((1,))
     double = ChainSpec(group, (e, a), (DoubleStep(),))
     twist = ChainSpec(group, (e, a), (TwistStep(a),))
-    _check_dim(_chain_dimension(double, args.depth), "the deepest level")
+    _check_chain_dims(double, args.depth)
     diagram_double = bratteli_of_chain(double, args.depth)
     diagram_twist = bratteli_of_chain(twist, args.depth)
     sig_double = steinitz_signature(double)

@@ -12,7 +12,7 @@ from .matrices import Matrix
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        elementary_grading, cocycle_from_units, centralizer,
                        homogeneous_matrix_units, matrix_degree_for_tuple,
-                       _unit_relation_violation)
+                       _Span, _unit_relation_violation)
 
 
 class EmbeddingConditionError(ValueError):
@@ -240,19 +240,18 @@ class DecompositionPair(_Frozen):
         if len(self.c_basis) * len(self.d_units) != n * n:
             problems.append(
                 f"dimension product {len(self.c_basis)}*{len(self.d_units)} != {n * n}")
-        solver = SpanSolver((c * x).vector() for c in self.c_basis for x in self.d_units.values())
-        if solver.rank != n * n:
+        if _Span([c * x for c in self.c_basis for x in self.d_units.values()], n).rank != n * n:
             problems.append("products of the two factors do not span the algebra")
-        components = self.algebra._component_solvers
+        components = self.algebra._component_spans
         for t, x in self.d_units.items():
-            if t not in components or not components[t].contains(x.vector()):
+            if t not in components or not components[t].contains(x):
                 problems.append(f"the D-unit at degree {t} is not homogeneous of degree {t}")
         c_degrees = set()
         for i, c in enumerate(self.c_basis):
             if c.is_zero():
                 problems.append(f"C-basis element {i} is zero")
                 continue
-            if not self.algebra._solver.contains(c.vector()):
+            if not self.algebra._span.contains(c):
                 problems.append(f"C-basis element {i} is not in the span of the components")
                 continue
             d = self.algebra.degree_of(c)
@@ -301,7 +300,8 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
         raise ValueError("fine factors have different cocycles")
     e2 = target.identity
     phi_e1 = phi.apply(source.identity)
-    c_solver = SpanSolver([c.vector() for c in target.c_basis])
+    n = algebra2.n
+    c_span = _Span(target.c_basis, n)
     identity_g = algebra2.group.identity()
 
     multipliers: Dict[GroupElement, Matrix] = {}
@@ -310,7 +310,7 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
         x_t = source.d_units[t]
         x_t_prime = target.d_units[t]
         a_t = phi.apply(x_t) * x_t_prime.inverse()
-        if not c_solver.contains(a_t.vector()):
+        if not c_span.contains(a_t):
             raise ValueError(f"multiplier at {t} lies outside the elementary factor; the map is not graded")
         degree = algebra2.degree_of(a_t)
         if degree != identity_g:
@@ -344,17 +344,11 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
             if phi_a * adjusted[t] != phi_a * phi.apply(source.d_units[t]):
                 raise ValueError(f"adjusted basis is incompatible with the map at degree {t}")
 
-    # equal ranks and one span inside the other make the two spans equal
-    image = [phi.apply(c * x).vector() for c in source.c_basis for x in source.d_units.values()]
-    corner_solver = SpanSolver((phi_e1 * basis_matrix * phi_e1).vector()
-                               for component in algebra2.components.values()
-                               for basis_matrix in component)
-    corner_equal = (SpanSolver(image).rank == corner_solver.rank
-                    and all(corner_solver.contains(v) for v in image))
+    image = _Span([phi.apply(c * x) for c in source.c_basis for x in source.d_units.values()], n)
+    corner_equal = image.equals(_Span([phi_e1 * b * phi_e1 for _, b in algebra2.union_basis], n))
     if corner_equal:
-        phi_c1 = SpanSolver([phi.apply(c).vector() for c in source.c_basis])
-        cut = [(phi_e1 * m * phi_e1).vector() for m in new_centralizer]
-        if SpanSolver(cut).rank != phi_c1.rank or not all(phi_c1.contains(v) for v in cut):
+        cut = _Span([phi_e1 * m * phi_e1 for m in new_centralizer], n)
+        if not cut.equals(_Span([phi.apply(c) for c in source.c_basis], n)):
             raise ValueError("corner of the new elementary factor does not match the mapped one")
 
     pair = DecompositionPair(algebra2, tuple(new_centralizer), dict(adjusted), e2)

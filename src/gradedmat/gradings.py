@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, _set, degree_classes,
@@ -13,24 +13,67 @@ from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, _set,
 from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
 from .matrices import Matrix
 
-# (i, j) -> (k, label, 1/c) when the k-th basis matrix is c E_ij
-_UnitIndex = Dict[Tuple[int, int], Tuple[int, object, CycNumber]]
 
+class _Span:
+    """The span of a family of n x n matrices, and the coordinates of a matrix over it.
 
-def _unit_index(labelled: Iterable[Tuple[object, Matrix]], n: int) -> Optional[_UnitIndex]:
-    """The position index of a basis of n x n matrices with exactly one nonzero entry
-    each, built in one pass; a repeated position keeps its first matrix.  None for
-    any other basis."""
-    index: _UnitIndex = {}
-    for k, (label, m) in enumerate(labelled):
-        filled = list(filter(None, m.rows))
-        if m.n != n or len(filled) != 1 or len(filled[0]) != 1:
+    A family of scaled units c E_ij is read by position, with no elimination: its rank
+    is the number of distinct positions, m lies in it exactly when every nonzero entry
+    of m sits at one of them, and the coordinate at the index of c E_ij is m_ij / c, of
+    the value and level the elimination gives.  A repeated position keeps its first
+    unit, as the elimination does.  Any other family, or a matrix of another size, goes
+    through one SpanSolver over the flattened matrices, built on first use.
+    """
+
+    def __init__(self, mats: Sequence[Matrix], n: int):
+        self.mats = mats
+        self.n = n
+
+    @cached_property
+    def positions(self) -> Optional[Dict[Tuple[int, int], Tuple[int, CycNumber]]]:
+        """(i, j) -> (k, 1/c) when the k-th matrix is c E_ij, built in one pass; None
+        unless every matrix is n x n with exactly one nonzero entry."""
+        index, n = {}, self.n
+        for k, m in enumerate(self.mats):
+            filled = list(filter(None, m.rows))
+            if m.n != n or len(filled) != 1 or len(filled[0]) != 1:
+                return None
+            (j, c), = filled[0].items()
+            position = (m.rows.index(filled[0]), j)  # every other row is empty
+            if position not in index:
+                index[position] = (k, c.inverse())
+        return index
+
+    @cached_property
+    def solver(self) -> SpanSolver:
+        return SpanSolver(m.vector() for m in self.mats)
+
+    @property
+    def rank(self) -> int:
+        positions = self.positions
+        return self.solver.rank if positions is None else len(positions)
+
+    def contains(self, m: Matrix) -> bool:
+        positions = self.positions
+        if positions is None or m.n != self.n:
+            return self.solver.contains(m.vector())
+        return all((i, j) in positions for i, row in enumerate(m.rows) for j in row)
+
+    def coordinates(self, m: Matrix) -> Optional[Dict[int, CycNumber]]:
+        """Nonzero coefficients of m over the family, by increasing index; None when m
+        lies outside the span."""
+        positions = self.positions
+        if positions is None or m.n != self.n:
+            return self.solver.sparse_coordinates(m.vector())
+        try:  # (k, 1/c, m_ij), k unique
+            cells = sorted(positions[(i, j)] + (a,) for i, row in enumerate(m.rows) for j, a in row.items())
+        except KeyError:
             return None
-        (j, c), = filled[0].items()
-        position = (m.rows.index(filled[0]), j)  # every other row is empty
-        if position not in index:
-            index[position] = (k, label, c.inverse())
-    return index
+        return {k: a * inverse for k, inverse, a in cells}
+
+    def equals(self, other: "_Span") -> bool:
+        """Equal ranks and this span inside the other make the two spans equal."""
+        return self.rank == other.rank and all(other.contains(m) for m in self.mats)
 
 
 class GradedAlgebra:
@@ -81,27 +124,22 @@ class GradedAlgebra:
         return Matrix.identity(self.n)
 
     @cached_property
-    def _solver(self) -> SpanSolver:
-        return SpanSolver([m.vector() for _, m in self.union_basis])
+    def _span(self) -> _Span:
+        return _Span([m for _, m in self.union_basis], self.n)
 
     @cached_property
-    def _positions(self) -> Optional[_UnitIndex]:
-        return _unit_index(self.union_basis, self.n)
-
-    @cached_property
-    def _component_solvers(self) -> Dict[GroupElement, SpanSolver]:
-        return {g: SpanSolver([m.vector() for m in mats])
-                for g, mats in self.components.items()}
+    def _component_spans(self) -> Dict[GroupElement, _Span]:
+        return {g: _Span(mats, self.n) for g, mats in self.components.items()}
 
     def decompose(self, m: Matrix) -> Dict[GroupElement, Matrix]:
         """Homogeneous parts of m, keyed by degree; only nonzero parts appear."""
         if m.n != self.n:
             raise ValueError(f"matrix size {m.n} does not match algebra size {self.n}")
-        coords = self._solver.sparse_coordinates(m.vector())
+        coords = self._span.coordinates(m)
         if coords is None:
             raise ValueError("matrix is not in the span of the components")
         basis = self.union_basis  # grouped by degree; coords run in its order
-        parts = {g: Matrix.combination(self.n, ((c, basis[i][1]) for i, c in terms))
+        parts = {g: Matrix.combination(self.n, ((c, basis[k][1]) for k, c in terms))
                  for g, terms in itertools.groupby(coords.items(), key=lambda t: basis[t[0]][0])}
         return {g: part for g, part in parts.items() if not part.is_zero()}
 
@@ -269,18 +307,19 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     n = algebra.n
     total = algebra.dimension
     dimension_ok = total == n * n
-    index = algebra._positions
+    index = algebra._span.positions
     if index is not None:
         independent = len(index) == total
         if dimension_ok and independent:
-            h = [index[(0, j)][1] for j in range(n)]
-            if all(h[i] * index[(i, j)][1] == h[j] for i in range(n) for j in range(n)):
+            basis = algebra.union_basis
+            h = [basis[index[(0, j)][0]][0] for j in range(n)]
+            if all(h[i] * basis[index[(i, j)][0]][0] == h[j] for i in range(n) for j in range(n)):
                 return GradingReport(n, total, True, True, ())
         return GradingReport(n, total, dimension_ok, independent, _unit_closure_failures(algebra))
     fine = algebra.is_fine()
     if fine and _cocycle_certifies(algebra):
         return GradingReport(n, total, True, True, ())
-    independent = algebra._solver.rank == total
+    independent = algebra._span.rank == total
     if dimension_ok and independent and not fine:
         columns = [algebra.decompose(Matrix.unit(n, k, 0)) for k in range(n)]
         if all(_implementer(algebra, chi, columns) for chi in _dual_generators(algebra.group)):
@@ -290,7 +329,7 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
     for g, g_mats in basis.items():
         for h, h_mats in basis.items():
-            target_solver = algebra._component_solvers.get(g * h)
+            target = algebra._component_spans.get(g * h)
             for x, x_columns, _ in g_mats:
                 for y, _, y_rows in h_mats:
                     if x_columns.isdisjoint(y_rows):
@@ -298,7 +337,7 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
                     product = x * y
                     if product.is_zero():
                         continue
-                    if target_solver is None or not target_solver.contains(product.vector()):
+                    if target is None or not target.contains(product):
                         failures.append((g, h, product))
     return GradingReport(n, total, dimension_ok, independent, tuple(failures))
 
@@ -604,12 +643,8 @@ def _act(chi: Character, n: int, parts: Dict[GroupElement, Matrix]) -> Matrix:
 
 def is_graded_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix]) -> bool:
     """True when every homogeneous part of every member stays in the subspace."""
-    solver = SpanSolver([v.vector() for v in vectors])
-    for v in vectors:
-        for part in algebra.decompose(v).values():
-            if not solver.contains(part.vector()):
-                return False
-    return True
+    span = _Span(vectors, algebra.n)
+    return all(span.contains(part) for v in vectors for part in algebra.decompose(v).values())
 
 
 def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
@@ -621,13 +656,9 @@ def is_invariant_subspace(algebra: GradedAlgebra, vectors: Sequence[Matrix],
     """
     if characters is None:
         characters = _dual_generators(algebra.group)
-    solver = SpanSolver([v.vector() for v in vectors])
-    for v in vectors:
-        parts = algebra.decompose(v)
-        for chi in characters:
-            if not solver.contains(_act(chi, algebra.n, parts).vector()):
-                return False
-    return True
+    span = _Span(vectors, algebra.n)
+    return all(span.contains(_act(chi, algebra.n, parts))
+               for parts in map(algebra.decompose, vectors) for chi in characters)
 
 
 class GradedMap(_Frozen):
@@ -638,31 +669,15 @@ class GradedMap(_Frozen):
     pairs: Tuple[Tuple[Matrix, Matrix], ...]
 
     @cached_property
-    def _source_solver(self) -> SpanSolver:
-        return SpanSolver([src.vector() for src, _ in self.pairs])
-
-    @cached_property
-    def _source_positions(self) -> Optional[_UnitIndex]:
-        return _unit_index(((image, src) for src, image in self.pairs), self.domain.n)
+    def _sources(self) -> _Span:
+        return _Span([src for src, _ in self.pairs], self.domain.n)
 
     def apply(self, m: Matrix) -> Matrix:
-        """f(m) from the coordinates of m over the sources.  Over scaled units c E_ij they
-        are read off the positions, m_ij / c, and summed in source order, so every entry
-        has the value and level that the elimination gives."""
-        index = self._source_positions
-        if index is None or m.n != self.domain.n:
-            coords = self._source_solver.sparse_coordinates(m.vector())
-            terms = None if coords is None else [(c, self.pairs[k][1]) for k, c in coords.items()]
-        else:
-            try:  # (k, f(c E_ij), 1/c, m_ij), k unique
-                cells = sorted(index[(i, j)] + (a,) for i, row in enumerate(m.rows) for j, a in row.items())
-            except KeyError:
-                terms = None
-            else:
-                terms = [(a * inverse, image) for _, image, inverse, a in cells]
-        if terms is None:
+        """f(m) from the coordinates of m over the sources, summed in source order."""
+        coords = self._sources.coordinates(m)
+        if coords is None:
             raise ValueError("matrix is outside the span of the map's source basis")
-        return Matrix.combination(self.codomain.n, terms)
+        return Matrix.combination(self.codomain.n, ((c, self.pairs[k][1]) for k, c in coords.items()))
 
 
 class HomomorphismReport(_Frozen):
@@ -689,21 +704,16 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
       - if f is multiplicative, F_i F_0 = f(E_i0 E_00) = F_i, G_j F_a = f(E_0j E_a0) =
         delta_ja F_0 and T_ij = f(E_i0 E_0j) = f(E_ij), so f(x) = sum x_ij T_ij.
     Either way T_ij = f(E_ij) once it passes.  Only when it fails are all n^2 units
-    applied and all basis pairs compared, f(xy) read as sum (xy)_ab f(E_ab).  Sources
-    that are scaled matrix units are read by position: their rank is the number of
-    distinct positions.  In a codomain of scaled units at distinct positions an image's
-    degree is read off its nonzero positions, since each component spans the matrices
-    supported on the positions of its units.
+    applied and all basis pairs compared, f(xy) read as sum (xy)_ab f(E_ab).  Spans
+    of scaled matrix units, among the sources and in the codomain's components, are
+    read by position (see _Span).
     """
     domain, codomain = gmap.domain, gmap.codomain
     n = domain.n
-    sources = gmap._source_positions
-    rank = gmap._source_solver.rank if sources is None else len(sources)
-    basis_ok = len(gmap.pairs) == rank == n * n
+    images = _Span([img for _, img in gmap.pairs], codomain.n)
+    basis_ok = len(gmap.pairs) == gmap._sources.rank == n * n
     if not basis_ok:
-        image_solver = SpanSolver()
-        injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
-        return HomomorphismReport(False, (), injective, ())
+        return HomomorphismReport(False, (), images.rank == len(gmap.pairs), ())
     fs = [gmap.apply(Matrix.unit(n, i, 0)) for i in range(n)]
     gs = fs[:1] + [gmap.apply(Matrix.unit(n, 0, j)) for j in range(1, n)]
     zero = Matrix.zeros(codomain.n)
@@ -722,24 +732,13 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     if not mult_failures:  # the kernel is an ideal of the simple M_n, so 0 or all
         injective = any(not t.is_zero() for row in units for t in row)
     else:
-        image_solver = SpanSolver()
-        injective = all(image_solver.add(img.vector()) for _, img in gmap.pairs)
-    positions = codomain._positions
-    if positions is not None and len(positions) < codomain.dimension:
-        positions = None  # a repeated position may lie in two components
+        injective = images.rank == len(gmap.pairs)
     degree_failures: List[GroupElement] = []
     for g, mats in domain.components.items():
+        target = codomain._component_spans.get(g)
         for b in mats:
             image = _image(b, units)
-            if image.is_zero():
-                continue
-            if positions is not None:
-                homogeneous = all((i, j) in positions and positions[(i, j)][1] == g
-                                  for i, row in enumerate(image.rows) for j in row)
-            else:
-                target = codomain._component_solvers.get(g)
-                homogeneous = target is not None and target.contains(image.vector())
-            if not homogeneous:
+            if not image.is_zero() and (target is None or not target.contains(image)):
                 degree_failures.append(g)
                 break
     return HomomorphismReport(True, tuple(mult_failures), injective, tuple(degree_failures))
@@ -927,11 +926,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         raise ValueError("candidate matrix units violate the unit relations")
     if sum((units[(i, i)] for i in range(p)), Matrix.zeros(n)) != unit:
         raise ValueError("diagonal units do not sum to the unit")
-    solver = SpanSolver()
-    for i in range(p):
-        for j in range(p):
-            if not solver.add(units[(i, j)].vector()):
-                raise ValueError("matrix units are not independent")
+    if _Span(list(units.values()), n).rank != p * p:
+        raise ValueError("matrix units are not independent")
     return ElementaryUnits(p, units, tuple(g.inverse() for _, g in columns))
 
 

@@ -263,16 +263,21 @@ def test_cocycle_fails_a_closed_dependent_family(capsys):
     assert code == 1 and payload["independent"] is False and payload["closure_failures"] == []
 
 
-def test_malformed_json_reports_position(capsys):
-    code, _, err = run_cli(capsys, "verify", "--spec", '{"kind": "epsilon", ')
-    assert code == 2
-    assert "line 1" in err and "column" in err
-
-
-def test_missing_file_is_an_input_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--spec", "/nonexistent/spec.json")
-    assert code == 2
-    assert "cannot read" in err
+@pytest.mark.parametrize("spec, fragments", [
+    ('{"kind": "epsilon", ', ["spec: invalid JSON at line 1, column"]),
+    ("/nonexistent/spec.json", ["cannot read spec file '/nonexistent/spec.json'"]),
+    (b'{"kind": "\xff"}', ["cannot read spec file", "'utf-8' codec can't decode byte 0xff"]),
+    ("[" * 200000, ["spec: JSON nested too deeply"]),
+], ids=["malformed-json", "missing-file", "not-utf-8", "nested-too-deeply"])
+def test_unloadable_spec_is_an_input_error(capsys, tmp_path, spec, fragments):
+    if isinstance(spec, bytes):  # file contents
+        path = tmp_path / "spec.json"
+        path.write_bytes(spec)
+        spec = str(path)
+    code, out, err = run_cli(capsys, "verify", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(fragment in err for fragment in fragments)
 
 
 def test_semantic_error_names_the_field(capsys):
@@ -349,6 +354,20 @@ def test_dimension_cap_rejects_a_huge_grading_in_a_child_process_at_once():
     assert result.stderr == \
         "error: the algebra has dimension 100000, above the GMK_MAX_DIM cap 4\n"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo-remark1", "--depth", "3000000"],
+    ["bratteli", "--depth", "3000000", "--spec",
+     json.dumps({"group": {"factors": [2]}, "base": [[0], [1]], "steps": [{"kind": "double"}]})],
+], ids=["demo-remark1", "bratteli"])
+def test_depth_cap_refuses_a_doubling_chain_at_its_first_level_above_the_cap(argv):
+    # levels of length 2, 4, ..., 64 pass the cap; walking all the levels would not end in time
+    result = subprocess.run([sys.executable, "-m", "gradedmat", *argv], capture_output=True,
+                            text=True, env=dict(os.environ, GMK_MAX_DIM="64"), timeout=10,
+                            preexec_fn=_limit_address_space)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: level 7 has dimension 128, above the GMK_MAX_DIM cap 64\n"
 
 
 def _one_by_one(*entries):

@@ -857,12 +857,17 @@ def test_homomorphism_oracle_covers_every_failure_kind():
     assert any(not r.basis_ok for r in reports)
 
 
-def test_passing_verify_builds_no_component_solvers():
-    for algebra in (elementary_grading(FiniteAbelianGroup((4,)), tuple(
-            FiniteAbelianGroup((4,)).element((i % 3,)) for i in range(6))), epsilon_grading(4),
-                    _companion_grading()):
+def test_passing_verify_builds_no_component_solvers(monkeypatch):
+    algebras = (elementary_grading(FiniteAbelianGroup((4,)), tuple(
+        FiniteAbelianGroup((4,)).element((i % 3,)) for i in range(6))), epsilon_grading(4),
+                _companion_grading())
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
+    for algebra in algebras:
+        solvers.clear()
         assert verify_grading(algebra).passed
-        assert "_component_solvers" not in algebra.__dict__
+        assert "_component_spans" not in vars(algebra)
+        # units by position and a fine basis by its cocycle; the companion basis by one union solver
+        assert len(solvers) == (algebra is algebras[2])
 
 
 def test_passing_verify_decomposes_at_most_n_units(monkeypatch):
@@ -898,16 +903,17 @@ def _passing_fine_gradings():
 
 
 def test_passing_fine_verify_multiplies_generator_pairs_and_eliminates_nothing(monkeypatch):
+    algebras = list(_passing_fine_gradings())  # _conjugated inverts a matrix by elimination
     products = _count_calls(monkeypatch, Matrix, "__mul__")
     decompositions = _count_calls(monkeypatch, GradedAlgebra, "decompose")
     implementers = _count_calls(monkeypatch, gradings, "_implementer")
-    for algebra in _passing_fine_gradings():
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
+    for algebra in algebras:
         products.clear()
         assert verify_grading(algebra).passed
         generators, _ = _greedy_generators(algebra.support())
         assert len(products) <= algebra.n ** 2 * len(generators)
-        assert "_solver" not in vars(algebra) and "_component_solvers" not in vars(algebra)
-    assert not decompositions and not implementers
+    assert not decompositions and not implementers and not solvers
 
 
 def test_relabeled_fine_verify_builds_no_implementer(monkeypatch):
@@ -958,16 +964,27 @@ def test_passing_homomorphism_check_applies_the_map_to_2n_minus_1_units(monkeypa
         assert len(calls) <= 2 * gmap.domain.n - 1
 
 
-def test_passing_homomorphism_check_reads_elementary_degrees_off_positions():
-    for gmap in _passing_maps():
+def test_passing_homomorphism_check_reads_elementary_degrees_off_positions(monkeypatch):
+    maps = list(_passing_maps())  # built before counting: they invert matrices by elimination
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
+    elementary = 0
+    for gmap in maps:
+        solvers.clear()
         assert graded_homomorphism_check(gmap).passed
         if gmap.codomain.elementary_tuple is not None:
-            assert "_component_solvers" not in gmap.codomain.__dict__
+            elementary += 1
+            assert not solvers
+    assert elementary == 2
+
+
+def _solver(mats):
+    """A plain SpanSolver over the flattened matrices: the reference for _Span."""
+    return SpanSolver([m.vector() for m in mats])
 
 
 def _solved_apply(gmap, m):
-    """f(m) from the coordinates of m that the source solver gives."""
-    coords = gmap._source_solver.sparse_coordinates(m.vector())
+    """f(m) from the coordinates of m that a solver over the sources gives."""
+    coords = _solver(src for src, _ in gmap.pairs).sparse_coordinates(m.vector())
     return Matrix.combination(gmap.codomain.n, ((c, gmap.pairs[k][1]) for k, c in coords.items()))
 
 
@@ -994,7 +1011,7 @@ def test_apply_reads_unit_sources_by_position_with_the_solver_levels():
     assert {a.level for m in inputs for row in gmap.apply(m).rows for a in row.values()} >= {1, 3, 4, 12}
     short = GradedMap(alg, alg, tuple(zip(sources[1:], images[1:])))
     outside = alg.union_basis[0][1]
-    assert short._source_solver.sparse_coordinates(outside.vector()) is None
+    assert _solver(src for src, _ in short.pairs).sparse_coordinates(outside.vector()) is None
     with pytest.raises(ValueError, match="^matrix is outside the span of the map's source basis$"):
         short.apply(outside)
 
@@ -1009,38 +1026,152 @@ def _unit_gradings():
 
 def test_passing_unit_verify_multiplies_nothing_and_builds_no_solver(monkeypatch):
     calls = _count_calls(monkeypatch, Matrix, "__mul__")
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
     for algebra in _unit_gradings():
         assert verify_grading(algebra).passed
-        assert not calls
-        assert "_solver" not in vars(algebra) and "_component_solvers" not in vars(algebra)
+        assert not calls and not solvers
 
 
 def test_relabeled_unit_verify_multiplies_only_the_failing_pairs(monkeypatch):
     calls = _count_calls(monkeypatch, Matrix, "__mul__")
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
     for algebra in _unit_gradings():
         G = algebra.group
         for relabeled in (_relabeled(algebra, (G.element((1,)), G.element((2,)))), _shifted(algebra)):
             calls.clear()
             report = verify_grading(relabeled)
             assert report.closure_failures and len(calls) == len(report.closure_failures)
-            assert "_solver" not in vars(relabeled) and "_component_solvers" not in vars(relabeled)
+    assert not solvers
 
 
 def test_unit_source_maps_build_no_source_solver():
-    maps = [gmap for gmap in _map_cases() if gmap._source_positions is not None]
+    # fresh copies: the cached cases share their spans with the other tests
+    maps = [GradedMap(gmap.domain, gmap.codomain, gmap.pairs) for gmap in _map_cases()]
+    maps = [gmap for gmap in maps if gmap._sources.positions is not None]
     assert len(maps) >= 40
     for gmap in maps:
         graded_homomorphism_check(gmap)
-        assert "_source_solver" not in vars(gmap)
+        assert "solver" not in vars(gmap._sources)
 
 
-def test_untupled_elementary_codomains_build_no_component_solvers():
+def test_untupled_elementary_codomains_build_no_component_solvers(monkeypatch):
     maps = [GradedMap(gmap.domain, _untupled(gmap.codomain), gmap.pairs) for gmap in _passing_maps()
             if gmap.codomain.elementary_tuple is not None]
     assert maps
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
     for gmap in maps:
         assert graded_homomorphism_check(gmap).passed
-        assert "_component_solvers" not in vars(gmap.codomain)
+    assert not solvers
+
+
+# --- oracle: _Span against a plain SpanSolver over the flattened matrices ---
+
+def _span_families():
+    """Families of 3 x 3 matrices, by what each one covers."""
+    units = [Matrix.unit(3, i, j) for i in range(3) for j in range(3)]
+    zeta = root_of_unity(4, 1)
+    return {
+        "units at repeated positions": [units[0], units[4].scale(2), units[0].scale(-1), units[5],
+                                        units[4].scale(zeta)],
+        "units scaled by roots of unity": [u.scale(root_of_unity(k, 1))
+                                           for u, k in zip(units, (1, 2, 3, 4, 6, 12, 3, 4, 5))],
+        "not units, with a zero": [units[0] + units[4], Matrix.zeros(3), units[1].scale(zeta),
+                                   units[0], units[8] - units[2]],
+        "empty": [],
+    }
+
+
+def _span_inputs(mats, rng):
+    """Random matrices, random combinations of the family (inside its span), units and zero."""
+    values = [CycNumber.rational(3), root_of_unity(3, 2), root_of_unity(4, 3) - CycNumber.rational(2)]
+    inputs = [Matrix([[rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(3)]
+                      for _ in range(3)]) for _ in range(8)]
+    inputs += [Matrix.combination(3, ((rng.choice(values), m) for m in mats if rng.random() < 0.7))
+               for _ in range(8)]
+    return inputs + [Matrix.unit(3, i, j) for i in range(3) for j in range(3)] + [Matrix.zeros(3)]
+
+
+def _coordinate_entries(coords):
+    return None if coords is None else [(k, c.level, c.nums, c.den) for k, c in coords.items()]
+
+
+@pytest.mark.parametrize("name", sorted(_span_families()))
+def test_span_matches_a_plain_solver_in_value_and_level(name):
+    mats = _span_families()[name]
+    span, solver = gradings._Span(mats, 3), _solver(mats)
+    assert span.rank == solver.rank
+    inside = 0
+    for m in _span_inputs(mats, random.Random(19)):
+        assert span.contains(m) == solver.contains(m.vector())
+        coords = span.coordinates(m)
+        assert _coordinate_entries(coords) == _coordinate_entries(solver.sparse_coordinates(m.vector()))
+        inside += coords is not None and not m.is_zero()
+    assert inside >= (4 if mats else 0)
+    # only the family that is not all scaled units is eliminated
+    assert ("solver" in vars(span)) == (span.positions is None) == (name == "not units, with a zero")
+
+
+def _outcome_of(read, *args):
+    try:
+        value = read(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return ("returned", _coordinate_entries(value) if isinstance(value, dict) else value)
+
+
+@pytest.mark.parametrize("name", sorted(_span_families()))
+def test_span_of_another_size_answers_as_a_plain_solver(name):
+    mats = _span_families()[name]
+    span, solver = gradings._Span(mats, 3), _solver(mats)
+    outcomes = []
+    for m in (Matrix.identity(2), Matrix.zeros(2), Matrix.unit(4, 0, 0)):
+        assert _outcome_of(span.contains, m) == _outcome_of(solver.contains, m.vector())
+        got = _outcome_of(span.coordinates, m)
+        assert got == _outcome_of(solver.sparse_coordinates, m.vector())
+        outcomes.append(got[0])
+    # a solver holding a vector raises on another length
+    assert outcomes[0] == ("ValueError" if mats else "returned")
+    assert not mats or outcomes == ["ValueError"] * 3
+
+
+def _solved_decompose(algebra, m):
+    """Homogeneous parts from the coordinates that a solver over the union basis gives."""
+    coords = _solver(b for _, b in algebra.union_basis).sparse_coordinates(m.vector())
+    terms = {}
+    for k, c in coords.items():
+        g, b = algebra.union_basis[k]
+        terms.setdefault(g, []).append((c, b))
+    parts = {g: Matrix.combination(algebra.n, t) for g, t in terms.items()}
+    return {g: part for g, part in parts.items() if not part.is_zero()}
+
+
+def test_unit_decompose_degree_and_action_read_positions_and_match_the_solver(monkeypatch):
+    rng = random.Random(1919)
+    values = [CycNumber.rational(-2), root_of_unity(3, 1), root_of_unity(4, 1) + CycNumber.rational(1)]
+    cases = []
+    for algebra in _unit_gradings():
+        n = algebra.n
+        inputs = [Matrix([[rng.choice(values) if rng.random() < 0.5 else 0 for _ in range(n)]
+                          for _ in range(n)]) for _ in range(6)]
+        inputs += [Matrix.combination(n, ((rng.choice(values), m) for m in mats))
+                   for mats in algebra.components.values()]  # homogeneous
+        chi = gradings.Character(algebra.group, (1,))
+        expected = []
+        for m in inputs:
+            parts = _solved_decompose(algebra, m)
+            expected.append(({g: _entries(p) for g, p in parts.items()},
+                             next(iter(parts)) if len(parts) == 1 else None,
+                             _entries(Matrix.combination(n, ((chi(g), p) for g, p in parts.items())))))
+        cases.append((algebra, chi, inputs, expected))
+    solvers = _count_calls(monkeypatch, SpanSolver, "__init__")
+    homogeneous = 0
+    for algebra, chi, inputs, expected in cases:
+        for m, (parts, degree, acted) in zip(inputs, expected):
+            assert {g: _entries(p) for g, p in algebra.decompose(m).items()} == parts
+            assert algebra.degree_of(m) == degree
+            assert _entries(character_action(chi, algebra, m)) == acted
+            homogeneous += degree is not None
+    assert not solvers and homogeneous >= 3 * len(cases)
 
 
 # --- oracle: the |T|^3 scan of the 2-cocycle identity, kept as the reference ---

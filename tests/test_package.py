@@ -162,7 +162,7 @@ def test_value_classes_are_unequal_across_classes():
 def test_cached_properties_of_value_classes_are_computed_once():
     gmap = gradings.GradedMap(ALG, ALG, tuple((m, m) for _, m in ALG.union_basis))
     assert gmap.apply(M) == M
-    assert gmap._source_solver is vars(gmap)["_source_solver"] is gmap._source_solver
+    assert gmap._sources is vars(gmap)["_sources"] is gmap._sources
     assert PAIR.cocycle(E, E) == CycNumber.one()
     assert PAIR.cocycle is vars(PAIR)["cocycle"] is PAIR.cocycle
 
