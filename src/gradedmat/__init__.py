@@ -11,8 +11,8 @@ from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        elementary_grading, epsilon_grading, extract_cocycle,
                        graded_homomorphism_check, homogeneous_matrix_units,
                        identity_component_ideals, induced_tensor_grading, is_elementary,
-                       is_graded_subspace, is_invariant_subspace, matrix_degree_for_tuple,
-                       support_is_subgroup, verify_grading)
+                       is_graded_subspace, is_invariant_subspace, support_is_subgroup,
+                       verify_grading)
 from .equivalence import (OMEGA, DefiningSequence, EquivalenceWitness, Signature,
                           build_isomorphism, construct_beta, decide_equivalence)
 from .embeddings import (DecompositionPair, EmbeddingConditionError, GradedVectorSpace,
@@ -33,8 +33,7 @@ __all__ = [
     "cocycle_from_units", "elementary_grading", "epsilon_grading", "extract_cocycle",
     "graded_homomorphism_check", "homogeneous_matrix_units", "identity_component_ideals",
     "induced_tensor_grading", "is_elementary", "is_graded_subspace",
-    "is_invariant_subspace", "matrix_degree_for_tuple", "support_is_subgroup",
-    "verify_grading",
+    "is_invariant_subspace", "support_is_subgroup", "verify_grading",
     "OMEGA", "DefiningSequence", "EquivalenceWitness", "Signature", "build_isomorphism",
     "construct_beta", "decide_equivalence",
     "DecompositionPair", "EmbeddingConditionError", "GradedVectorSpace", "ModuleSplit",

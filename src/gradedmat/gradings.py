@@ -203,17 +203,13 @@ def epsilon_grading(n: int, group: Optional[FiniteAbelianGroup] = None,
             labels[(i, j)] = (a ** i) * (b ** j)
     if len(set(labels.values())) != n * n:
         raise ValueError("generators do not span a Z_n x Z_n subgroup of distinct labels")
-    eps = root_of_unity(n, 1)
-    x_a = Matrix.diagonal([eps ** (n - 1 - i) for i in range(n)])
-    shift_rows = [[CycNumber.one() if c == (r + 1) % n else CycNumber.zero()
-                   for c in range(n)] for r in range(n)]
-    x_b = Matrix(shift_rows)
-    powers_a = [Matrix.identity(n)]
-    powers_b = [Matrix.identity(n)]
-    for _ in range(n - 1):
-        powers_a.append(powers_a[-1] * x_a)
-        powers_b.append(powers_b[-1] * x_b)
-    components = {labels[(i, j)]: [powers_a[i] * powers_b[j]]
+
+    def power(k: int) -> CycNumber:  # eps^k, at level n when k > 0 even if n divides k
+        return root_of_unity(n, k) if k else CycNumber.one()
+
+    # X_a^i X_b^j holds eps^(i(n-1-r)) at (r, r + j mod n) and nothing else
+    components = {labels[(i, j)]: [Matrix._of(n, ({(r + j) % n: power(i * (n - 1 - r))}
+                                                  for r in range(n)))]
                   for i in range(n) for j in range(n)}
     return GradedAlgebra(group, n, components)
 
@@ -692,15 +688,34 @@ class HomomorphismReport(_Frozen):
             not self.multiplicative_failures and not self.degree_failures
 
 
+def _unit_table_from(column: Sequence[Matrix], row: Sequence[Matrix]) -> Optional[List[List[Matrix]]]:
+    """Matrix units T_ij = F_i G_j from F_i = column[i], G_0 = F_0 and G_j = row[j - 1]
+    for j >= 1; None unless F_i F_0 = F_i and G_j F_a = delta_ja F_0.
+
+    These relations make T a system of matrix units: T_i0 = F_i F_0 = F_i and
+    T_ij T_ab = F_i G_j F_a G_b = delta_ja F_i F_0 G_b = delta_ja T_ib.  Conversely any
+    system of matrix units passes with F_i = T_i0 and G_j = T_0j, since T_i0 T_00 = T_i0
+    and T_0j T_a0 = delta_ja T_00.  A system of matrix units is zero or independent:
+    sum c_ij T_ij = 0 gives c_ij T_ab = T_ai (sum c T) T_jb = 0, and T_ab = 0 forces
+    T_00 = T_0a T_ab T_b0 = 0.  This is the one place the unit relations are evaluated.
+    """
+    row = [column[0], *row]
+    zero = Matrix.zeros(column[0].n)
+    if not all(f * column[0] == f for f in column) or not all(
+            g * f == (column[0] if j == a else zero) for j, g in enumerate(row) for a, f in enumerate(column)):
+        return None
+    return [[f] + [f * g for g in row[1:]] for f in column]
+
+
 def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     """Verify that a basis table defines an injective degree-preserving algebra map.
 
     The certificate applies the map f to 2n - 1 units only: F_i = f(E_i0) and
-    G_j = f(E_0j), with G_0 = F_0.  With T_ij = F_i G_j it passes when F_i F_0 = F_i,
-    G_j F_a = delta_ja F_0 and f(x) = sum x_ij T_ij on every given pair (x, f(x)).
+    G_j = f(E_0j), with G_0 = F_0.  It passes when _unit_table_from(F, G) gives a
+    system T of matrix units and f(x) = sum x_ij T_ij on every given pair (x, f(x)).
     This is exact:
-      - if it passes, T_ij T_ab = F_i G_j F_a G_b = delta_ja F_i F_0 G_b = delta_ja T_ib,
-        so psi(x) = sum x_ij T_ij is multiplicative, and f = psi on a basis of M_n;
+      - if it passes, psi(x) = sum x_ij T_ij is multiplicative, and f = psi on a basis
+        of M_n;
       - if f is multiplicative, F_i F_0 = f(E_i0 E_00) = F_i, G_j F_a = f(E_0j E_a0) =
         delta_ja F_0 and T_ij = f(E_i0 E_0j) = f(E_ij), so f(x) = sum x_ij T_ij.
     Either way T_ij = f(E_ij) once it passes.  Only when it fails are all n^2 units
@@ -715,17 +730,13 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     if not basis_ok:
         return HomomorphismReport(False, (), images.rank == len(gmap.pairs), ())
     fs = [gmap.apply(Matrix.unit(n, i, 0)) for i in range(n)]
-    gs = fs[:1] + [gmap.apply(Matrix.unit(n, 0, j)) for j in range(1, n)]
-    zero = Matrix.zeros(codomain.n)
-    units: Optional[List[List[Matrix]]] = None
-    if all(f * fs[0] == f for f in fs) and all(
-            g * f == (fs[0] if j == a else zero) for j, g in enumerate(gs) for a, f in enumerate(fs)):
-        units = [[f] + [f * g for g in gs[1:]] for f in fs]  # T_i0 = F_i F_0 = F_i
-        if any(_image(x, units) != fx for x, fx in gmap.pairs):
-            units = None
+    gs = [gmap.apply(Matrix.unit(n, 0, j)) for j in range(1, n)]
+    units = _unit_table_from(fs, gs)
+    if units is not None and any(_image(x, units) != fx for x, fx in gmap.pairs):
+        units = None
     mult_failures: List[Tuple[int, int]] = []
     if units is None:
-        units = [[fs[i] if j == 0 else gs[j] if i == 0 else gmap.apply(Matrix.unit(n, i, j))
+        units = [[fs[i] if j == 0 else gs[j - 1] if i == 0 else gmap.apply(Matrix.unit(n, i, j))
                   for j in range(n)] for i in range(n)]
         mult_failures = [(i, j) for i, (x, fx) in enumerate(gmap.pairs)
                          for j, (y, fy) in enumerate(gmap.pairs) if _image(x * y, units) != fx * fy]
@@ -750,20 +761,6 @@ def _image(x: Matrix, units: Sequence[Sequence[Matrix]]) -> Matrix:
         (a, units[i][j]) for i, row in enumerate(x.rows) for j, a in row.items()))
 
 
-def matrix_degree_for_tuple(m: Matrix, tau: Sequence[GroupElement]) -> Optional[GroupElement]:
-    """Degree of m in the elementary grading by tau, None if not homogeneous."""
-    degree = None
-    for (i, j) in m.nonzero_positions():
-        d = tau[i].inverse() * tau[j]
-        if degree is None:
-            degree = d
-        elif degree != d:
-            return None
-    if degree is None:
-        raise ValueError("the zero matrix has no degree")
-    return degree
-
-
 class ElementaryUnits(_Frozen):
     """Homogeneous matrix units certifying that a graded algebra is elementary."""
 
@@ -772,18 +769,11 @@ class ElementaryUnits(_Frozen):
     degrees: Tuple[GroupElement, ...]
 
 
-def _unit_relations_hold(table: Sequence[Sequence[Matrix]]) -> bool:
-    """True when T_ij T_ab = delta_ja T_ib for the table T.  Only T_i0 T_0j = T_ij and
-    T_0j T_a0 = delta_ja T_00 are tested: they give T_ij T_ab = delta_ja T_i0 T_00 T_0b."""
-    pairs = list(itertools.product(range(len(table)), repeat=2))
-    zero = Matrix.zeros(table[0][0].n)
-    return all(table[i][0] * table[0][j] == table[i][j] for i, j in pairs) \
-        and all(table[0][j] * table[a][0] == (table[0][0] if j == a else zero) for j, a in pairs)
-
-
 def _unit_relation_violation(table: Sequence[Sequence[Matrix]]) -> Optional[Tuple[int, ...]]:
-    """First (i, j, a, b) with table[i][j] * table[a][b] != delta_ja table[i][b], if any."""
-    if _unit_relations_hold(table):
+    """First (i, j, a, b) with table[i][j] * table[a][b] != delta_ja table[i][b], if any.
+    The table is a system of matrix units exactly when _unit_table_from rebuilds it
+    from its first column and first row; only a table that fails is scanned."""
+    if _unit_table_from([row[0] for row in table], table[0][1:]) == [list(row) for row in table]:
         return None
     k = len(table)
     for i, j, a, b in itertools.product(range(k), repeat=4):
@@ -921,13 +911,15 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
     except ZeroDivisionError:
         raise ValueError("the column and row spaces of the primitive idempotent pair singularly") from None
     duals = [Matrix.combination(n, ((c, rows[k]) for k, c in row.items())) for row in inverse.rows]
-    units = {(i, j): v * duals[j] for i, (v, _) in enumerate(columns) for j in range(p)}
-    if not _unit_relations_hold([[units[(i, j)] for j in range(p)] for i in range(p)]):
+    # v_i d_j = v_i d_0 v_0 d_j, as d_0 v_0 = f0 and v_i f0 = v_i
+    table = _unit_table_from([v * duals[0] for v, _ in columns], [columns[0][0] * d for d in duals[1:]])
+    if table is None:
         raise ValueError("candidate matrix units violate the unit relations")
-    if sum((units[(i, i)] for i in range(p)), Matrix.zeros(n)) != unit:
+    if sum((table[i][i] for i in range(p)), Matrix.zeros(n)) != unit:
         raise ValueError("diagonal units do not sum to the unit")
-    if _Span(list(units.values()), n).rank != p * p:
+    if table[0][0].is_zero():  # matrix units are independent unless they all vanish
         raise ValueError("matrix units are not independent")
+    units = {(i, j): t for i, row in enumerate(table) for j, t in enumerate(row)}
     return ElementaryUnits(p, units, tuple(g.inverse() for _, g in columns))
 
 

@@ -69,9 +69,7 @@ class SpanSolver:
         else:
             length = len(vector)
             vec = {i: x for i, x in enumerate(vector) if not x.is_zero()}
-        if self._length is None:
-            self._length = length
-        elif length != self._length:
+        if self._length is not None and length != self._length:
             raise ValueError(f"vector length {length} != {self._length}")
         rows = self._rows
         combo: _Sparse = {}
@@ -101,6 +99,8 @@ class SpanSolver:
         added so far, with c = 1 on this one and 0 on every other dependent one.
         """
         vec, combo = self._reduce(vector)
+        if self._length is None:  # only an inserted vector fixes the length
+            self._length = vector.length if isinstance(vector, SparseVector) else len(vector)
         combo[self._count] = CycNumber.one()
         self._count += 1
         if not vec:

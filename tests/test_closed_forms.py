@@ -1,8 +1,9 @@
-"""Closed-form counting functions against the simulations they replaced.
+"""Closed forms against the simulations they replaced.
 
 `steinitz_signature` is checked against a cycle-by-cycle simulation of the
-multiplicity vector, and `decide_equivalence` against a scan of every shift in
-the group; both references are kept here and not in the package.
+multiplicity vector, `decide_equivalence` against a scan of every shift in
+the group, and `epsilon_grading` against the products of powers of the clock and
+shift matrices; the references are kept here and not in the package.
 """
 
 import random
@@ -12,7 +13,10 @@ import pytest
 from gradedmat.chains import BlockStep, ChainSpec, DoubleStep, TwistStep, steinitz_signature
 from gradedmat.equivalence import (OMEGA, DefiningSequence, EquivalenceWitness, Signature,
                                    decide_equivalence)
+from gradedmat.cyclotomic import CycNumber, root_of_unity
+from gradedmat.gradings import epsilon_grading
 from gradedmat.groups import FiniteAbelianGroup
+from gradedmat.matrices import Matrix
 
 GROUPS = [FiniteAbelianGroup(factors) for factors in
           [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (12,)]]
@@ -188,3 +192,33 @@ def test_large_groups_are_never_enumerated(monkeypatch):
     assert len(limit.support()) == 16
     assert all(value is OMEGA for _, value in limit.counts)
     assert limit.get(a * G.element((500, 750))) is OMEGA
+
+
+def reference_epsilon_bases(n):
+    """X_a^i X_b^j for 0 <= i, j < n, from n - 1 matrix powers of each generator."""
+    eps = root_of_unity(n, 1)
+    x_a = Matrix.diagonal([eps ** (n - 1 - r) for r in range(n)])
+    x_b = Matrix([[CycNumber.one() if c == (r + 1) % n else CycNumber.zero() for c in range(n)]
+                  for r in range(n)])
+    powers_a, powers_b = [Matrix.identity(n)], [Matrix.identity(n)]
+    for _ in range(n - 1):
+        powers_a.append(powers_a[-1] * x_a)
+        powers_b.append(powers_b[-1] * x_b)
+    return {(i, j): powers_a[i] * powers_b[j] for i in range(n) for j in range(n)}
+
+
+def _entries(m):
+    """Every stored entry with its representation: a 1 at level n is not a 1 at level 1."""
+    return [sorted((j, x.level, x.nums, x.den) for j, x in row.items()) for row in m.rows]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_epsilon_closed_form_matches_the_products_of_powers(n):
+    ambient = FiniteAbelianGroup((n, 2 * n))
+    a, b = ambient.element([1, 0]), ambient.element([0, 2])
+    square = epsilon_grading(n)
+    inside = epsilon_grading(n, ambient, a, b)
+    a0, b0 = square.group.element([1, 0]), square.group.element([0, 1])
+    for (i, j), m in reference_epsilon_bases(n).items():
+        assert _entries(square.component(a0 ** i * b0 ** j)[0]) == _entries(m)
+        assert _entries(inside.component(a ** i * b ** j)[0]) == _entries(m)

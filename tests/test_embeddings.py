@@ -1,6 +1,7 @@
 """Block embeddings, module splitting, and regularization of fine factors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.embeddings import (DecompositionPair, EmbeddingConditionError,
@@ -176,6 +177,65 @@ def test_split_rejects_ragged_table():
     space = GradedVectorSpace.from_tuple(Z2, (E0, A0))
     with pytest.raises(ValueError):
         split_module_decomposition(space, [[Matrix.identity(2)], []])
+
+
+def _outer_units(n, vs, ws):
+    """The table E_ij = v_i w_j^T inside M_n, each vector given by the coordinates that hold 1."""
+    return [[Matrix.combination(n, ((1, Matrix.unit(n, a, b)) for a in v for b in w))
+             for w in ws] for v in vs]
+
+
+# e_1 and e_2 have different degrees
+_SPLIT_SPACE = GradedVectorSpace.from_tuple(Z2, (E0, A0, E0))
+
+
+@pytest.mark.parametrize("table, message", [
+    (_unit_table(2, 2, 1), "unit images must act on the given space"),
+    ([[Matrix.zeros(3)]], "the zero matrix has no degree"),
+    (_outer_units(3, [(0,)], [(0, 1)]), "image of E_00 is not homogeneous"),
+    (_outer_units(3, [(0,), (1,)], [(0,), (1, 2)]), "image of E_01 is not homogeneous"),
+    (_outer_units(3, [(0,), (1, 2)], [(0,), (1,)]), r"image degrees are inconsistent at \(1,0\)"),
+], ids=["another-size", "zero", "E00-not-homogeneous", "E01-not-homogeneous", "E10-not-homogeneous"])
+def test_split_rejects_images_it_cannot_split(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        split_module_decomposition(_SPLIT_SPACE, table)
+
+
+@st.composite
+def _permuted_block_embeddings(draw):
+    """(k, m, space, images): the unit images of a block-diagonal embedding of M_k into
+    M_(km+r), conjugated by a random permutation of F^n that carries the degrees along."""
+    group = FiniteAbelianGroup(draw(st.sampled_from([(2,), (3,), (4,), (2, 2)])))
+    element = st.tuples(*(st.integers(0, f - 1) for f in group.factors)).map(group.element)
+    k, m, r = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    source = draw(st.lists(element, min_size=k, max_size=k))
+    target = [t * g for t in draw(st.lists(element, min_size=m, max_size=m)) for g in source]
+    target += draw(st.lists(element, min_size=r, max_size=r))
+    phi = block_diagonal_embedding(elementary_grading(group, source), m, r, target)
+    n = k * m + r
+    perm = draw(st.permutations(range(n)))  # e_a -> e_perm[a]
+    p = Matrix.combination(n, ((1, Matrix.unit(n, perm[a], a)) for a in range(n)))
+    images = [[p * phi.apply(Matrix.unit(k, i, j)) * p.transpose() for j in range(k)]
+              for i in range(k)]
+    tau = [target[perm.index(c)] for c in range(n)]
+    return k, m, GradedVectorSpace.from_tuple(group, tau), images
+
+
+@settings(max_examples=40, deadline=None)
+@given(_permuted_block_embeddings())
+def test_split_of_permuted_block_embeddings_realizes_the_block_form(case):
+    k, m, space, images = case
+    n = space.n
+    split = split_module_decomposition(space, images)
+    basis = split.change_of_basis
+    inverse = basis.inverse()  # raises when the columns are dependent
+    for i in range(k):
+        for j in range(k):
+            expected = sum((Matrix.unit(n, i + l * k, j + l * k) for l in range(m)), Matrix.zeros(n))
+            assert inverse * images[i][j] * basis == expected
+    degrees = [space.vector_degree(basis.column(c)) for c in range(n)]
+    assert None not in degrees
+    assert split.induced_tuple == tuple(d.inverse() for d in degrees)
 
 
 # --- regularization fixture: M_2 with a fine Z_2 x Z_2 factor, embedded ---

@@ -397,6 +397,7 @@ def test_homogeneous_matrix_units_of_conjugated_elementary_gradings(alg):
     assert units.size == n
     table = [[units.units[(i, j)] for j in range(n)] for i in range(n)]
     assert _unit_relation_violation(table) is None
+    assert _solver(units.units.values()).rank == n * n
     assert sum((table[i][i] for i in range(n)), Matrix.zeros(n)) == Matrix.identity(n)
     for (i, j), unit in units.units.items():
         assert alg.degree_of(unit) == units.degrees[i].inverse() * units.degrees[j]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
-from gradedmat.linalg import SpanSolver, independent_subset, nullspace
+from gradedmat.linalg import SpanSolver, SparseVector, independent_subset, nullspace
 from gradedmat.matrices import Matrix
 
 
@@ -154,6 +154,20 @@ def test_coordinates_solve_a_square_system_and_reject_an_inconsistent_one():
     assert solver.sparse_coordinates([_rat(3), _rat(1)]) == {0: _rat(2), 1: _rat(1)}
     # the row [0 0] with right-hand side 1
     assert SpanSolver([[_rat(0)], [_rat(0)]]).sparse_coordinates([_rat(1)]) is None
+
+
+def test_span_solver_takes_its_length_from_inserted_vectors_only():
+    solver = SpanSolver()
+    zero4, zero16 = [_rat(0)] * 4, SparseVector(16, {})
+    one16 = SparseVector(16, {3: _rat(2)})
+    # an empty solver answers from the vector alone, whatever length it was asked about before
+    assert solver.contains(zero4) and solver.sparse_coordinates(zero4) == {}
+    assert solver.contains(zero16) and solver.sparse_coordinates(zero16) == {}
+    assert not solver.contains(one16) and solver.sparse_coordinates(one16) is None
+    assert not solver.contains([_rat(1)] * 4)
+    assert solver.add(one16) and solver.sparse_coordinates(one16) == {0: _rat(1)}
+    with pytest.raises(ValueError, match="^vector length 4 != 16$"):
+        solver.contains(zero4)
 
 
 _entries = st.integers(-5, 5)

@@ -27,6 +27,7 @@ REMOVED = {
     matrices.Matrix: ("flatten",),
     embeddings: ("check_block_condition",),
     gradings.GradedAlgebra: ("_union_basis",),
+    gradings: ("_unit_relations_hold", "matrix_degree_for_tuple"),
     chains.FinitaryGrading: ("prefixes",),
     specio: ("parse_grading_or_map", "GradingOrMap"),
     equivalence.Signature: ("is_finitary",),
