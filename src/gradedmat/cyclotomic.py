@@ -257,6 +257,8 @@ class CycNumber:
             raise ZeroDivisionError("inverse of zero")
         if len(self.nums) == 1:
             c, d = self.nums[0], self.den
+            if c == d or c == -d:  # 1 and -1 are their own inverses
+                return self
             return CycNumber(self.level, (d,), c) if c > 0 else CycNumber(self.level, (-d,), -c)
         r0, r1 = list(cyclotomic_polynomial(self.level)), list(self.coeffs)
         s0: List[Fraction] = []

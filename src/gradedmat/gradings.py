@@ -30,18 +30,18 @@ class _Span:
         self.n = n
 
     @cached_property
-    def positions(self) -> Optional[Dict[Tuple[int, int], Tuple[int, CycNumber]]]:
-        """(i, j) -> (k, 1/c) when the k-th matrix is c E_ij, built in one pass; None
-        unless every matrix is n x n with exactly one nonzero entry."""
-        index, n = {}, self.n
+    def positions(self) -> Optional[Dict[int, int]]:
+        """i n + j -> k when the k-th matrix is c E_ij, built in one pass; None unless
+        every matrix is n x n with exactly one nonzero entry.  Keys and values are ints,
+        so the index holds no object per matrix."""
+        index: Dict[int, int] = {}
+        n = self.n
         for k, m in enumerate(self.mats):
             filled = list(filter(None, m.rows))
             if m.n != n or len(filled) != 1 or len(filled[0]) != 1:
                 return None
-            (j, c), = filled[0].items()
-            position = (m.rows.index(filled[0]), j)  # every other row is empty
-            if position not in index:
-                index[position] = (k, c.inverse())
+            j, = filled[0]
+            index.setdefault(m.rows.index(filled[0]) * n + j, k)  # every other row is empty
         return index
 
     @cached_property
@@ -57,7 +57,8 @@ class _Span:
         positions = self.positions
         if positions is None or m.n != self.n:
             return self.solver.contains(m.vector())
-        return all((i, j) in positions for i, row in enumerate(m.rows) for j in row)
+        n = self.n
+        return all(i * n + j in positions for i, row in enumerate(m.rows) for j in row)
 
     def coordinates(self, m: Matrix) -> Optional[Dict[int, CycNumber]]:
         """Nonzero coefficients of m over the family, by increasing index; None when m
@@ -65,11 +66,12 @@ class _Span:
         positions = self.positions
         if positions is None or m.n != self.n:
             return self.solver.sparse_coordinates(m.vector())
-        try:  # (k, 1/c, m_ij), k unique
-            cells = sorted(positions[(i, j)] + (a,) for i, row in enumerate(m.rows) for j, a in row.items())
+        n, mats = self.n, self.mats
+        try:  # (k, i, j, m_ij), k unique; the k-th matrix is c E_ij with c = mats[k][i, j]
+            cells = sorted((positions[i * n + j], i, j, a) for i, row in enumerate(m.rows) for j, a in row.items())
         except KeyError:
             return None
-        return {k: a * inverse for k, inverse, a in cells}
+        return {k: a * mats[k].rows[i][j].inverse() for k, i, j, a in cells}
 
     def equals(self, other: "_Span") -> bool:
         """Equal ranks and this span inside the other make the two spans equal."""
@@ -125,7 +127,7 @@ class GradedAlgebra:
 
     @cached_property
     def _span(self) -> _Span:
-        return _Span([m for _, m in self.union_basis], self.n)
+        return _Span([m for mats in self.components.values() for m in mats], self.n)
 
     @cached_property
     def _component_spans(self) -> Dict[GroupElement, _Span]:
@@ -307,9 +309,9 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
     if index is not None:
         independent = len(index) == total
         if dimension_ok and independent:
-            basis = algebra.union_basis
-            h = [basis[index[(0, j)][0]][0] for j in range(n)]
-            if all(h[i] * basis[index[(i, j)][0]][0] == h[j] for i in range(n) for j in range(n)):
+            degrees = [g for g, mats in algebra.components.items() for _ in mats]
+            h = [degrees[index[j]] for j in range(n)]
+            if all(h[i] * degrees[index[i * n + j]] == h[j] for i in range(n) for j in range(n)):
                 return GradingReport(n, total, True, True, ())
         return GradingReport(n, total, dimension_ok, independent, _unit_closure_failures(algebra))
     fine = algebra.is_fine()

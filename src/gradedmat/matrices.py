@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import CycNumber
@@ -10,6 +11,7 @@ from .linalg import SpanSolver, SparseVector, _accumulate
 
 Scalar = Union[CycNumber, int, Fraction]
 Row = Dict[int, CycNumber]
+_EMPTY_ROW: Row = MappingProxyType({})  # type: ignore[assignment]
 
 
 def _coerce(value: Scalar) -> CycNumber:
@@ -22,7 +24,9 @@ class Matrix:
     """Immutable n x n matrix; all arithmetic is exact.
 
     Only nonzero entries are stored: rows[i] maps a column to its nonzero
-    entry.  `entries` and `column()` are read-only dense views.
+    entry.  The constructors (dense input, zeros, unit, diagonal) give every
+    empty row as the one read-only _EMPTY_ROW, so a matrix unit holds one row
+    dict, not n.  `entries` and `column()` are read-only dense views.
     """
 
     __slots__ = ("n", "rows")
@@ -34,7 +38,7 @@ class Matrix:
             raise ValueError("matrix must be square and non-empty")
         self.n = n
         self.rows: Tuple[Row, ...] = tuple(
-            {j: x for j, x in enumerate(row) if not x.is_zero()} for row in dense)
+            {j: x for j, x in enumerate(row) if not x.is_zero()} or _EMPTY_ROW for row in dense)
 
     @staticmethod
     def _of(n: int, rows: Iterable[Row]) -> "Matrix":
@@ -48,7 +52,7 @@ class Matrix:
 
     @staticmethod
     def zeros(n: int) -> "Matrix":
-        return Matrix._of(n, ({} for _ in range(n)))
+        return Matrix._of(n, (_EMPTY_ROW,) * n)
 
     @staticmethod
     def combination(n: int, terms: Iterable[Tuple[Scalar, "Matrix"]]) -> "Matrix":
@@ -75,13 +79,13 @@ class Matrix:
         """The matrix unit E_ij (zero-based indices)."""
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"unit index ({i},{j}) out of range for n={n}")
-        return Matrix._of(n, ({j: CycNumber.one()} if r == i else {} for r in range(n)))
+        return Matrix._of(n, ({j: CycNumber.one()} if r == i else _EMPTY_ROW for r in range(n)))
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
         values = [_coerce(x) for x in values]
         return Matrix._of(len(values),
-                          ({} if x.is_zero() else {i: x} for i, x in enumerate(values)))
+                          (_EMPTY_ROW if x.is_zero() else {i: x} for i, x in enumerate(values)))
 
     def __getitem__(self, index: Tuple[int, int]) -> CycNumber:
         i, j = index
