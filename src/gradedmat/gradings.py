@@ -592,10 +592,12 @@ def _stacked(mats: Sequence[Matrix]) -> SparseVector:
 
 
 def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
-    """Basis of the centralizer of the given matrices inside M_n.
+    """Basis of the centralizer of the given matrices inside M_n, for a grading of M_n.
 
-    When the input is spanned by homogeneous elements the returned basis is
-    homogeneous (component by component); otherwise a plain basis is returned.
+    On a graded span (is_graded_subspace) the basis is solved component by component:
+    for s of degree d the degree-gd part of M s - s M is M_g s - s M_g, so M commutes
+    with a homogeneous spanning set exactly when every M_g does.  Any other span gets a
+    plain basis from one kernel over the n^2 matrix units.
     """
     n = algebra.n
 
@@ -603,10 +605,9 @@ def centralizer(algebra: GradedAlgebra, mats: Sequence[Matrix]) -> List[Matrix]:
         return [Matrix.combination(n, zip(sol, basis))
                 for sol in nullspace(_stacked([b * s - s * b for s in mats]) for b in basis)]
 
-    full_solutions = kernel([Matrix.unit(n, i, j) for i in range(n) for j in range(n)])
-    graded = [m for basis in algebra.components.values() for m in kernel(basis)
-              if not m.is_zero()]
-    return graded if len(graded) == len(full_solutions) else full_solutions
+    if not is_graded_subspace(algebra, mats):
+        return kernel([Matrix.unit(n, i, j) for i in range(n) for j in range(n)])
+    return [m for basis in algebra.components.values() for m in kernel(basis) if not m.is_zero()]
 
 
 class IdentityComponentIdeal(_Frozen):
@@ -800,7 +801,9 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
     The search descends from the unit to one primitive homogeneous idempotent f0 by
     exact linear algebra: an annihilator of a module vector gives a singular
     homogeneous element, the graded left ideal it generates has a homogeneous right
-    identity f, and the smaller of the corners of f and u - f is searched next.
+    identity f, and only the smaller corner, of f or u - f, is built and searched next:
+    C ~ M_p acts on u F^n as m copies of F^p, so an idempotent e of C has tr e =
+    m rank e and dim eCe = (rank e)^2, and the smaller trace wins, f on a tie.
     Homogeneous bases v_i of C f0 and w_j of f0 C pair into the one-dimensional
     corner, w_j v_i = B_ji f0, and E_ij = v_i sum_k (B^-1)_jk w_k are matrix units
     of degree deg(v_i) deg(v_j)^-1.  Raises ValueError when the bounded candidate
@@ -855,15 +858,13 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         return None
 
     def corner_components(f: Matrix, cc) -> Dict[GroupElement, List[Matrix]]:
-        out: Dict[GroupElement, List[Matrix]] = {}
-        for g in sorted_degrees(cc):
-            reduced = _reduce_component([f * b * f for b in cc[g]])
-            if reduced:
-                out[g] = reduced
-        return out
+        reduced = ((g, _reduce_component([f * b * f for b in cc[g]])) for g in sorted_degrees(cc))
+        return {g: mats for g, mats in reduced if mats}
 
     def split(u: Matrix, cc) -> Matrix:
-        """A homogeneous idempotent f with 0 != f != u inside the corner of u."""
+        """A homogeneous idempotent f with 0 != f != u inside the corner of u.  The solve
+        gives y f = y for the members y of an ideal; f is a combination of them, so f f = f,
+        and f != 0 as some y != 0."""
         found = find_singular(u, cc)
         if found is None:
             raise ValueError("no homogeneous singular element found; cannot certify an elementary structure")
@@ -886,8 +887,6 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         if solution is None:
             raise ValueError("graded left ideal has no homogeneous right identity")
         f = Matrix.combination(n, ((c, identity_part[k]) for k, c in solution.items()))
-        if f.is_zero() or f * f != f:
-            raise ValueError("right identity solve produced a non-idempotent")
         if f == u:
             raise ValueError("ideal splitting degenerated to the whole algebra")
         return f
@@ -895,8 +894,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
     f0, corner = unit, comps
     while _dimension(corner) > 1:
         f = split(f0, corner)
-        f0, corner = min(((e, corner_components(e, corner)) for e in (f, f0 - f)),
-                         key=lambda pair: _dimension(pair[1]))
+        f0 = f if 2 * f.trace().as_rational() <= f0.trace().as_rational() else f0 - f
+        corner = corner_components(f0, corner)
 
     # homogeneous bases of C f0 and f0 C, with the degree of each member
     columns = [(m, g) for g in sorted_degrees(comps)

@@ -21,7 +21,7 @@ from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport
                                 is_elementary, is_graded_subspace, is_invariant_subspace,
                                 support_is_subgroup, verify_grading, _greedy_generators,
                                 _unit_relation_violation)
-from gradedmat.linalg import SpanSolver
+from gradedmat.linalg import SpanSolver, nullspace
 from gradedmat.matrices import Matrix
 
 Z2 = FiniteAbelianGroup((2,))
@@ -712,6 +712,75 @@ def test_verify_grading_oracle_covers_both_verdicts():
     assert any(r.closure_failures for r in verdicts)
     assert any(not r.independent for r in verdicts)
     assert any(not r.dimension_ok for r in verdicts)
+
+
+# --- oracle: centralizer against the kernel over all n^2 matrix units ---
+
+def _reference_centralizer(n, mats):
+    units = [Matrix.unit(n, i, j) for i in range(n) for j in range(n)]
+    return [Matrix.combination(n, zip(sol, units))
+            for sol in nullspace(gradings._stacked([b * s - s * b for s in mats]) for b in units)]
+
+
+@functools.lru_cache(maxsize=None)
+def _centralizer_cases():
+    """(algebra, inputs, graded) for the valid gradings of _grading_cases() up to n = 4 and a
+    tensor grading: (i) a few basis matrices, (ii) X + Y and X - Y for X and Y of two
+    degrees, a graded span with no homogeneous member, (iii) X + Y, a span that is not graded."""
+    right = epsilon_grading(2)
+    G = right.group
+    tensor = induced_tensor_grading(elementary_grading(G, (G.identity(), G.element((1, 0)))), right)
+    rng = random.Random(21)
+    cases = []
+    for algebra in [a for a in _grading_cases() if a.n <= 4 and verify_grading(a).passed] + [tensor]:
+        basis = [m for _, m in algebra.union_basis]
+        cases.append((algebra, rng.sample(basis, min(len(basis), rng.randint(1, 3))), True))
+        if len(algebra.components) > 1:
+            x, y = (rng.choice(algebra.components[g]) for g in rng.sample(algebra.support(), 2))
+            cases.extend(((algebra, [x + y, x - y], True), (algebra, [x + y], False)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_centralizer_cases())))
+def test_centralizer_matches_the_unit_kernel(case):
+    algebra, mats, graded = _centralizer_cases()[case]
+    n = algebra.n
+    assert is_graded_subspace(algebra, mats) == graded
+    reference = _reference_centralizer(n, mats)
+    basis = centralizer(algebra, mats)
+    assert len(basis) == len(reference)
+    assert all(m * s == s * m for m in basis for s in mats)
+    assert gradings._Span(basis, n).equals(gradings._Span(reference, n))
+    if graded:
+        assert all(algebra.degree_of(m) is not None for m in basis)
+
+
+def test_centralizer_oracle_covers_every_kind_of_span():
+    cases = _centralizer_cases()
+    assert sum(graded for _, _, graded in cases) >= 40
+    assert sum(not graded for _, _, graded in cases) >= 15
+    assert any(a.is_fine() for a, _, _ in cases) and any(a.elementary_tuple for a, _, _ in cases)
+    assert any(not a.is_fine() and a.elementary_tuple is None for a, _, _ in cases)
+
+
+def test_centralizer_of_a_span_that_is_not_graded_is_a_plain_basis():
+    alg = elementary_grading(Z2, (E0, A0))
+    e01 = Matrix.unit(2, 0, 1)
+    basis = centralizer(alg, [Matrix.identity(2) + e01])
+    assert len(basis) == 2
+    assert gradings._Span(basis, 2).equals(gradings._Span([Matrix.identity(2), e01], 2))
+
+
+def test_centralizer_of_a_graded_span_solves_component_kernels_only(monkeypatch):
+    eps = epsilon_grading(3)
+    x, y = (m for _, m in eps.union_basis[1:3])
+    cases = [(eps, [x, y]), (eps, [x + y, x - y]),
+             (_conjugated(elementary_grading(Z2, (E0, A0, A0)), random.Random(3)), [Matrix.identity(3)])]
+    products = _count_calls(monkeypatch, Matrix, "__mul__")
+    for algebra, mats in cases:
+        products.clear()
+        centralizer(algebra, mats)
+        assert len(products) == 2 * len(mats) * algebra.n ** 2
 
 
 @functools.lru_cache(maxsize=None)
