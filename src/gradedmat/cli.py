@@ -153,6 +153,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     group, source, m, r, target = parse_embedding(_load_json(args.spec, "spec"))
     _check_dim(len(target), "the target algebra")
     _check_dim(len(source), "the source algebra")
+    if len(target) != len(source) * m + r:
+        raise SpecError("spec.target",
+                        f"expected k*m + r = {len(source) * m + r} entries, got {len(target)}")
     domain = elementary_grading(group, source)
     try:
         gmap = block_diagonal_embedding(domain, m, r, target)

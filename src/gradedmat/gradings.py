@@ -37,11 +37,10 @@ class _Span:
         index: Dict[int, int] = {}
         n = self.n
         for k, m in enumerate(self.mats):
-            filled = list(filter(None, m.rows))
-            if m.n != n or len(filled) != 1 or len(filled[0]) != 1:
+            if m.n != n or sum(map(len, m.rows.values())) != 1:  # one entry; rows are never empty
                 return None
-            j, = filled[0]
-            index.setdefault(m.rows.index(filled[0]) * n + j, k)  # every other row is empty
+            (i, (j,)), = m.rows.items()
+            index.setdefault(i * n + j, k)
         return index
 
     @cached_property
@@ -58,7 +57,7 @@ class _Span:
         if positions is None or m.n != self.n:
             return self.solver.contains(m.vector())
         n = self.n
-        return all(i * n + j in positions for i, row in enumerate(m.rows) for j in row)
+        return all(i * n + j in positions for i, row in m.rows.items() for j in row)
 
     def coordinates(self, m: Matrix) -> Optional[Dict[int, CycNumber]]:
         """Nonzero coefficients of m over the family, by increasing index; None when m
@@ -68,7 +67,7 @@ class _Span:
             return self.solver.sparse_coordinates(m.vector())
         n, mats = self.n, self.mats
         try:  # (k, i, j, m_ij), k unique; the k-th matrix is c E_ij with c = mats[k][i, j]
-            cells = sorted((positions[i * n + j], i, j, a) for i, row in enumerate(m.rows) for j, a in row.items())
+            cells = sorted((positions[i * n + j], i, j, a) for i, row in m.rows.items() for j, a in row.items())
         except KeyError:
             return None
         return {k: a * mats[k].rows[i][j].inverse() for k, i, j, a in cells}
@@ -210,8 +209,8 @@ def epsilon_grading(n: int, group: Optional[FiniteAbelianGroup] = None,
         return root_of_unity(n, k) if k else CycNumber.one()
 
     # X_a^i X_b^j holds eps^(i(n-1-r)) at (r, r + j mod n) and nothing else
-    components = {labels[(i, j)]: [Matrix._of(n, ({(r + j) % n: power(i * (n - 1 - r))}
-                                                  for r in range(n)))]
+    components = {labels[(i, j)]: [Matrix._of(n, {r: {(r + j) % n: power(i * (n - 1 - r))}
+                                                  for r in range(n)})]
                   for i in range(n) for j in range(n)}
     return GradedAlgebra(group, n, components)
 
@@ -322,7 +321,7 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
         columns = [algebra.decompose(Matrix.unit(n, k, 0)) for k in range(n)]
         if all(_implementer(algebra, chi, columns) for chi in _dual_generators(algebra.group)):
             return GradingReport(n, total, True, True, ())
-    basis = {g: [(x, {j for row in x.rows for j in row}, {i for i, row in enumerate(x.rows) if row})
+    basis = {g: [(x, {j for row in x.rows.values() for j in row}, set(x.rows))
                  for x in mats] for g, mats in algebra.components.items()}
     failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
     for g, g_mats in basis.items():
@@ -373,12 +372,13 @@ def _implementer(algebra: GradedAlgebra, chi: Character,
     parts of E_00, ..., E_(n-1)0; None when no such Y exists (see verify_grading)."""
     n = algebra.n
     images = [_act(chi, n, parts) for parts in columns]
-    first = next((row for row in images[0].rows if row), None)
-    if first is None:
+    first = images[0].rows
+    if not first:
         return None
-    a = min(first)
-    y = Matrix._of(n, ({k: image.rows[i][a] for k, image in enumerate(images) if a in image.rows[i]}
-                       for i in range(n)))
+    a = min(first[min(first)])
+    # column k of y is column a of images[k]
+    columns = ((k, {i: row[a] for i, row in image.rows.items() if a in row}) for k, image in enumerate(images))
+    y = Matrix._of(n, {k: column for k, column in columns if column}).transpose()
     for g, mats in algebra.components.items():
         c = chi(g)
         for b in mats:
@@ -563,7 +563,8 @@ def cocycle_from_units(group: FiniteAbelianGroup,
 def _product_entry(x: Matrix, y: Matrix, i: int, j: int) -> CycNumber:
     """(xy)[i, j], added up in the order Matrix.__mul__ adds it."""
     entry: Dict[int, CycNumber] = {}
-    _accumulate(entry, ((j, a * y.rows[k][j]) for k, a in x.rows[i].items() if j in y.rows[k]))
+    _accumulate(entry, ((j, a * y.rows[k][j]) for k, a in x.rows.get(i, {}).items()
+                        if j in y.rows.get(k, ())))
     return entry.get(j, CycNumber.zero())
 
 
@@ -759,9 +760,9 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
 
 
 def _image(x: Matrix, units: Sequence[Sequence[Matrix]]) -> Matrix:
-    """sum x_ij units[i][j]: x under the linear map sending E_ij to units[i][j]."""
+    """sum x_ij units[i][j], added by increasing i: x under the linear map sending E_ij to units[i][j]."""
     return Matrix.combination(units[0][0].n, (
-        (a, units[i][j]) for i, row in enumerate(x.rows) for j, a in row.items()))
+        (a, units[i][j]) for i, row in sorted(x.rows.items()) for j, a in row.items()))
 
 
 class ElementaryUnits(_Frozen):
@@ -911,7 +912,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         inverse = pairing.inverse()
     except ZeroDivisionError:
         raise ValueError("the column and row spaces of the primitive idempotent pair singularly") from None
-    duals = [Matrix.combination(n, ((c, rows[k]) for k, c in row.items())) for row in inverse.rows]
+    duals = [Matrix.combination(n, ((c, rows[k]) for k, c in row.items()))
+             for _, row in sorted(inverse.rows.items())]
     # v_i d_j = v_i d_0 v_0 d_j, as d_0 v_0 = f0 and v_i f0 = v_i
     table = _unit_table_from([v * duals[0] for v, _ in columns], [columns[0][0] * d for d in duals[1:]])
     if table is None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import CycNumber
@@ -11,7 +10,7 @@ from .linalg import SpanSolver, SparseVector, _accumulate
 
 Scalar = Union[CycNumber, int, Fraction]
 Row = Dict[int, CycNumber]
-_EMPTY_ROW: Row = MappingProxyType({})  # type: ignore[assignment]
+Rows = Dict[int, Row]
 
 
 def _coerce(value: Scalar) -> CycNumber:
@@ -23,10 +22,11 @@ def _coerce(value: Scalar) -> CycNumber:
 class Matrix:
     """Immutable n x n matrix; all arithmetic is exact.
 
-    Only nonzero entries are stored: rows[i] maps a column to its nonzero
-    entry.  The constructors (dense input, zeros, unit, diagonal) give every
-    empty row as the one read-only _EMPTY_ROW, so a matrix unit holds one row
-    dict, not n.  `entries` and `column()` are read-only dense views.
+    Only nonzero entries are stored: rows maps the index of each nonzero row to
+    that row's {column: nonzero entry} dict, so an absent key is the only empty
+    row and a matrix unit holds one row dict.  Rows may be listed in any order;
+    a reader whose sums depend on it goes by increasing index.  `entries` and
+    `column()` are read-only dense views.
     """
 
     __slots__ = ("n", "rows")
@@ -37,27 +37,27 @@ class Matrix:
         if n == 0 or any(len(row) != n for row in dense):
             raise ValueError("matrix must be square and non-empty")
         self.n = n
-        self.rows: Tuple[Row, ...] = tuple(
-            {j: x for j, x in enumerate(row) if not x.is_zero()} or _EMPTY_ROW for row in dense)
+        rows = ((i, {j: x for j, x in enumerate(row) if not x.is_zero()}) for i, row in enumerate(dense))
+        self.rows: Rows = {i: row for i, row in rows if row}
 
     @staticmethod
-    def _of(n: int, rows: Iterable[Row]) -> "Matrix":
-        """A matrix from rows that already hold only nonzero entries."""
+    def _of(n: int, rows: Rows) -> "Matrix":
+        """A matrix from nonempty rows that hold only nonzero entries."""
         if n < 1:
             raise ValueError("matrix must be square and non-empty")
         m = object.__new__(Matrix)
         m.n = n
-        m.rows = tuple(rows)
+        m.rows = rows
         return m
 
     @staticmethod
     def zeros(n: int) -> "Matrix":
-        return Matrix._of(n, (_EMPTY_ROW,) * n)
+        return Matrix._of(n, {})
 
     @staticmethod
     def combination(n: int, terms: Iterable[Tuple[Scalar, "Matrix"]]) -> "Matrix":
         """The n x n sum of c * m over the (c, m) terms, added per entry in the order given."""
-        rows: Tuple[Row, ...] = tuple({} for _ in range(n))
+        rows: Rows = {}
         for c, m in terms:
             if m.n != n:
                 raise ValueError(f"size mismatch: {n} vs {m.n}")
@@ -65,10 +65,13 @@ class Matrix:
             if c.is_zero():
                 continue
             one = c.level == 1 and c.nums == (1,) and c.den == 1  # 1 * a is a, at a's level
-            for acc, row in zip(rows, m.rows):
-                if row:
+            for i, row in m.rows.items():
+                acc = rows.get(i)
+                if acc is None:
+                    rows[i] = dict(row) if one else {j: c * a for j, a in row.items()}
+                else:
                     _accumulate(acc, row.items() if one else ((j, c * a) for j, a in row.items()))
-        return Matrix._of(n, rows)
+        return Matrix._of(n, {i: row for i, row in rows.items() if row})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -79,47 +82,46 @@ class Matrix:
         """The matrix unit E_ij (zero-based indices)."""
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"unit index ({i},{j}) out of range for n={n}")
-        return Matrix._of(n, ({j: CycNumber.one()} if r == i else _EMPTY_ROW for r in range(n)))
+        return Matrix._of(n, {i: {j: CycNumber.one()}})
 
     @staticmethod
     def diagonal(values: Sequence[Scalar]) -> "Matrix":
         values = [_coerce(x) for x in values]
-        return Matrix._of(len(values),
-                          (_EMPTY_ROW if x.is_zero() else {i: x} for i, x in enumerate(values)))
+        return Matrix._of(len(values), {i: {i: x} for i, x in enumerate(values) if not x.is_zero()})
 
     def __getitem__(self, index: Tuple[int, int]) -> CycNumber:
         i, j = index
-        return self.rows[i].get(j, CycNumber.zero())
+        row = self.rows.get(i)
+        return row[j] if row is not None and j in row else CycNumber.zero()
 
     @property
     def entries(self) -> Tuple[Tuple[CycNumber, ...], ...]:
-        zero = CycNumber.zero()
-        return tuple(tuple(row.get(j, zero) for j in range(self.n)) for row in self.rows)
+        n, zero, empty = self.n, CycNumber.zero(), {}
+        return tuple(tuple(row.get(j, zero) for j in range(n))
+                     for row in (self.rows.get(i, empty) for i in range(n)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        out = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = dict(ra)
-            _accumulate(row, rb.items())
-            out.append(row)
-        return Matrix._of(self.n, out)
+        one = CycNumber.one()
+        return Matrix.combination(self.n, ((one, self), (one, other)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of(self.n, ({j: -a for j, a in row.items()} for row in self.rows))
+        return Matrix._of(self.n, {i: {j: -a for j, a in row.items()} for i, row in self.rows.items()})
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        out = []
-        for row in self.rows:
+        out: Rows = {}
+        right = other.rows
+        for i, row in self.rows.items():
             acc: Row = {}
             for k, a in row.items():
-                if other.rows[k]:
-                    _accumulate(acc, ((j, a * b) for j, b in other.rows[k].items()))
-            out.append(acc)
+                if k in right:
+                    _accumulate(acc, ((j, a * b) for j, b in right[k].items()))
+            if acc:
+                out[i] = acc
         return Matrix._of(self.n, out)
 
     def __pow__(self, k: int) -> "Matrix":
@@ -138,65 +140,54 @@ class Matrix:
         c = _coerce(c)
         if c.is_zero():
             return Matrix.zeros(self.n)
-        return Matrix._of(self.n, ({j: c * a for j, a in row.items()} for row in self.rows))
+        return Matrix._of(self.n, {i: {j: c * a for j, a in row.items()} for i, row in self.rows.items()})
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) equals self[i][j] * other."""
         m = other.n
-        rows = ({j * m + c: a * b for j, a in row.items() for c, b in inner.items()}
-                for row in self.rows for inner in other.rows)
+        rows = {i * m + r: {j * m + c: a * b for j, a in row.items() for c, b in inner.items()}
+                for i, row in self.rows.items() for r, inner in other.rows.items()}
         return Matrix._of(self.n * m, rows)
 
     def transpose(self) -> "Matrix":
-        out: Tuple[Row, ...] = tuple({} for _ in range(self.n))
-        for i, row in enumerate(self.rows):
+        out: Rows = {}
+        for i, row in sorted(self.rows.items()):
             for j, a in row.items():
-                out[j][i] = a
+                out.setdefault(j, {})[i] = a
         return Matrix._of(self.n, out)
 
     def inverse(self) -> "Matrix":
         """Exact inverse: row i holds the coordinates of e_i over the rows; raises on singular input."""
         n, one = self.n, CycNumber.one()
-        solver = SpanSolver(SparseVector(n, row) for row in self.rows)
+        solver = SpanSolver(SparseVector(n, self.rows.get(i, {})) for i in range(n))
         if solver.rank < n:
             raise ZeroDivisionError("matrix is singular")
-        return Matrix._of(n, (solver.sparse_coordinates(SparseVector(n, {i: one}))
-                              for i in range(n)))
+        return Matrix._of(n, {i: solver.sparse_coordinates(SparseVector(n, {i: one})) for i in range(n)})
 
     def trace(self) -> CycNumber:
-        total = CycNumber.zero()
-        for i, row in enumerate(self.rows):
-            if i in row:
-                total = total + row[i]
-        return total
+        return sum((row[i] for i, row in sorted(self.rows.items()) if i in row), CycNumber.zero())
 
     def is_zero(self) -> bool:
-        return not any(self.rows)
+        return not self.rows
 
     def nonzero_positions(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((i, j) for i, row in enumerate(self.rows) for j in sorted(row))
+        return tuple((i, j) for i, row in sorted(self.rows.items()) for j in sorted(row))
 
     def vector(self) -> SparseVector:
         """The n^2 entries in row-major order as a sparse vector."""
         n = self.n
-        return SparseVector(n * n, {i * n + j: a for i, row in enumerate(self.rows)
-                                    for j, a in row.items()})
+        return SparseVector(n * n, {i * n + j: a for i, row in self.rows.items() for j, a in row.items()})
 
     def column(self, j: int) -> Tuple[CycNumber, ...]:
-        zero = CycNumber.zero()
-        return tuple(row.get(j, zero) for row in self.rows)
+        zero, rows = CycNumber.zero(), self.rows
+        return tuple(rows[i].get(j, zero) if i in rows else zero for i in range(self.n))
 
     def apply(self, vector: Sequence[CycNumber]) -> Tuple[CycNumber, ...]:
         if len(vector) != self.n:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            total = CycNumber.zero()
-            for j, a in row.items():
-                if not vector[j].is_zero():
-                    total = total + a * vector[j]
-            out.append(total)
-        return tuple(out)
+        zero, rows = CycNumber.zero(), self.rows
+        return tuple(sum((a * vector[j] for j, a in rows[i].items() if not vector[j].is_zero()), zero)
+                     if i in rows else zero for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

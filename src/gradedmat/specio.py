@@ -113,7 +113,7 @@ def _check_levels(path: str, matrices: Iterable[Matrix]) -> None:
     between them would run at that level."""
     level = 1
     for m in matrices:
-        for row in m.rows:
+        for row in m.rows.values():
             for x in row.values():
                 level = math.lcm(level, x.level)
                 if level > MAX_ROOT_LEVEL:

@@ -547,6 +547,15 @@ def test_embed_rejects_block_counts_out_of_range(field, value):
     assert result.stdout == ""
 
 
+def test_embed_rejects_a_target_of_the_wrong_length():
+    spec = {"group": {"factors": [2]}, "source": [[0], [1]],
+            "m": 2, "r": 0, "target": [[0], [1], [0]]}
+    result = _run_subprocess(["embed", "--spec", json.dumps(spec)], "0")
+    assert result.returncode == 2
+    assert result.stderr == "error: spec.target: expected k*m + r = 4 entries, got 3\n"
+    assert result.stdout == ""
+
+
 
 def _block_chain(**step):
     block = {"kind": "block", "k": 2, "m": 2, "r": 0, "tuple": [[0], [1], [0], [1]]}

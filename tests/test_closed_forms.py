@@ -209,7 +209,7 @@ def reference_epsilon_bases(n):
 
 def _entries(m):
     """Every stored entry with its representation: a 1 at level n is not a 1 at level 1."""
-    return [sorted((j, x.level, x.nums, x.den) for j, x in row.items()) for row in m.rows]
+    return [(i, sorted((j, x.level, x.nums, x.den) for j, x in row.items())) for i, row in sorted(m.rows.items())]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1059,7 +1059,7 @@ def _solved_apply(gmap, m):
 
 
 def _entries(m):
-    return [(i, j, a.level, a.nums, a.den) for i, row in enumerate(m.rows) for j, a in sorted(row.items())]
+    return [(i, j, a.level, a.nums, a.den) for i, row in sorted(m.rows.items()) for j, a in sorted(row.items())]
 
 
 def test_apply_reads_unit_sources_by_position_with_the_solver_levels():
@@ -1078,12 +1078,24 @@ def test_apply_reads_unit_sources_by_position_with_the_solver_levels():
     inputs += [Matrix.unit(n, i, j) for i in range(n) for j in range(n)] + [Matrix.zeros(n)]
     for m in inputs:
         assert _entries(gmap.apply(m)) == _entries(_solved_apply(gmap, m))
-    assert {a.level for m in inputs for row in gmap.apply(m).rows for a in row.values()} >= {1, 3, 4, 12}
+    assert {a.level for m in inputs for row in gmap.apply(m).rows.values() for a in row.values()} >= {1, 3, 4, 12}
     short = GradedMap(alg, alg, tuple(zip(sources[1:], images[1:])))
     outside = alg.union_basis[0][1]
     assert _solver(src for src, _ in short.pairs).sparse_coordinates(outside.vector()) is None
     with pytest.raises(ValueError, match="^matrix is outside the span of the map's source basis$"):
         short.apply(outside)
+
+
+def test_image_adds_by_increasing_row_whatever_order_the_rows_are_stored_in():
+    # -z4 + z3 + z4 keeps level 12, z4 - z4 + z3 drops to level 3
+    z4, z3 = root_of_unity(4, 1), root_of_unity(3, 1)
+    x = Matrix.combination(2, [(z4, Matrix.unit(2, 1, 0)), (-z4, Matrix.unit(2, 0, 0)),
+                               (z3, Matrix.unit(2, 0, 1))])
+    assert list(x.rows) == [1, 0]
+    units = [[Matrix.unit(2, 0, 0)] * 2] * 2
+    got, want = gradings._image(x, units), gradings._image(Matrix(x.entries), units)
+    assert _entries(got) == _entries(want)
+    assert got[0, 0].level == 12
 
 
 def _unit_gradings():

@@ -25,6 +25,7 @@ REMOVED = {
     linalg: ("rank_of", "rref", "solve_linear"),
     linalg.SpanSolver: ("coordinates", "echelon_rows"),
     matrices.Matrix: ("flatten",),
+    matrices: ("_EMPTY_ROW",),
     embeddings: ("check_block_condition",),
     gradings.GradedAlgebra: ("_union_basis",),
     gradings: ("_unit_relations_hold", "matrix_degree_for_tuple"),
