@@ -84,6 +84,11 @@ def _emit(payload: Dict[str, Any], fmt: str, text_lines: List[str]) -> None:
             print(line)
 
 
+def _fail(args: argparse.Namespace, problems: List[str]) -> int:
+    _emit({"verdict": "fail", "problems": problems}, args.format, ["fail", *problems])
+    return EXIT_FAIL
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     obj = _load_json(args.spec, "spec")
     if isinstance(obj, dict) and obj.get("kind") == "map":
@@ -187,20 +192,13 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
     problems = [f"{name}: {problem}" for name, pair in (("source", source), ("target", target))
                 for problem in pair.verify()]
     if problems:
-        payload = {"verdict": "fail", "problems": problems}
-        _emit(payload, args.format, ["fail"] + problems)
-        return EXIT_FAIL
-    hom = graded_homomorphism_check(gmap)
-    if not hom.passed:
-        payload = {"verdict": "fail", "problems": ["the map is not a graded injection"]}
-        _emit(payload, args.format, ["fail", "the map is not a graded injection"])
-        return EXIT_FAIL
+        return _fail(args, problems)
+    if not graded_homomorphism_check(gmap).passed:
+        return _fail(args, ["the map is not a graded injection"])
     try:
         result = regularize_decomposition(gmap, source, target)
     except ValueError as exc:
-        payload = {"verdict": "fail", "problems": [str(exc)]}
-        _emit(payload, args.format, ["fail", str(exc)])
-        return EXIT_FAIL
+        return _fail(args, [str(exc)])
     check = result.pair.verify()
     payload = {
         "verdict": "pass" if not check else "fail",
@@ -224,13 +222,19 @@ def _cmd_regularize(args: argparse.Namespace) -> int:
 
 
 def _check_chain_dims(spec: ChainSpec, depth: int) -> None:
-    """Apply the cap to the levels in order, refusing the first one above it; no level
-    is built, and a deep chain is refused once its levels outgrow the cap."""
+    """Apply the cap to the levels in order, refusing the first one above it, and to the
+    sizes of the levels so far, refusing once they sum above cap^2; no level is built.
+    A chain that grows at every step outgrows the cap first, since distinct sizes up to
+    the cap sum to at most cap (cap + 1) / 2."""
     cap = _max_dim()
-    n = len(spec.base)
+    n, total = len(spec.base), 0
     for i in range(depth):
         if n > cap:
             raise InputError(f"level {i + 1} has dimension {n}, above the GMK_MAX_DIM cap {cap}")
+        total += n
+        if total > cap * cap:
+            raise InputError(f"levels 1 to {i + 1} hold {total} entries in all, "
+                             f"above GMK_MAX_DIM^2 = {cap * cap}")
         if i == depth - 1:
             break
         step = spec.step_at(i)
@@ -251,9 +255,7 @@ def _cmd_bratteli(args: argparse.Namespace) -> int:
     try:
         diagram = bratteli_of_chain(spec, args.depth)
     except ValueError as exc:
-        payload = {"verdict": "fail", "problems": [str(exc)]}
-        _emit(payload, args.format, ["fail", str(exc)])
-        return EXIT_FAIL
+        return _fail(args, [str(exc)])
     if args.format == "dot":
         print(diagram.to_dot(), end="")
         return EXIT_PASS
@@ -313,9 +315,7 @@ def _cmd_cocycle(args: argparse.Namespace) -> int:
     try:
         cocycle = extract_cocycle(algebra)
     except ValueError as exc:
-        payload = {"verdict": "fail", "problems": [str(exc)]}
-        _emit(payload, args.format, ["fail", str(exc)])
-        return EXIT_FAIL
+        return _fail(args, [str(exc)])
     values = []
     for t in cocycle.support:
         for s in cocycle.support:

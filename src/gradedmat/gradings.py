@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, _set, degree_classes,
@@ -811,7 +811,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
     search fails; success is a proof that the grading is elementary, failure is
     not a disproof.
     """
-    comps = {g: _reduce_component(mats) for g, mats in components.items()}
+    # sorted once: every corner keeps this order of degrees
+    comps = {g: _reduce_component(components[g]) for g in sorted(components, key=GroupElement.sort_key)}
     comps = {g: mats for g, mats in comps.items() if mats}
     if not comps:
         raise ValueError("empty algebra")
@@ -822,44 +823,32 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         raise ValueError(f"dimension {total_dim} is not a perfect square")
     n = unit.n
 
-    def sorted_degrees(cc):
-        return sorted(cc, key=GroupElement.sort_key)
-
-    def candidate_vectors(u: Matrix, cc) -> List[Tuple[CycNumber, ...]]:
-        pool: List[Tuple[CycNumber, ...]] = []
-
-        def push(vec):
-            if any(not x.is_zero() for x in vec):
-                pool.append(tuple(vec))
-
-        for j in range(n):
-            push(u.column(j))
-        for g in sorted_degrees(cc):
-            for b in cc[g]:
-                for j in range(n):
-                    push(b.column(j))
-        base = list(pool)
-        cap = min(len(base), 12)
-        for i in range(cap):
-            for j in range(i + 1, cap):
-                push([x + y for x, y in zip(base[i], base[j])])
-                push([x - y for x, y in zip(base[i], base[j])])
-        return pool
+    def candidate_vectors(u: Matrix, cc) -> Iterator[Tuple[CycNumber, ...]]:
+        """The nonzero columns of u and of each basis matrix, then, for pairs i < j of
+        the first 12 of them, the sum and the difference when nonzero; each made when read."""
+        base = []
+        for column in (m.column(j) for m in itertools.chain([u], *cc.values()) for j in range(n)):
+            if any(not x.is_zero() for x in column):
+                base.append(column)
+                yield column
+        for a, b in itertools.combinations(base[:12], 2):
+            for vec in (tuple(x + y for x, y in zip(a, b)), tuple(x - y for x, y in zip(a, b))):
+                if any(not x.is_zero() for x in vec):
+                    yield vec
 
     def find_singular(u: Matrix, cc) -> Optional[Tuple[Matrix, GroupElement]]:
-        """A nonzero homogeneous element annihilating some candidate vector."""
+        """A nonzero homogeneous element annihilating some candidate vector w.  Each basis
+        is independent, so the nonzero relation among the b w that nullspace gives
+        combines the basis into x != 0."""
         for w in candidate_vectors(u, cc):
-            for g in sorted_degrees(cc):
-                basis = cc[g]
+            for g, basis in cc.items():
                 solutions = nullspace([b.apply(w) for b in basis])
                 if solutions:
-                    x = Matrix.combination(n, zip(solutions[0], basis))
-                    if not x.is_zero():
-                        return x, g
+                    return Matrix.combination(n, zip(solutions[0], basis)), g
         return None
 
     def corner_components(f: Matrix, cc) -> Dict[GroupElement, List[Matrix]]:
-        reduced = ((g, _reduce_component([f * b * f for b in cc[g]])) for g in sorted_degrees(cc))
+        reduced = ((g, _reduce_component([f * b * f for b in basis])) for g, basis in cc.items())
         return {g: mats for g, mats in reduced if mats}
 
     def split(u: Matrix, cc) -> Matrix:
@@ -870,18 +859,13 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         if found is None:
             raise ValueError("no homogeneous singular element found; cannot certify an elementary structure")
         x, x_deg = found
-        ideal_by_degree: Dict[GroupElement, List[Matrix]] = {}
-        for g in sorted_degrees(cc):
-            for b in cc[g]:
-                product = b * x
-                if not product.is_zero():
-                    ideal_by_degree.setdefault(g * x_deg, []).append(product)
-        ideal_by_degree = {g: mats for g, mats in
-                           ((g, _reduce_component(v)) for g, v in ideal_by_degree.items()) if mats}
-        identity_part = ideal_by_degree.get(identity, [])
+        # g -> g deg x is a bijection, so no two degrees of cc share a key
+        ideal = {g * x_deg: mats for g, basis in cc.items()
+                 if (mats := _reduce_component([b * x for b in basis]))}
+        identity_part = ideal.get(identity, [])
         if not identity_part:
             raise ValueError("graded left ideal has no identity-degree part; cannot split")
-        all_members = [m for g in sorted_degrees(ideal_by_degree) for m in ideal_by_degree[g]]
+        all_members = [m for g in sorted(ideal, key=GroupElement.sort_key) for m in ideal[g]]
         # f = sum c_k f_k with y*f = y for every member y
         solver = SpanSolver(_stacked([y * fk for y in all_members]) for fk in identity_part)
         solution = solver.sparse_coordinates(_stacked(all_members))
@@ -899,9 +883,8 @@ def homogeneous_matrix_units(components: Mapping[GroupElement, Sequence[Matrix]]
         corner = corner_components(f0, corner)
 
     # homogeneous bases of C f0 and f0 C, with the degree of each member
-    columns = [(m, g) for g in sorted_degrees(comps)
-               for m in _reduce_component([b * f0 for b in comps[g]])]
-    rows = [w for g in sorted_degrees(comps) for w in _reduce_component([f0 * b for b in comps[g]])]
+    columns = [(m, g) for g, basis in comps.items() for m in _reduce_component([b * f0 for b in basis])]
+    rows = [w for basis in comps.values() for w in _reduce_component([f0 * b for b in basis])]
     if len(columns) != p or len(rows) != p:
         raise ValueError(f"a primitive idempotent has {len(columns)} columns and {len(rows)} rows, "
                          f"expected {p}")

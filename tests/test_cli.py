@@ -370,6 +370,28 @@ def test_depth_cap_refuses_a_doubling_chain_at_its_first_level_above_the_cap(arg
     assert result.stderr == "error: level 7 has dimension 128, above the GMK_MAX_DIM cap 64\n"
 
 
+def _plateau_chain(depth):
+    # a block step with m = 1 and r = 0: every level has length 2, under any dimension cap
+    spec = {"group": {"factors": [2]}, "base": [[0], [1]],
+            "steps": [{"kind": "block", "k": 2, "m": 1, "r": 0, "tuple": [[0], [1]]}]}
+    return subprocess.run([sys.executable, "-m", "gradedmat", "bratteli", "--depth", str(depth),
+                           "--spec", json.dumps(spec)], capture_output=True, text=True,
+                          env=dict(os.environ, GMK_MAX_DIM="64"), timeout=10,
+                          preexec_fn=_limit_address_space)
+
+
+def test_depth_cap_refuses_a_chain_whose_levels_stop_growing():
+    result = _plateau_chain(3000000)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: levels 1 to 2049 hold 4098 entries in all, above GMK_MAX_DIM^2 = 4096\n"
+
+
+def test_depth_cap_passes_levels_that_sum_to_the_squared_cap():
+    result = _plateau_chain(2048)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(json.loads(result.stdout)["diagram"]["levels"]) == 2048
+
+
 def _one_by_one(*entries):
     return {"kind": "explicit", "group": {"factors": [len(entries)]},
             "components": {str(k): [{"n": 1, "entries": [[x]]}] for k, x in enumerate(entries)}}

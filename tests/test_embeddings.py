@@ -326,6 +326,17 @@ def test_regularize_twisted_corner_embedding():
     assert result.pair.verify() == []
 
 
+def test_regularize_reads_one_column_in_the_matrix_unit_search(monkeypatch):
+    source = _source_pair()
+    target = _target_pair(source)
+    phi = _corner_map(source, target, lambda t: CycNumber.one())
+    columns = []
+    column = Matrix.column
+    monkeypatch.setattr(Matrix, "column", lambda m, j: columns.append(j) or column(m, j))
+    regularize_decomposition(phi, source, target)
+    assert len(columns) == 1
+
+
 def test_regularize_identity_embedding_is_untouched():
     source = _source_pair()
     target = _target_pair(source)

@@ -422,6 +422,28 @@ def test_is_elementary_distinguishes_species():
     assert is_elementary(elementary_grading(G1, (G1.identity(),)))
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_matrix_unit_search_reads_columns_on_demand(monkeypatch, n):
+    Z4 = FiniteAbelianGroup((4,))
+    alg = elementary_grading(Z4, tuple(Z4.element((i % 3,)) for i in range(n)))
+    columns = _count_calls(monkeypatch, Matrix, "column")
+    homogeneous_matrix_units(alg.components, Matrix.identity(n))
+    # the first column of the unit is annihilated by a homogeneous element; the whole pool
+    # holds n (1 + n^2) columns
+    assert len(columns) == 1
+
+
+def test_matrix_unit_search_fails_after_every_candidate_on_a_graded_division_algebra(monkeypatch):
+    # R_0 = span{I, X, X^2} is the field Q(zeta_3)[x]/(x^3 - 2) and R_k = R_0 D_k, so no
+    # homogeneous element is singular and every candidate is solved in every degree:
+    # 30 nonzero columns and 121 nonzero sums and differences of the first 12
+    solves = _count_calls(monkeypatch, gradings, "nullspace")
+    with pytest.raises(ValueError, match="^no homogeneous singular element found; "
+                                         "cannot certify an elementary structure$"):
+        homogeneous_matrix_units(_companion_grading().components, Matrix.identity(3))
+    assert len(solves) == 151 * 3
+
+
 def test_graded_algebra_validates_input():
     with pytest.raises(ValueError):
         GradedAlgebra(Z2, 2, {})
