@@ -11,7 +11,7 @@ from .linalg import SpanSolver, nullspace
 from .matrices import Matrix
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        elementary_grading, cocycle_from_units, centralizer,
-                       homogeneous_matrix_units, _Span, _unit_relation_violation)
+                       homogeneous_matrix_units, _Span, _greedy_generators, _unit_relation_violation)
 
 
 class EmbeddingConditionError(ValueError):
@@ -312,7 +312,16 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
     if adjusted[identity_g] != e2:
         raise ValueError("adjusted basis does not recover the identity")
 
-    new_centralizer = centralizer(algebra2, list(adjusted.values()))
+    # The adjusted units of a generating set S of the support commute with the same
+    # matrices as all of them: each adjusted X_t is a nonzero multiple of a product of
+    # them (the cocycle relation just checked; e2 too, via a power of a generator), so
+    # the centralizers are one space, the kernels among each component's basis one
+    # relation space, and nullspace's basis of it (one relation per dependent basis
+    # matrix, coefficient 1 there) one basis.  For a graded phi and verified pairs every
+    # adjusted unit is homogeneous, so both families take centralizer's graded route.
+    # A trivial support has no generators.
+    generators, _ = _greedy_generators(support)
+    new_centralizer = centralizer(algebra2, [adjusted[g] for g in generators] or [e2])
     grouped: Dict[GroupElement, List[Matrix]] = {}
     for m in new_centralizer:
         d = algebra2.degree_of(m)

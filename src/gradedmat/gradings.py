@@ -170,12 +170,19 @@ def elementary_grading(group: FiniteAbelianGroup,
     for g in tau:
         if g.group != group:
             raise ValueError("tuple entries must belong to the given group")
-    n = len(tau)
+    n, one = len(tau), CycNumber.one()
+    classes = degree_classes(tau)
+    label = {i: k for k, indices in enumerate(classes.values()) for i in indices}  # tau[i] is value k
     components: Dict[GroupElement, List[Matrix]] = {}
+    # one product and one list per pair of values; E_ij is appended in row-major order
+    lists = []
+    for g in classes:
+        inverse = g.inverse()
+        lists.append([components.setdefault(inverse * h, []) for h in classes])
     for i in range(n):
-        inverse = tau[i].inverse()
+        row = lists[label[i]]
         for j in range(n):
-            components.setdefault(inverse * tau[j], []).append(Matrix.unit(n, i, j))
+            row[label[j]].append(Matrix._of(n, {i: {j: one}}))
     return GradedAlgebra(group, n, components, elementary_tuple=tau)
 
 
@@ -714,7 +721,10 @@ def _unit_table_from(column: Sequence[Matrix], row: Sequence[Matrix]) -> Optiona
 def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     """Verify that a basis table defines an injective degree-preserving algebra map.
 
-    The certificate applies the map f to 2n - 1 units only: F_i = f(E_i0) and
+    A map that sends scaled matrix units to multiples of units, between gradings of
+    scaled units, is read by position (_unit_map_report): index and scalar equalities,
+    with no matrix built.  Any other map, and one that fails there, gets the
+    certificate that applies the map f to 2n - 1 units only: F_i = f(E_i0) and
     G_j = f(E_0j), with G_0 = F_0.  It passes when _unit_table_from(F, G) gives a
     system T of matrix units and f(x) = sum x_ij T_ij on every given pair (x, f(x)).
     This is exact:
@@ -733,6 +743,9 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     basis_ok = len(gmap.pairs) == gmap._sources.rank == n * n
     if not basis_ok:
         return HomomorphismReport(False, (), images.rank == len(gmap.pairs), ())
+    report = _unit_map_report(gmap)
+    if report is not None:
+        return report
     fs = [gmap.apply(Matrix.unit(n, i, 0)) for i in range(n)]
     gs = [gmap.apply(Matrix.unit(n, 0, j)) for j in range(1, n)]
     units = _unit_table_from(fs, gs)
@@ -757,6 +770,73 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
                 degree_failures.append(g)
                 break
     return HomomorphismReport(True, tuple(mult_failures), injective, tuple(degree_failures))
+
+
+def _unit_map_report(gmap: GradedMap) -> Optional[HomomorphismReport]:
+    """The report of a map of scaled units, read by position with no matrix, combination
+    or solver built; None unless the route applies and the map is multiplicative.
+
+    The route applies when the n^2 sources are scaled units a E_ij at distinct
+    positions, every image is a codomain-size matrix with one nonzero entry, and every
+    component of the domain and of the codomain holds scaled units.  Write f(E_ij) =
+    lambda_ij E_(r_ij, c_ij), so lambda_ij = mu / a for the pair (a E_ij, mu E_(r, c)),
+    and sigma(i) = r_i0.  f is multiplicative exactly when
+      (1) sigma is injective, (2) lambda_00 = 1 and lambda_0j lambda_j0 = 1 for all j,
+      (3) f(E_ij) = lambda_i0 lambda_0j E_(sigma(i), sigma(j)) for all i, j.
+    Proof, from the certificate of graded_homomorphism_check, which passes exactly on
+    multiplicative maps: _unit_table_from's relations on F_i = f(E_i0), G_j = f(E_0j)
+    and G_0 = F_0, then f(E_ij) = T_ij on every pair.  Every lambda is nonzero.
+      - F_i F_0 = lambda_i0 lambda_00 [c_i0 = r_00] E_(r_i0, c_00) is F_i for all i
+        exactly when c_i0 = c_00 = r_00 = sigma(0) and lambda_00 = 1;
+      - given that, G_j F_a = lambda_0j lambda_a0 [c_0j = sigma(a)] E_(r_0j, sigma(0))
+        is delta_ja F_0 = delta_ja E_(sigma(0), sigma(0)) for all j, a exactly when
+        r_0j = sigma(0), c_0j = sigma(j), lambda_0j lambda_j0 = 1 (a = j) and
+        sigma(j) != sigma(a) for a != j, that is, (1);
+      - so the relations hold exactly when (1), (2), F_i = lambda_i0 E_(sigma(i), sigma(0))
+        and G_j = lambda_0j E_(sigma(0), sigma(j)), and then T_ij = F_i G_j =
+        lambda_i0 lambda_0j E_(sigma(i), sigma(j)); f(E_ij) = T_ij is (3), which at
+        i = 0 or j = 0 is those shapes of F_i and G_j.
+    Once they hold, every f(E_ij) = T_ij is nonzero, so f is injective, and a unit
+    b E_ij of the domain's R_g maps to a nonzero multiple of E_(sigma(i), sigma(j)),
+    which lies in the codomain's R_g exactly when that position is one of its units.
+    lambda_00 = 1 needs no test of its own: (3) at (0, 0) reads lambda_00 = lambda_00^2.
+    That is n^2 index comparisons and 2 n^2 + O(n) scalar products.  A map that fails
+    (1)-(3) is not multiplicative, and None sends it to the certificate's fallback,
+    which lists every failure.
+    """
+    domain, codomain = gmap.domain, gmap.codomain
+    n, m = domain.n, codomain.n
+    index = gmap._sources.positions
+    domain_spans, codomain_spans = domain._component_spans, codomain._component_spans
+    if index is None or any(span.positions is None
+                            for span in itertools.chain(domain_spans.values(), codomain_spans.values())):
+        return None
+    cells = []  # (r, c, mu, a) of the pair (a E_ij, mu E_(r, c)), at i n + j
+    for p in range(n * n):
+        source, image = gmap.pairs[index[p]]
+        if image.n != m or len(image.rows) != 1:
+            return None
+        (r, row), = image.rows.items()
+        if len(row) != 1:
+            return None
+        (c, mu), = row.items()
+        (a,) = source.rows[p // n].values()
+        cells.append((r, c, mu, a))
+    sigma = [r for r, _, _, _ in cells[::n]]
+    lambda_i0 = [mu * a.inverse() for _, _, mu, a in cells[::n]]
+    lambda_0j = [mu * a.inverse() for _, _, mu, a in cells[:n]]
+    one = CycNumber.one()
+    if len(set(sigma)) != n or any(x * y != one for x, y in zip(lambda_0j, lambda_i0)):
+        return None
+    for p, (r, c, mu, a) in enumerate(cells):
+        i, j = divmod(p, n)
+        if r != sigma[i] or c != sigma[j] or mu != a * lambda_i0[i] * lambda_0j[j]:
+            return None
+    degree_failures = tuple(
+        g for g, span in domain_spans.items()
+        if (target := codomain_spans.get(g)) is None
+        or any(sigma[p // n] * m + sigma[p % n] not in target.positions for p in span.positions))
+    return HomomorphismReport(True, (), True, degree_failures)
 
 
 def _image(x: Matrix, units: Sequence[Sequence[Matrix]]) -> Matrix:

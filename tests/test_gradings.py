@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.embeddings import block_diagonal_embedding
+from gradedmat.equivalence import build_isomorphism
 from gradedmat.groups import FiniteAbelianGroup, GroupElement, subgroup_generated
 from gradedmat import gradings
 from gradedmat.gradings import (Cocycle, GradedAlgebra, GradedMap, GradingReport,
@@ -1166,6 +1167,103 @@ def test_untupled_elementary_codomains_build_no_component_solvers(monkeypatch):
     for gmap in maps:
         assert graded_homomorphism_check(gmap).passed
     assert not solvers
+
+
+# --- the position route of graded_homomorphism_check on maps of scaled units ---
+
+def _position_maps(rng, group, n, extra):
+    """A seeded map E_ij -> lambda_ij E_(iota(i) iota(j)) into M_(n + extra), iota injective,
+    with lambda_ij = d_i / d_j (some d rational, some roots of unity) and sources scaled by
+    1 and _SCALARS in turn, onto a tuple that keeps every degree; then its corrupted copies,
+    each with its name."""
+    m = n + extra
+    tau = _random_tuple(rng, group, n)
+    iota = rng.sample(range(m), n)
+    shift = rng.choice(group.elements())
+    tau_p = list(_random_tuple(rng, group, m))
+    for i, k in enumerate(iota):
+        tau_p[k] = shift * tau[i]
+    domain, codomain = elementary_grading(group, tau), elementary_grading(group, tuple(tau_p))
+    d = [rng.choice([CycNumber.rational(rng.choice([1, 2, -3])), CycNumber.rational(1) / 5,
+                     root_of_unity(rng.choice([3, 4, 5]), rng.randrange(1, 3))]) for _ in range(n)]
+    scale = itertools.cycle((CycNumber.one(),) + _SCALARS)
+    cells = {(i, j): (next(scale), d[i] * d[j].inverse(), iota[i], iota[j])
+             for i in range(n) for j in range(n)}
+
+    def build(cells, codomain=codomain):
+        items = list(cells.items())
+        rng.shuffle(items)  # the pairs in no particular order
+        return GradedMap(domain, codomain, tuple(
+            (Matrix.unit(n, i, j).scale(a), Matrix.unit(m, r, c).scale(a * lam))
+            for (i, j), (a, lam, r, c) in items))
+
+    def changed(key, **parts):
+        a, lam, r, c = cells[key]
+        return build({**cells, key: (a, parts.get("lam", lam), parts.get("r", r), parts.get("c", c))})
+
+    key = (rng.randrange(n), rng.randrange(n))
+    a, lam, r, c = cells[key]
+    yield "passing", build(cells)
+    yield "one lambda changed", changed(key, lam=lam * root_of_unity(3, 1))
+    if m > 1:
+        yield "one column moved", changed(key, c=(c + 1) % m)
+        yield "one row moved", changed(key, r=(r + 1) % m)
+    yield "lambda_00 != 1", changed((0, 0), lam=CycNumber.rational(-1))
+    yield "every lambda doubled", build({k: (a, 2 * lam, r, c) for k, (a, lam, r, c) in cells.items()})
+    if n > 1:
+        # lambda_ij c_j, c_0 = 1 and c_j = 2 otherwise: lambda_ij = lambda_i0 lambda_0j still
+        # holds everywhere, lambda_0j lambda_j0 = 1 does not
+        yield "columns scaled apart", build({(i, j): (a, lam * (2 if j else 1), r, c)
+                                             for (i, j), (a, lam, r, c) in cells.items()})
+        fold = [iota[0], iota[0], *iota[2:]]  # indices 0 and 1 to one row and one column
+        yield "sigma not injective", build({(i, j): (a, lam, fold[i], fold[j])
+                                            for (i, j), (a, lam, _, _) in cells.items()})
+    support = codomain.support()
+    if len(support) > 1:
+        yield "relabeled codomain", build(cells, _relabeled(codomain, support[:2]))
+
+
+@functools.lru_cache(maxsize=None)
+def _position_map_cases():
+    rng = random.Random(2024)
+    groups = (FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((6,)))
+    return [case for k in range(24)
+            for case in _position_maps(rng, groups[k % 3], 1 + k % 6, (0, 0, 2)[k % 3])]
+
+
+def test_position_route_gives_the_report_of_the_unit_table_route(monkeypatch):
+    cases = _position_map_cases()
+    reports = [graded_homomorphism_check(gmap) for _, gmap in cases]
+    answered = [gradings._unit_map_report(gmap) is not None for _, gmap in cases]
+    monkeypatch.setattr(gradings, "_unit_map_report", lambda gmap: None)
+    for (name, gmap), report, read in zip(cases, reports, answered):
+        assert graded_homomorphism_check(gmap) == report, name
+        # the position certificate passes exactly on multiplicative maps
+        assert read == (not report.multiplicative_failures), name
+    names = {name for name, _ in cases}
+    assert all(r.passed for (name, _), r in zip(cases, reports) if name == "passing")
+    for kind in names - {"passing", "relabeled codomain"}:
+        assert all(r.multiplicative_failures for (name, _), r in zip(cases, reports) if name == kind), kind
+    assert any(r.degree_failures and not r.multiplicative_failures for r in reports)
+    assert any(not r.injective for r in reports)
+    assert sum(answered) >= 30 and len(cases) - sum(answered) >= 60
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_passing_unit_isomorphism_check_builds_no_matrix_and_multiplies_n2_scalars(monkeypatch, n):
+    rng = random.Random(n)
+    G = FiniteAbelianGroup((4,))
+    tau = _random_tuple(rng, G, n)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    tau_p = tuple(tau[sigma.index(i)] for i in range(n))  # E_ij keeps its degree
+    gmap = GradedMap(elementary_grading(G, tau), elementary_grading(G, tau_p), build_isomorphism(sigma, n))
+    counted = [_count_calls(monkeypatch, cls, name) for cls, name in (
+        (Matrix, "__mul__"), (Matrix, "combination"), (GradedMap, "apply"), (SpanSolver, "__init__"))]
+    scalars = _count_calls(monkeypatch, CycNumber, "__mul__")
+    assert graded_homomorphism_check(gmap).passed
+    assert [len(calls) for calls in counted] == [0, 0, 0, 0]
+    assert len(scalars) <= 3 * n * n
 
 
 # --- oracle: _Span against a plain SpanSolver over the flattened matrices ---
