@@ -160,6 +160,8 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
     walk as c_(i+1)(h) = sum_s c_i(s^-1 h) in O(depth |supp|), plus the r remainder
     entries of a block step, which have no incoming edge.  Tuples are unfolded only
     when a block step is present, to validate it and to read its level's first entry.
+    The support stops growing after a few levels, so each product s g is formed once
+    per call and looked up at every later level.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -168,14 +170,18 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
     tuples = spec.unfold(depth) if has_block else None
     dims = [{g: len(members) for g, members in degree_classes(spec.base).items()}]
     edges: List[Dict[Tuple[GroupElement, GroupElement], int]] = []
+    products: Dict[GroupElement, Dict[GroupElement, GroupElement]] = {}  # s -> {g: s g}
     for i in range(depth - 1):
         step = spec.step_at(i)
         counts: Dict[GroupElement, int] = {}
         layer: Dict[Tuple[GroupElement, GroupElement], int] = {}
         for s in _shifts(step, identity, tuples[i][0] if tuples else None):
             fixed = s.is_identity()
+            shifted = products.setdefault(s, {})
             for g, c in dims[-1].items():
-                h = g if fixed else s * g
+                h = shifted.get(g)
+                if h is None:
+                    h = shifted[g] = g if fixed else s * g
                 counts[h] = counts.get(h, 0) + c
                 layer[(g, h)] = layer.get((g, h), 0) + 1
         if isinstance(step, BlockStep):

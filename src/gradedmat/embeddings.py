@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber
@@ -11,7 +10,8 @@ from .linalg import SpanSolver, nullspace
 from .matrices import Matrix
 from .gradings import (Cocycle, ElementaryUnits, GradedAlgebra, GradedMap,
                        elementary_grading, cocycle_from_units, centralizer,
-                       homogeneous_matrix_units, _Span, _greedy_generators, _unit_relation_violation)
+                       homogeneous_matrix_units, _lazy, _Span, _greedy_generators,
+                       _unit_relation_violation)
 
 
 class EmbeddingConditionError(ValueError):
@@ -208,7 +208,7 @@ class DecompositionPair(_Frozen):
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(sorted(self.d_units, key=GroupElement.sort_key))
 
-    @cached_property
+    @_lazy
     def cocycle(self) -> Cocycle:
         return cocycle_from_units(self.algebra.group, self.d_units)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
@@ -12,6 +11,21 @@ from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, _set,
                      subgroup_generated)
 from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
 from .matrices import Matrix
+
+
+class _lazy:
+    """A method read as an attribute: computed on the first read and stored in the
+    instance, where every later read finds it as a plain attribute.  Unlike
+    functools.cached_property it takes no lock on the first read."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
 
 
 class _Span:
@@ -29,7 +43,7 @@ class _Span:
         self.mats = mats
         self.n = n
 
-    @cached_property
+    @_lazy
     def positions(self) -> Optional[Dict[int, int]]:
         """i n + j -> k when the k-th matrix is c E_ij, built in one pass; None unless
         every matrix is n x n with exactly one nonzero entry.  Keys and values are ints,
@@ -43,7 +57,7 @@ class _Span:
             index.setdefault(i * n + j, k)
         return index
 
-    @cached_property
+    @_lazy
     def solver(self) -> SpanSolver:
         return SpanSolver(m.vector() for m in self.mats)
 
@@ -117,18 +131,18 @@ class GradedAlgebra:
     def support(self) -> Tuple[GroupElement, ...]:
         return tuple(self.components.keys())
 
-    @cached_property
+    @_lazy
     def union_basis(self) -> Tuple[Tuple[GroupElement, Matrix], ...]:
         return tuple((g, m) for g, mats in self.components.items() for m in mats)
 
     def identity(self) -> Matrix:
         return Matrix.identity(self.n)
 
-    @cached_property
+    @_lazy
     def _span(self) -> _Span:
         return _Span([m for mats in self.components.values() for m in mats], self.n)
 
-    @cached_property
+    @_lazy
     def _component_spans(self) -> Dict[GroupElement, _Span]:
         return {g: _Span(mats, self.n) for g, mats in self.components.items()}
 
@@ -675,7 +689,7 @@ class GradedMap(_Frozen):
     codomain: GradedAlgebra
     pairs: Tuple[Tuple[Matrix, Matrix], ...]
 
-    @cached_property
+    @_lazy
     def _sources(self) -> _Span:
         return _Span([src for src, _ in self.pairs], self.domain.n)
 

@@ -57,7 +57,11 @@ class _Frozen:
 
 
 class FiniteAbelianGroup(_Frozen):
-    """Z_{n1} x ... x Z_{nk} with exponent vectors reduced componentwise."""
+    """Z_{n1} x ... x Z_{nk} with exponent vectors reduced componentwise.
+
+    The hash (that of the field tuple) and the lcm of the factors are computed
+    once, at construction; neither is a field.
+    """
 
     factors: Tuple[int, ...]
 
@@ -70,29 +74,32 @@ class FiniteAbelianGroup(_Frozen):
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"cyclic factor orders must be positive integers, got {n}")
         _set(self, "factors", factors)
+        _set(self, "exponent_lcm", math.lcm(*factors))
+        _set(self, "_hash", hash((factors,)))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.factors == other.factors
 
     def __hash__(self) -> int:
-        return hash((self.factors,))
+        return self._hash
 
     @property
     def order(self) -> int:
         return math.prod(self.factors)
 
-    @property
-    def exponent_lcm(self) -> int:
-        return math.lcm(*self.factors)
-
     def element(self, exponents: Iterable[int]) -> "GroupElement":
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(exponents)
         if len(exps) != len(self.factors):
             raise ValueError(
                 f"expected {len(self.factors)} exponents, got {len(exps)}")
-        return GroupElement(self, tuple(e % n for e, n in zip(exps, self.factors)))
+        for e in exps:
+            if not isinstance(e, int):
+                raise ValueError(f"exponents must be integers, got {e!r}")
+        return GroupElement(self, tuple([e % n for e, n in zip(exps, self.factors)]))
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.factors))
@@ -110,12 +117,16 @@ class FiniteAbelianGroup(_Frozen):
 
 
 class GroupElement(_Frozen):
+    """An exponent vector of a group; its hash, that of the field tuple, is computed
+    once at construction and is not a field."""
+
     group: FiniteAbelianGroup
     exponents: Tuple[int, ...]
 
     def __init__(self, group: FiniteAbelianGroup, exponents: Tuple[int, ...]):
         _set(self, "group", group)
         _set(self, "exponents", exponents)
+        _set(self, "_hash", hash((group, exponents)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -124,21 +135,22 @@ class GroupElement(_Frozen):
             (self.group is other.group or self.group == other.group)
 
     def __hash__(self) -> int:
-        return hash((self.group, self.exponents))
+        return self._hash
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.group != other.group:
+        group = self.group
+        if group is not other.group and group != other.group:
             raise ValueError("elements of different groups")
-        return GroupElement(self.group, tuple(
-            (a + b) % n for a, b, n in zip(self.exponents, other.exponents, self.group.factors)))
+        return GroupElement(group, tuple([
+            (a + b) % n for a, b, n in zip(self.exponents, other.exponents, group.factors)]))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(
-            (-a) % n for a, n in zip(self.exponents, self.group.factors)))
+        return GroupElement(self.group, tuple([
+            (-a) % n for a, n in zip(self.exponents, self.group.factors)]))
 
     def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(
-            (a * k) % n for a, n in zip(self.exponents, self.group.factors)))
+        return GroupElement(self.group, tuple([
+            (a * k) % n for a, n in zip(self.exponents, self.group.factors)]))
 
     def is_identity(self) -> bool:
         return all(a == 0 for a in self.exponents)
@@ -172,7 +184,7 @@ class Character(_Frozen):
     __hash__ = GroupElement.__hash__
 
     def __call__(self, g: GroupElement) -> CycNumber:
-        if g.group != self.group:
+        if g.group is not self.group and g.group != self.group:
             raise ValueError("element of a different group")
         level = self.group.exponent_lcm
         total = sum((level // n) * a * e

@@ -10,7 +10,7 @@ from gradedmat.chains import (BlockStep, BratteliDiagram, ChainSpec, DoubleStep,
                               chain_union_finitary, diagrams_equal, steinitz_signature)
 from gradedmat.equivalence import OMEGA, decide_equivalence
 from gradedmat.gradings import verify_grading
-from gradedmat.groups import FiniteAbelianGroup
+from gradedmat.groups import FiniteAbelianGroup, GroupElement
 
 Z2 = FiniteAbelianGroup((2,))
 E0 = Z2.element((0,))
@@ -200,6 +200,80 @@ def test_deep_double_twist_diagrams_do_not_unfold(monkeypatch):
         assert diagram.depth == 40
         for level, classes in enumerate(diagram.levels, start=1):
             assert sum(d for _, d in classes) == len(spec.base) * 2 ** (level - 1)
+
+
+def _walked_diagram(spec, depth):
+    """Reference: the level counts c_(i+1)(s g) += c_i(g) walked level by level,
+    forming every product s g afresh at every level."""
+    identity = spec.group.identity()
+    tuples = spec.unfold(depth) if any(isinstance(step, BlockStep) for step in spec.steps) else None
+    counts, edges = [Counter(spec.base)], []
+    for i in range(depth - 1):
+        step = spec.step_at(i)
+        if isinstance(step, BlockStep):
+            shifts = [step.target[l * step.k] * tuples[i][0].inverse() for l in range(step.m)]
+            level = Counter(step.target[step.k * step.m:])
+        else:
+            shifts = [identity, step.a if isinstance(step, TwistStep) else identity]
+            level = Counter()
+        layer = Counter()
+        for s in shifts:
+            for g, c in counts[-1].items():
+                level[s * g] += c
+                layer[(g, s * g)] += 1
+        counts.append(level)
+        edges.append(dict(layer))
+    return BratteliDiagram([sorted(c.items(), key=lambda gd: gd[0].sort_key()) for c in counts],
+                           edges)
+
+
+Z12 = FiniteAbelianGroup((12,))
+_DEEP_CHAINS = [
+    DOUBLE,
+    TWIST,
+    ChainSpec(Z12, (Z12.element((0,)), Z12.element((5,))), (TwistStep(Z12.element((1,))),)),
+    ChainSpec(Z12, (Z12.element((0,)), Z12.element((5,)), Z12.element((5,))),
+              (DoubleStep(), TwistStep(Z12.element((3,))), TwistStep(Z12.element((8,))))),
+]
+
+
+@pytest.mark.parametrize("spec", _DEEP_CHAINS + [
+    ChainSpec(Z2, (E0, A0), (BlockStep(2, 1, 0, (A0, E0)),)),
+    ChainSpec(Z12, (Z12.element((3,)), Z12.element((5,))),  # shifts by 4 and 8 in turn
+              (BlockStep(2, 1, 0, (Z12.element((7,)), Z12.element((9,)))),
+               BlockStep(2, 1, 0, (Z12.element((3,)), Z12.element((5,)))))),
+])
+def test_bratteli_with_the_product_memo_equals_the_walk_without_it(spec):
+    for depth in (1, 2, 8, 64):
+        got, want = bratteli_of_chain(spec, depth), _walked_diagram(spec, depth)
+        assert got.levels == want.levels and got.edges == want.edges
+        assert got.to_dot() == want.to_dot()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_chains(), _chains(with_blocks=True)), st.integers(0, 40))
+def test_bratteli_of_random_chains_equals_the_walk_without_the_memo(case, extra):
+    spec, depth = case
+    if not any(isinstance(step, BlockStep) for step in spec.steps):
+        depth += extra
+    got, want = bratteli_of_chain(spec, depth), _walked_diagram(spec, depth)
+    assert got.levels == want.levels and got.edges == want.edges
+
+
+@pytest.mark.parametrize("spec", _DEEP_CHAINS)
+def test_bratteli_forms_each_shifted_element_once_per_call(spec, monkeypatch):
+    calls = []
+    multiply = GroupElement.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    diagram = bratteli_of_chain(spec, 64)
+    moved = {step.a for step in spec.steps if isinstance(step, TwistStep) and not step.a.is_identity()}
+    # the support only grows, so its last level holds every g that was ever shifted
+    assert len(calls) == len(set(calls)) <= len(moved) * len(diagram.levels[-1])
 
 
 def test_bratteli_rejects_depth_below_one():

@@ -1313,6 +1313,25 @@ def test_span_matches_a_plain_solver_in_value_and_level(name):
     assert ("solver" in vars(span)) == (span.positions is None) == (name == "not units, with a zero")
 
 
+def test_lazy_span_attributes_are_computed_once_per_instance(monkeypatch):
+    mats = [Matrix.unit(3, 0, 1), Matrix.unit(3, 2, 2)]
+    calls = []
+    index = gradings._Span.positions.method
+
+    def positions(span):
+        calls.append(span)
+        return index(span)
+
+    monkeypatch.setattr(gradings._Span, "positions", gradings._lazy(positions))
+    span, other = gradings._Span(mats, 3), gradings._Span(mats, 3)
+    assert "positions" not in vars(span)
+    first = span.positions
+    assert first == {1: 0, 8: 1} and span.positions is first is vars(span)["positions"]
+    assert span.rank == 2 and span.contains(Matrix.unit(3, 2, 2)) and calls == [span]
+    assert other.positions == first and other.positions is not first and calls == [span, other]
+    assert "solver" not in vars(span)
+
+
 def _outcome_of(read, *args):
     try:
         value = read(*args)

@@ -130,3 +130,65 @@ def test_element_order_divides_group_order(data):
     group, a = data
     assert group.order % a.order() == 0
     assert a ** a.order() == group.identity()
+
+
+@pytest.mark.parametrize("exponents", [(2.9,), ("3",), (4.0,), (None,), (1.5, 0)])
+def test_element_rejects_exponents_that_are_not_integers(exponents):
+    G = FiniteAbelianGroup((4,) * len(exponents))
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        G.element(exponents)
+
+
+def test_element_still_reduces_integer_exponents_of_any_size():
+    G = FiniteAbelianGroup((4, 6))
+    assert G.element([-1, 13]).exponents == (3, 1)
+    assert G.element(iter((4, 6))) == G.identity()
+    with pytest.raises(ValueError, match="expected 2 exponents, got 1"):
+        G.element((1,))
+
+
+# Groups whose hash lies outside (-(2^61 - 1), 2^61 - 1): re-hashing that int inside a
+# tuple reduces it, so an element hash built from a stored group hash would differ.
+_WIDE_HASH_GROUPS = [FiniteAbelianGroup(f) for f in [(2,), (3,), (6,), (40, 40)]]
+
+
+@pytest.mark.parametrize("G", _WIDE_HASH_GROUPS, ids=repr)
+def test_stored_hashes_equal_the_hashes_of_the_field_tuples(G):
+    assert abs(hash(G)) >= 2 ** 61 - 1
+    assert hash(G) == hash((G.factors,)) == hash(FiniteAbelianGroup(G.factors))
+    for g in G.elements()[:50] + (G.element((-1,) * len(G.factors)),):
+        assert hash(g) == hash((g.group, g.exponents)) == hash((G, g.exponents))
+        assert hash(g * g) == hash((G, (g * g).exponents))
+        assert hash(g.inverse()) == hash((G, g.inverse().exponents))
+        assert hash(g ** 3) == hash((G, (g ** 3).exponents))
+        chi = Character(G, g.exponents)
+        assert hash(chi) == hash((G, g.exponents)) == hash(g)
+
+
+def test_elements_of_equal_but_distinct_group_objects_are_interchangeable():
+    G1, G2 = FiniteAbelianGroup((2, 6)), FiniteAbelianGroup([2, 6])
+    assert G1 is not G2 and G1 == G2 and hash(G1) == hash(G2)
+    a, b = G1.element((1, 5)), G2.element((1, 5))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a * b == G1.element((0, 4)) == b * a
+    assert (a * b).group is G1 and (b * a).group is G2
+    assert a * b.inverse() == G2.identity()
+    chi = Character(G2, (1, 1))
+    assert chi(a) == chi(b) == root_of_unity(6, 3 + 5)
+
+
+def test_mixed_groups_still_raise_in_products_and_characters():
+    G1, G2 = FiniteAbelianGroup((6,)), FiniteAbelianGroup((2, 3))
+    with pytest.raises(ValueError, match="elements of different groups"):
+        G1.element((1,)) * G2.element((1, 1))
+    with pytest.raises(ValueError, match="element of a different group"):
+        Character(G1, (1,))(G2.element((1, 1)))
+    assert G1 != G2 and G1.element((0,)) != G2.identity()
+
+
+def test_exponent_lcm_is_stored_at_construction_and_is_not_a_field():
+    G = FiniteAbelianGroup((4, 6, 10))
+    assert G.exponent_lcm == 60 and vars(G)["exponent_lcm"] == 60
+    assert G._fields == ("factors",) and repr(G) == "Z4xZ6xZ10"
+    with pytest.raises(AttributeError):
+        G.exponent_lcm = 12
