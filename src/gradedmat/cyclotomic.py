@@ -16,12 +16,6 @@ _ONE = Fraction(1)
 MAX_ROOT_LEVEL = 1000
 
 
-def _trim(coeffs: List[Fraction]) -> List[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _prime_factors(n: int) -> List[int]:
     """The distinct primes dividing n, by trial division up to sqrt(n)."""
     primes, p = [], 2
@@ -35,7 +29,8 @@ def _prime_factors(n: int) -> List[int]:
 
 
 _cyclotomic_cache: dict = {}
-# level -> (phi, the nonzero (index, integer coefficient) pairs of x^phi mod Phi_level)
+# level -> (phi, the nonzero (index, integer coefficient) pairs of x^phi mod Phi_level,
+#           the integer coefficients of Phi_level)
 _fold_cache: dict = {}
 
 
@@ -89,14 +84,18 @@ def _canonical(level: int, poly: List[int], den: int) -> "CycNumber":
     return CycNumber(level, tuple(poly), den)
 
 
-def _reduce(level: int, poly: List[int], den: int) -> "CycNumber":
-    """(poly / den) mod Phi_level, by long division by the monic Phi_level; poly is consumed."""
+def _fold(level: int) -> Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
     cached = _fold_cache.get(level)
     if cached is None:
-        modulus = cyclotomic_polynomial(level)
+        modulus = tuple(int(c) for c in cyclotomic_polynomial(level))
         cached = _fold_cache[level] = (len(modulus) - 1, tuple(
-            (i, -int(c)) for i, c in enumerate(modulus[:-1]) if c))
-    phi, row = cached
+            (i, -c) for i, c in enumerate(modulus[:-1]) if c), modulus)
+    return cached
+
+
+def _reduce(level: int, poly: List[int], den: int) -> "CycNumber":
+    """(poly / den) mod Phi_level, by long division by the monic Phi_level; poly is consumed."""
+    phi, row, _ = _fold(level)
     for k in range(len(poly) - 1, phi - 1, -1):  # x^k = x^(k - phi) * x^phi lands below k
         c = poly[k]
         if c:
@@ -172,8 +171,7 @@ class CycNumber:
         return _reduce(level, poly, self.den)
 
     def _common(self, other: "CycNumber") -> Tuple["CycNumber", "CycNumber"]:
-        if self.level == other.level:
-            return self, other
+        """Both operands at the lcm of their levels; callers at one level skip this."""
         lvl = math.lcm(self.level, other.level)
         return self.lift(lvl), other.lift(lvl)
 
@@ -186,10 +184,11 @@ class CycNumber:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "CycNumber":
-        other = CycNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
+        if other.__class__ is not CycNumber:
+            other = CycNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.level == other.level else self._common(other)
         if len(a.nums) < len(b.nums):
             a, b = b, a
         if not b.nums:
@@ -222,12 +221,13 @@ class CycNumber:
         return (-self) + other
 
     def __mul__(self, other) -> "CycNumber":
-        other = CycNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not CycNumber:
+            other = CycNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         x, y = (self, other) if len(self.nums) >= len(other.nums) else (other, self)
+        level = x.level if x.level == y.level else math.lcm(x.level, y.level)
         if len(y.nums) <= 1:  # a rational factor scales the other; lifting it only relabels
-            level = math.lcm(x.level, y.level)
             if not y.nums:
                 return CycNumber(level, ())
             if x.level != level:
@@ -236,7 +236,8 @@ class CycNumber:
             if c == 1 == d:
                 return x
             return _canonical(level, [c * v for v in x.nums], d * x.den)
-        x, y = self._common(other)
+        if x.level != y.level:
+            x, y = x.lift(level), y.lift(level)
         a, b = x.nums, y.nums
         prod = [0] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
@@ -248,40 +249,55 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N.
+        """Multiplicative inverse by an extended Euclid on integer polynomials mod Phi_N.
 
-        Each pair keeps r = s * self mod Phi_N; reducing r0 by r1 subtracts
-        c * x^k * (r1, s1) from (r0, s0) in place until r0 is shorter than r1.
+        The rows keep s * nums == r (mod Phi_N), starting from (Phi_N, 0) and (nums, 1).
+        A step cancels the leading term of r0 against r1: (r0, s0) becomes
+        u * (r0, s0) - v * x^k * (r1, s1) with v / u = lc(r0) / lc(r1) in lowest terms,
+        and is then divided by the joint content of r0 and s0.  That pair is a rational
+        multiple of the pair a Euclid over Fractions from the same rows holds at the same
+        step, and the smallest integer one, so its entries are never longer than that
+        pair's numerators over their common denominator.  Phi_N is irreducible, so r1
+        ends as a nonzero integer r, and 1/self = den * s1 / r.
         """
-        if not self.nums:
+        nums = self.nums
+        if not nums:
             raise ZeroDivisionError("inverse of zero")
-        if len(self.nums) == 1:
-            c, d = self.nums[0], self.den
+        if len(nums) == 1:
+            c, d = nums[0], self.den
             if c == d or c == -d:  # 1 and -1 are their own inverses
                 return self
             return CycNumber(self.level, (d,), c) if c > 0 else CycNumber(self.level, (-d,), -c)
-        r0, r1 = list(cyclotomic_polynomial(self.level)), list(self.coeffs)
-        s0: List[Fraction] = []
-        s1: List[Fraction] = [_ONE]
+        r0, r1 = list(_fold(self.level)[2]), list(nums)
+        s0: List[int] = []
+        s1 = [1]
         while len(r1) > 1:
             while len(r0) >= len(r1):
-                c = r0[-1] / r1[-1]
                 k = len(r0) - len(r1)
-                s0.extend([_ZERO] * (k + len(s1) - len(s0)))
-                for i, x in enumerate(r1, k):
-                    if x:
-                        r0[i] -= c * x
-                for i, x in enumerate(s1, k):
-                    if x:
-                        s0[i] -= c * x
-                _trim(r0)
-                _trim(s0)
+                g = math.gcd(r0[-1], r1[-1])
+                u, v = r1[-1] // g, r0[-1] // g
+                if u != 1:
+                    r0 = [u * c for c in r0]
+                    s0 = [u * c for c in s0]
+                for i, c in enumerate(r1, k):
+                    r0[i] -= v * c
+                s0.extend([0] * (k + len(s1) - len(s0)))
+                for i, c in enumerate(s1, k):
+                    s0[i] -= v * c
+                while r0 and not r0[-1]:
+                    r0.pop()
+                while s0 and not s0[-1]:
+                    s0.pop()
+                g = math.gcd(*r0, *s0)
+                if g != 1:
+                    r0 = [c // g for c in r0]
+                    s0 = [c // g for c in s0]
             r0, r1, s0, s1 = r1, r0, s1, s0
         if not r1:
             raise ZeroDivisionError("element is a zero divisor; modulus not coprime")
-        scale = r1[0]
-        num, den = _numerators([c / scale for c in s1])
-        return _reduce(self.level, num, den)
+        r = r1[0]
+        den = self.den if r > 0 else -self.den
+        return _reduce(self.level, [den * c for c in s1], abs(r))
 
     def __truediv__(self, other) -> "CycNumber":
         other = CycNumber._coerce(other)
@@ -306,10 +322,11 @@ class CycNumber:
         return result
 
     def __eq__(self, other) -> bool:
-        other = CycNumber._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
+        if other.__class__ is not CycNumber:
+            other = CycNumber._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.level == other.level else self._common(other)
         return a.nums == b.nums and a.den == b.den
 
     __hash__ = None  # type: ignore[assignment]

@@ -9,7 +9,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from .cyclotomic import CycNumber, root_of_unity
 from .groups import (Character, FiniteAbelianGroup, GroupElement, _Frozen, _set, degree_classes,
                      subgroup_generated)
-from .linalg import SparseVector, SpanSolver, _accumulate, independent_subset, nullspace
+from .linalg import SparseVector, SpanSolver, _add_scaled, independent_subset, nullspace
 from .matrices import Matrix
 
 
@@ -499,18 +499,11 @@ class Cocycle(_Frozen):
 
 
 def _pivots(basis: Mapping[GroupElement, Matrix]) -> Dict[GroupElement, Tuple[int, int, CycNumber]]:
-    """degree -> (i, j, 1/X[i, j]) at the first nonzero entry of X; a zero X has none.
-    Each distinct entry is inverted once: in a fine basis they are mostly a few roots
-    of unity, and an inverse costs far more than a product."""
-    inverses: Dict[Tuple[int, Tuple[int, ...], int], CycNumber] = {}
+    """degree -> (i, j, 1/X[i, j]) at the first nonzero entry of X; a zero X has none."""
     pivots = {}
     for t, m in basis.items():
         for p in m.nonzero_positions()[:1]:
-            c = m[p]
-            key = (c.level, c.nums, c.den)
-            if key not in inverses:
-                inverses[key] = c.inverse()
-            pivots[t] = (*p, inverses[key])
+            pivots[t] = (*p, m[p].inverse())
     return pivots
 
 
@@ -584,8 +577,10 @@ def cocycle_from_units(group: FiniteAbelianGroup,
 def _product_entry(x: Matrix, y: Matrix, i: int, j: int) -> CycNumber:
     """(xy)[i, j], added up in the order Matrix.__mul__ adds it."""
     entry: Dict[int, CycNumber] = {}
-    _accumulate(entry, ((j, a * y.rows[k][j]) for k, a in x.rows.get(i, {}).items()
-                        if j in y.rows.get(k, ())))
+    for k, a in x.rows.get(i, {}).items():
+        b = y.rows.get(k, {}).get(j)
+        if b is not None:
+            _add_scaled(entry, a, {j: b})
     return entry.get(j, CycNumber.zero())
 
 

@@ -27,9 +27,20 @@ Vector = Union[Sequence[CycNumber], SparseVector]
 _Sparse = Dict[int, CycNumber]
 
 
-def _accumulate(target: _Sparse, terms: Iterable[Tuple[int, CycNumber]]) -> None:
-    """Add nonzero (position, value) terms into a sparse vector, dropping cancellations."""
-    for i, x in terms:
+def _is_one(c: CycNumber) -> bool:
+    """Whether c is the rational 1 at level 1, so that c * x is x itself."""
+    return c.level == 1 and c.nums == (1,) and c.den == 1
+
+
+def _add_scaled(target: _Sparse, c: CycNumber, source: Mapping[int, CycNumber]) -> None:
+    """target += c * source in place, in the source's order, dropping sums that cancel.
+
+    c is nonzero; when it is one (_is_one) the source values are added as they are.
+    """
+    one = _is_one(c)
+    for i, x in source.items():
+        if not one:
+            x = c * x
         y = target.get(i)
         if y is None:
             target[i] = x
@@ -84,9 +95,9 @@ class SpanSolver:
                 continue
             row, row_combo = rows[pivot]
             factor = -vec[pivot]
-            _accumulate(vec, ((i, factor * x) for i, x in row.items()))
+            _add_scaled(vec, factor, row)
             if track:
-                _accumulate(combo, ((i, factor * x) for i, x in row_combo.items()))
+                _add_scaled(combo, factor, row_combo)
             for i in row:
                 if i != pivot and i in rows:
                     heapq.heappush(todo, i)
@@ -106,9 +117,12 @@ class SpanSolver:
         if not vec:
             return combo
         pivot = min(vec)
-        inv = vec[pivot].inverse()
-        self._rows[pivot] = ({i: x * inv for i, x in vec.items()},
-                             {i: x * inv for i, x in combo.items()})
+        if _is_one(vec[pivot]):
+            self._rows[pivot] = (vec, combo)
+        else:
+            inv = vec[pivot].inverse()
+            self._rows[pivot] = ({i: x * inv for i, x in vec.items()},
+                                 {i: x * inv for i, x in combo.items()})
         return None
 
     def add(self, vector: Vector) -> bool:

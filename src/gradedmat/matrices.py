@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .cyclotomic import CycNumber
-from .linalg import SpanSolver, SparseVector, _accumulate
+from .linalg import SpanSolver, SparseVector, _add_scaled
 
 Scalar = Union[CycNumber, int, Fraction]
 Row = Dict[int, CycNumber]
@@ -64,13 +64,8 @@ class Matrix:
             c = _coerce(c)
             if c.is_zero():
                 continue
-            one = c.level == 1 and c.nums == (1,) and c.den == 1  # 1 * a is a, at a's level
             for i, row in m.rows.items():
-                acc = rows.get(i)
-                if acc is None:
-                    rows[i] = dict(row) if one else {j: c * a for j, a in row.items()}
-                else:
-                    _accumulate(acc, row.items() if one else ((j, c * a) for j, a in row.items()))
+                _add_scaled(rows.setdefault(i, {}), c, row)
         return Matrix._of(n, {i: row for i, row in rows.items() if row})
 
     @staticmethod
@@ -119,7 +114,7 @@ class Matrix:
             acc: Row = {}
             for k, a in row.items():
                 if k in right:
-                    _accumulate(acc, ((j, a * b) for j, b in right[k].items()))
+                    _add_scaled(acc, a, right[k])
             if acc:
                 out[i] = acc
         return Matrix._of(self.n, out)

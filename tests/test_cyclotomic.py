@@ -422,3 +422,88 @@ def test_sums_products_and_lifts_build_no_fraction(monkeypatch):
     assert built == []
     assert [z.to_string() for z in results] == expected
     assert built  # printing goes through Fraction, so the patch is in effect
+
+
+# --- the integer Euclid against the Fraction one, beyond _LEVELS -------------
+
+_WIDE_LEVELS = (16, 20, 21, 30, 60, 97, 101)
+
+
+def _wide_poly(rng, level, terms=None):
+    """Numerators up to 10^6 over denominators up to 10^3: at random lengths, or with the
+    given number of terms at random positions below phi(level)."""
+    phi = euler_phi(level)
+    coeff = lambda: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+    if terms is None:
+        return [coeff() if rng.random() < 0.6 else 0 for _ in range(rng.choice((2, 3, phi, phi + 5)))]
+    poly = [0] * phi
+    for i in rng.sample(range(phi), terms):
+        poly[i] = coeff()
+    return poly
+
+
+def test_inverse_matches_the_fraction_euclid_at_wide_levels():
+    # The Fraction Euclid of _Ref is far slower than the integer one on longer inputs at
+    # the two prime levels, so there it checks binomials only.
+    rng = random.Random(26)
+    for level in _WIDE_LEVELS:
+        for _ in range(3):
+            poly = _wide_poly(rng, level, 2 if level > 90 else None)
+            x, ref = CycNumber.from_poly(level, poly), _Ref(level, poly)
+            if ref.is_zero():
+                continue
+            inverse = x.inverse()
+            _assert_matches(inverse, ref.inverse())
+            _assert_lowest_terms(inverse)
+            assert x * inverse == CycNumber.one()
+            assert inverse.inverse() == x
+        with pytest.raises(ZeroDivisionError):
+            CycNumber.from_poly(level, [0]).inverse()
+
+
+def test_inverse_times_self_is_one_at_wide_prime_levels():
+    rng = random.Random(97)
+    for level in (97, 101):
+        x = CycNumber.from_poly(level, _wide_poly(rng, level, 4))
+        inverse = x.inverse()
+        _assert_lowest_terms(inverse)
+        assert x * inverse == CycNumber.one() and inverse * x == CycNumber.one()
+
+
+def test_inverse_builds_no_fraction(monkeypatch):
+    xs = [root_of_unity(12, 1) * Fraction(2, 3) + Fraction(1, 4),
+          root_of_unity(5, 2) * Fraction(-7, 2) + root_of_unity(5, 1) + 3,
+          CycNumber.rational(Fraction(-5, 3))]
+    expected = [x.inverse().to_string() for x in xs]
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(gradedmat.cyclotomic, "Fraction", CountingFraction)
+    results = [x.inverse() for x in xs]
+    assert built == []
+    assert [z.to_string() for z in results] == expected
+
+
+def test_mixed_levels_meet_at_their_lcm():
+    half = CycNumber.rational(Fraction(-1, 2))
+    z7, z3, z4 = root_of_unity(7, 3), root_of_unity(3, 1), root_of_unity(4, 1)
+    cases = [(half * z7, _Ref(1, [Fraction(-1, 2)]) * _Ref(7, [0, 0, 0, 1])),
+             (z7 * half, _Ref(7, [0, 0, 0, 1]) * _Ref(1, [Fraction(-1, 2)])),
+             (half + z7, _Ref(1, [Fraction(-1, 2)]) + _Ref(7, [0, 0, 0, 1])),
+             (z3 * z4, _Ref(3, [0, 1]) * _Ref(4, [0, 1])),
+             (z3 + z4, _Ref(3, [0, 1]) + _Ref(4, [0, 1])),
+             ((z3 + 1) * (z4 + half), _Ref(3, [1, 1]) * _Ref(4, [Fraction(-1, 2), 1])),
+             (CycNumber.zero() * z7, _Ref(7, []))]
+    for got, ref in cases:
+        _assert_matches(got, ref)
+        _assert_lowest_terms(got)
+    lifted = z3.lift(12)
+    assert lifted.level == 12
+    assert lifted == z3 and z3 == lifted and z3 * 1 == lifted
+    assert lifted != root_of_unity(3, 2) and root_of_unity(3, 2) != lifted
+    assert half == half.lift(6) and half.lift(6) == Fraction(-1, 2) and half.lift(6) != 1
+    assert (lifted + z3).level == 12 and lifted + z3 == z3 * 2

@@ -508,3 +508,62 @@ def test_elimination_matches_the_reference_on_mixed_levels(system):
 @given(st.sampled_from((1, 4, 5)).flatmap(lambda level: _systems(_level_scalars(level))))
 def test_elimination_prints_like_the_reference_on_one_level(system):
     _check_against_reference(system, printed=True)
+
+
+# The in-place row update against dense sums, on entries from a small set of values
+# (±1, ±1/2, ±zeta_4) so that many sums of products cancel to zero.
+
+_CANCELLING = (_rat(1), _rat(-1), _rat(Fraction(1, 2)), _rat(Fraction(-1, 2)),
+               root_of_unity(4, 1), root_of_unity(4, 3))
+
+
+def _cancelling_rows(rng, n):
+    return [[rng.choice(_CANCELLING) if rng.random() < 0.6 else CycNumber.zero() for _ in range(n)]
+            for _ in range(n)]
+
+
+def _cancels(a_rows, b_rows):
+    """Whether some entry of the product is zero although one of its terms is not."""
+    n, product = len(a_rows), _ref_mul(a_rows, b_rows)
+    return any(product[i][j].is_zero() and any(not (a_rows[i][k] * b_rows[k][j]).is_zero() for k in range(n))
+               for i in range(n) for j in range(n))
+
+
+def test_row_updates_match_dense_sums_when_entries_cancel():
+    rng = random.Random(26)
+    cancelled = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a_rows, b_rows = _cancelling_rows(rng, n), _cancelling_rows(rng, n)
+        a, b = Matrix(a_rows), Matrix(b_rows)
+        cancelled += _cancels(a_rows, b_rows)
+        _agrees(a * b, _ref_mul(a_rows, b_rows))
+        terms = [(rng.choice(_CANCELLING), m) for m in (a, b, a * b)]
+        terms.append((-terms[0][0], a))  # cancels the first term
+        rng.shuffle(terms)
+        dense = [[sum((c * m[i, j] for c, m in terms), CycNumber.zero()) for j in range(n)]
+                 for i in range(n)]
+        _agrees(Matrix.combination(n, terms), dense)
+    assert cancelled > 20
+
+
+def test_sparse_coordinates_match_a_dense_solve_when_entries_cancel():
+    rng = random.Random(27)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        mats = [Matrix(_cancelling_rows(rng, n)) for _ in range(rng.randint(1, 5))]
+        columns = [[x for row in m.entries for x in row] for m in mats]
+        solver = SpanSolver(m.vector() for m in mats)
+        for row in solver._rows.values():
+            assert all(not x.is_zero() for part in row for x in part.values())
+        weights = [rng.choice(_CANCELLING + (CycNumber.zero(),)) for _ in mats]
+        inside = Matrix.combination(n, zip(weights, mats))
+        for probe in (inside, Matrix(_cancelling_rows(rng, n))):
+            rhs = [x for row in probe.entries for x in row]
+            rows = [[col[i] for col in columns] for i in range(n * n)]
+            want = _ref_solve(rows, rhs, len(mats))
+            got = solver.sparse_coordinates(probe.vector())
+            zero = CycNumber.zero()
+            assert (None if got is None else [got.get(k, zero) for k in range(len(mats))]) == want
+            assert got is None or all(not x.is_zero() for x in got.values())
+        assert solver.sparse_coordinates(inside.vector()) is not None
