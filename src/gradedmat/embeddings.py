@@ -61,13 +61,11 @@ def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
             raise ValueError(f"target prefix is not a translate of the source tuple at index {alpha}")
     n = k * m + r
     codomain = elementary_grading(domain.group, target)
-    pairs = []
-    for i in range(k):
-        for j in range(k):
-            image = sum((Matrix.unit(n, i + block * k, j + block * k) for block in range(m)),
-                        Matrix.zeros(n))
-            pairs.append((Matrix.unit(k, i, j), image))
-    return GradedMap(domain, codomain, tuple(pairs))
+    one = CycNumber.one()
+    pairs = tuple((Matrix.unit(k, i, j),
+                   Matrix._of(n, {i + block * k: {j + block * k: one} for block in range(m)}))
+                  for i in range(k) for j in range(k))
+    return GradedMap(domain, codomain, pairs)
 
 
 class GradedVectorSpace(_Frozen):
@@ -100,6 +98,15 @@ class GradedVectorSpace(_Frozen):
             elif degree != self.degrees[i]:
                 return None
         return degree
+
+    def matrix_degree(self, m: Matrix) -> Optional[GroupElement]:
+        """Degree of a homogeneous map of the space, None if not homogeneous: E_ij sends
+        v_j to v_i, so it has degree deg v_i deg v_j^(-1)."""
+        if m.is_zero():
+            raise ValueError("the zero matrix has no degree")
+        d = self.degrees
+        degrees = {d[i] * d[j].inverse() for i, row in m.rows.items() for j in row}
+        return degrees.pop() if len(degrees) == 1 else None
 
 
 class ModuleSplit(_Frozen):
@@ -148,15 +155,14 @@ def split_module_decomposition(space: GradedVectorSpace,
     if violation is not None:
         i, j, a, b = violation
         raise ValueError(f"images of E_{i}{j} and E_{a}{b} violate the unit relations")
-    degree_of = elementary_grading(space.group, space.induced_tuple()).degree_of
     c_tuple: List[GroupElement] = []
     for j in range(k):
-        d = degree_of(unit_images[0][j])
+        d = space.matrix_degree(unit_images[0][j])
         if d is None:
             raise ValueError(f"image of E_0{j} is not homogeneous")
         c_tuple.append(d)
     for i in range(1, k):  # a row with a homogeneous E_i0 is consistent
-        if degree_of(unit_images[i][0]) != c_tuple[i].inverse():
+        if space.matrix_degree(unit_images[i][0]) != c_tuple[i].inverse():
             raise ValueError(f"image degrees are inconsistent at ({i},0)")
 
     classes = space.coordinate_classes()

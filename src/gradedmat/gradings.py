@@ -237,23 +237,14 @@ def epsilon_grading(n: int, group: Optional[FiniteAbelianGroup] = None,
 
 
 def induced_tensor_grading(left: GradedAlgebra, right: GradedAlgebra) -> GradedAlgebra:
-    """Grading on M_k (x) M_m with deg(E_ij (x) x) = g_i^(-1) h g_j for deg x = h."""
+    """Grading on M_k (x) M_m with deg(x (x) y) = deg x deg y for homogeneous x and y."""
     if left.group != right.group:
         raise ValueError("both factors must be graded by the same group")
-    if left.elementary_tuple is None:
-        raise ValueError("left factor must be elementary with a known defining tuple")
-    tau = left.elementary_tuple
-    k = left.n
     components: Dict[GroupElement, List[Matrix]] = {}
-    for i in range(k):
-        for j in range(k):
-            unit = Matrix.unit(k, i, j)
-            prefix = tau[i].inverse() * tau[j]
-            for h, mats in right.components.items():
-                degree = prefix * h
-                for x in mats:
-                    components.setdefault(degree, []).append(unit.kron(x))
-    return GradedAlgebra(left.group, k * right.n, components)
+    for g, x in left.union_basis:
+        for h, mats in right.components.items():
+            components.setdefault(g * h, []).extend(x.kron(y) for y in mats)
+    return GradedAlgebra(left.group, left.n * right.n, components)
 
 
 class GradingReport(_Frozen):

@@ -191,12 +191,6 @@ class Character(_Frozen):
                     for a, e, n in zip(self.exponents, g.exponents, self.group.factors))
         return root_of_unity(level, total)
 
-    def __mul__(self, other: "Character") -> "Character":
-        if self.group != other.group:
-            raise ValueError("characters of different groups")
-        return Character(self.group, tuple(
-            (a + b) % n for a, b, n in zip(self.exponents, other.exponents, self.group.factors)))
-
     def __repr__(self) -> str:
         return "chi" + "".join(f"[{a}]" for a in self.exponents)
 

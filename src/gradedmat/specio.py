@@ -108,9 +108,11 @@ def parse_matrix(obj: Any, path: str, size: Optional[int] = None) -> Matrix:
     return Matrix(rows)
 
 
-def _check_levels(path: str, matrices: Iterable[Matrix]) -> None:
+def _check_levels(path: str, matrices: Iterable[Matrix],
+                  group: Optional[FiniteAbelianGroup] = None) -> None:
     """Reject entries whose root levels have an lcm above MAX_ROOT_LEVEL: arithmetic
-    between them would run at that level."""
+    between them would run at that level.  With a group, its exponent counts too, since
+    verifying the grading evaluates the group's characters against the entries."""
     level = 1
     for m in matrices:
         for row in m.rows.values():
@@ -119,6 +121,11 @@ def _check_levels(path: str, matrices: Iterable[Matrix]) -> None:
                 if level > MAX_ROOT_LEVEL:
                     raise SpecError(path, f"entries use root levels with lcm {level}, "
                                           f"above the cap {MAX_ROOT_LEVEL}")
+    if group is not None:
+        level = math.lcm(level, group.exponent_lcm)
+        if level > MAX_ROOT_LEVEL:
+            raise SpecError(path, f"entries and the group exponent {group.exponent_lcm} use root "
+                                  f"levels with lcm {level}, above the cap {MAX_ROOT_LEVEL}")
 
 
 def _basis(algebra: GradedAlgebra) -> Iterable[Matrix]:
@@ -213,11 +220,8 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
         right = parse_grading(_field(data, "right", path), f"{path}.right")
         if left.group != right.group:
             raise SpecError(path, "tensor factors must be graded by the same group")
-        _check_levels(path, (*_basis(left), *_basis(right)))
-        try:
-            return induced_tensor_grading(left, right)
-        except ValueError as exc:
-            raise SpecError(path, str(exc)) from exc
+        _check_levels(path, (*_basis(left), *_basis(right)), left.group)
+        return induced_tensor_grading(left, right)
     if kind == "explicit":
         group = parse_group(_field(data, "group", path), f"{path}.group")
         comps = _expect(_field(data, "components", path), dict,
@@ -238,7 +242,7 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
                 parsed[g] = out
         if n is None:
             raise SpecError(f"{path}.components", "all components are empty")
-        _check_levels(f"{path}.components", (m for mats in parsed.values() for m in mats))
+        _check_levels(f"{path}.components", (m for mats in parsed.values() for m in mats), group)
         try:
             return GradedAlgebra(group, n, parsed)
         except ValueError as exc:

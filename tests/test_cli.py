@@ -11,6 +11,7 @@ import gradedmat.cli
 import gradedmat.embeddings
 import gradedmat.specio
 from gradedmat.cli import main
+from gradedmat.cyclotomic import parse_scalar
 from gradedmat.embeddings import DecompositionPair
 from gradedmat.gradings import GradedAlgebra, GradedMap, elementary_grading, induced_tensor_grading
 from gradedmat.groups import FiniteAbelianGroup
@@ -113,6 +114,18 @@ def test_embed_accepts_and_certifies(capsys):
     assert json.loads(out2)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("fmt, expected", [
+    ("json", {"accepted": False,
+              "reason": "target prefix is not a translate of the source tuple at index 1"}),
+    ("text", "rejected: target prefix is not a translate of the source tuple at index 1\n"),
+])
+def test_embed_rejects_a_target_prefix_that_is_not_a_translate(capsys, fmt, expected):
+    spec = {"group": {"factors": [2]}, "source": [[0], [1]], "m": 1, "r": 0, "target": [[0], [0]]}
+    code, out, err = run_cli(capsys, "embed", "--spec", json.dumps(spec), "--format", fmt)
+    assert (code, err) == (1, "")
+    assert (json.loads(out) if fmt == "json" else out) == expected
+
+
 def test_embed_rejects_with_violated_index(capsys):
     spec = {"group": {"factors": [2]}, "source": [[0], [1]],
             "m": 2, "r": 0, "target": [[0], [1], [0], [0]]}
@@ -174,6 +187,23 @@ def test_regularize_full_run(tmp_path, capsys):
     assert payload["centralizer_units"] == 2
     assert payload["problems"] == []
     assert set(payload["adjusted_units"]) == {"0,0,0", "0,1,0", "1,0,0", "1,1,0"}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("[]", "spec: expected an object"),
+    ("{}", "spec.map: missing field"),
+])
+def test_regularize_rejects_a_spec_without_a_map(capsys, spec, message):
+    assert run_cli(capsys, "regularize", "--spec", spec) == (2, "", f"error: {message}\n")
+
+
+def test_regularize_fails_fine_factors_whose_cocycles_differ(capsys):
+    # a D-unit scaled by 2 changes the target cocycle by a coboundary
+    spec = _regularize_spec()
+    unit = spec["target"]["d_units"]["0,1,0"]
+    unit["entries"] = [[str(2 * int(x)) for x in row] for row in unit["entries"]]
+    code, out, err = run_cli(capsys, "regularize", "--spec", json.dumps(spec), "--format", "text")
+    assert (code, out, err) == (1, "fail\nfine factors have different cocycles\n", "")
 
 
 def test_regularize_reports_structural_problems(capsys):
@@ -241,6 +271,35 @@ def test_cocycle_of_fine_grading(capsys):
     assert table[((1, 0), (0, 1))] == "1"
 
 
+def _epsilon_tensor(n):
+    """eps_n (x) eps_n over Z_n^4: the left factor graded by the first two coordinates,
+    the right by the last two; neither carries an elementary tuple."""
+    group = {"factors": [n] * 4}
+    left = {"kind": "epsilon", "n": n, "group": group, "a": [1, 0, 0, 0], "b": [0, 1, 0, 0]}
+    right = {"kind": "epsilon", "n": n, "group": group, "a": [0, 0, 1, 0], "b": [0, 0, 0, 1]}
+    return {"kind": "tensor", "left": left, "right": right}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_passes_a_tensor_with_an_epsilon_left_factor(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--spec", json.dumps(_epsilon_tensor(n)),
+                             "--format", "text")
+    assert (code, out, err) == (0, "pass\n", "")
+
+
+def test_cocycle_of_a_tensor_of_epsilon_gradings(capsys):
+    code, out, _ = run_cli(capsys, "cocycle", "--spec", json.dumps(_epsilon_tensor(2)))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass" and payload["cocycle_identity"] is True
+    table = {(tuple(v["t"]), tuple(v["s"])): v["value"] for v in payload["values"]}
+    assert len(table) == 16 * 16
+    # alpha((i,j,k,l),(i',j',k',l')) = (-1)^(j i' + l k'), the product of the factors' cocycles
+    for t in table:
+        (i, j, k, l), (i2, j2, k2, l2) = t
+        assert table[t] == ("-1" if (j * i2 + l * k2) % 2 else "1")
+
+
 def test_cocycle_rejects_non_fine_grading(capsys):
     spec = {"kind": "elementary", "group": {"factors": [2]}, "tuple": [[0], [1]]}
     code, out, _ = run_cli(capsys, "cocycle", "--spec", json.dumps(spec))
@@ -296,6 +355,12 @@ def test_dimension_cap_from_environment(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--spec", EPS3)
     assert code == 2
     assert "GMK_MAX_DIM" in err
+
+
+def test_dimension_cap_must_be_positive(capsys, monkeypatch):
+    monkeypatch.setenv("GMK_MAX_DIM", "0")
+    assert run_cli(capsys, "verify", "--spec", EPS3) == (
+        2, "", "error: GMK_MAX_DIM must be positive, got 0\n")
 
 
 def _refuse_to_build(*args, **kwargs):
@@ -409,6 +474,18 @@ def _one_by_one_pair(d_unit):
     return {"c_basis": [one], "d_units": {"0": {"n": 1, "entries": [[d_unit]]}}, "identity": one}
 
 
+def _conjugated_unit_grading(p, corner):
+    """The M_2 grading by Z_p with E_01 of degree 1 and E_10 of degree p - 1, carried by
+    P = [[1, corner], [0, 1]] (m -> P m P^-1) into an explicit spec: verifying it
+    evaluates a character of Z_p against the entries."""
+    c = parse_scalar(corner)
+    p_mat, p_inv = Matrix([[1, c], [0, 1]]), Matrix([[1, -c], [0, 1]])
+    components = {}
+    for (i, j), d in {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): p - 1}.items():
+        components.setdefault(str(d), []).append(matrix_to_json(p_mat * Matrix.unit(2, i, j) * p_inv))
+    return {"kind": "explicit", "group": {"factors": [p]}, "components": components}
+
+
 @pytest.mark.parametrize("command, spec, message", [
     ("verify", _one_by_one("z1000003^1"), "spec.components.0[0].entries[0][0]: root level of "
                                           "term 'z1000003^1' must be between 1 and the cap 1000"),
@@ -425,6 +502,21 @@ def _one_by_one_pair(d_unit):
                             "pairs": [[matrix_to_json(Matrix.identity(1))] * 2]},
                     "source": _one_by_one_pair("z997^1"), "target": _one_by_one_pair("z991^1")},
      "spec: entries use root levels with lcm 988027, above the cap 1000"),
+    # rational entries, but verifying evaluates a character at level 1009
+    ("verify", _conjugated_unit_grading(1009, "1"),
+     "spec.components: entries and the group exponent 1009 use root levels with lcm 1009, "
+     "above the cap 1000"),
+    # entries at level 1000, within the cap on their own, and a group of exponent 997
+    ("verify", _conjugated_unit_grading(997, "z1000^1"),
+     "spec.components: entries and the group exponent 997 use root levels with lcm 997000, "
+     "above the cap 1000"),
+    # neither factor is capped on its own; their tensor is verified by characters
+    ("verify", {"kind": "tensor",
+                "left": {"kind": "epsilon", "n": 2, "group": {"factors": [2, 2, 1009]},
+                         "a": [1, 0, 0], "b": [0, 1, 0]},
+                "right": {"kind": "elementary", "group": {"factors": [2, 2, 1009]},
+                          "tuple": [[0, 0, 0], [0, 0, 1]]}},
+     "spec: entries and the group exponent 2018 use root levels with lcm 2018, above the cap 1000"),
 ])
 def test_root_level_cap_rejects_a_spec_in_a_child_process_at_once(command, spec, message):
     result = subprocess.run([sys.executable, "-m", "gradedmat", command, "--spec", json.dumps(spec)],
@@ -432,6 +524,18 @@ def test_root_level_cap_rejects_a_spec_in_a_child_process_at_once(command, spec,
                             preexec_fn=_limit_address_space)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", [
+    _conjugated_unit_grading(8, "z125^1"),  # lcm(125, 8) = 1000, the cap itself
+    {"kind": "tensor", "left": _conjugated_unit_grading(8, "z125^1"),
+     "right": {"kind": "elementary", "group": {"factors": [8]}, "tuple": [[0], [3]]}},
+], ids=["explicit", "tensor"])
+def test_root_level_cap_passes_a_group_exponent_at_the_cap(spec):
+    result = subprocess.run([sys.executable, "-m", "gradedmat", "verify", "--spec", json.dumps(spec),
+                             "--format", "text"], capture_output=True, text=True, timeout=10,
+                            preexec_fn=_limit_address_space)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "pass\n", "")
 
 
 @pytest.mark.parametrize("pair", ["source", "target"])

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedmat import embeddings
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.embeddings import (DecompositionPair, EmbeddingConditionError,
                                   GradedVectorSpace, block_diagonal_embedding,
@@ -237,6 +238,40 @@ def test_split_of_permuted_block_embeddings_realizes_the_block_form(case):
     assert None not in degrees
     assert split.induced_tuple == tuple(d.inverse() for d in degrees)
 
+
+def test_matrix_degree_reads_the_space_degrees():
+    G = FiniteAbelianGroup((4,))
+    tau = tuple(G.element((a,)) for a in (0, 1, 3))
+    space = GradedVectorSpace.from_tuple(G, tau)
+    for i in range(3):
+        for j in range(3):  # E_ij has degree deg v_i deg v_j^(-1) = g_i^(-1) g_j
+            assert space.matrix_degree(Matrix.unit(3, i, j)) == tau[i].inverse() * tau[j]
+    assert space.matrix_degree(Matrix.unit(3, 0, 1) + Matrix.unit(3, 1, 0)) is None
+    assert space.matrix_degree(Matrix.unit(3, 0, 0) + Matrix.unit(3, 2, 2)) == G.identity()
+    with pytest.raises(ValueError, match="^the zero matrix has no degree$"):
+        space.matrix_degree(Matrix.zeros(3))
+
+
+def _no_elementary_grading(*args):
+    raise AssertionError("the split builds no elementary grading")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_permuted_block_embeddings())
+def test_split_reads_degrees_off_the_space_alone(case):
+    """matrix_degree agrees with degree_of in the elementary grading of the induced tuple
+    on every image and on the sums of neighbouring images, and the split runs, to the
+    same ModuleSplit, with elementary_grading unavailable."""
+    k, m, space, images = case
+    reference = elementary_grading(space.group, space.induced_tuple())
+    mats = [x for row in images for x in row]
+    for x in mats + [a + b for a, b in zip(mats, mats[1:])]:
+        assert space.matrix_degree(x) == reference.degree_of(x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "elementary_grading", _no_elementary_grading)
+        split = split_module_decomposition(space, images)
+    assert split == split_module_decomposition(space, images)
+    assert split.copies == m
 
 # --- regularization fixture: M_2 with a fine Z_2 x Z_2 factor, embedded ---
 # --- into M_4 = M_2 (x) M_2 off the identity corner                      ---

@@ -147,6 +147,70 @@ def test_tensor_restriction_reproduces_factors():
         assert prod.degree_of(I2.kron(mats[0])) == h
 
 
+def _reference_induced_tensor(left, right):
+    """The tensor grading built from the left factor's defining tuple, unit by unit:
+    deg(E_ij (x) x) = g_i^(-1) g_j h for deg x = h."""
+    tau, k = left.elementary_tuple, left.n
+    components = {}
+    for i in range(k):
+        for j in range(k):
+            unit = Matrix.unit(k, i, j)
+            prefix = tau[i].inverse() * tau[j]
+            for h, mats in right.components.items():
+                for x in mats:
+                    components.setdefault(prefix * h, []).append(unit.kron(x))
+    return GradedAlgebra(left.group, k * right.n, components)
+
+
+def _matrix_multiset(mats):
+    return sorted(tuple(sorted((i, j, x.to_string()) for i, row in m.rows.items()
+                               for j, x in row.items())) for m in mats)
+
+
+def _random_elementary_left_tensors():
+    """40 seeded (left, right) pairs over Z_m x Z_m, m = 2..4, with an elementary left
+    factor of size 1..4 and an elementary or epsilon right factor."""
+    rng = random.Random(2701)
+    cases = []
+    for _ in range(40):
+        m = rng.randrange(2, 5)
+        group = FiniteAbelianGroup((m, m))
+        left = elementary_grading(group, _random_tuple(rng, group, rng.randrange(1, 5)))
+        right = epsilon_grading(m) if rng.random() < 0.5 \
+            else elementary_grading(group, _random_tuple(rng, group, rng.randrange(1, 4)))
+        cases.append((left, right))
+    return cases
+
+
+def test_tensor_puts_the_same_matrices_in_each_degree_as_the_tuple_construction():
+    for left, right in _random_elementary_left_tensors():
+        prod, reference = induced_tensor_grading(left, right), _reference_induced_tensor(left, right)
+        assert prod.n == reference.n
+        assert set(prod.components) == set(reference.components)
+        for g, mats in reference.components.items():
+            assert _matrix_multiset(prod.components[g]) == _matrix_multiset(mats)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_of_two_epsilon_gradings_is_fine_and_multiplies_their_cocycles(n):
+    """eps_n (x) eps_n over Z_n^4, the factors graded by the first and the last two
+    coordinates: the product grading is fine, and X_t1 (x) X_t2 has the cocycle
+    alpha((t1 t2), (s1 s2)) = alpha_1(t1, s1) alpha_2(t2, s2)."""
+    G = FiniteAbelianGroup((n,) * 4)
+    basis = [G.element(tuple(int(i == c) for i in range(4))) for c in range(4)]
+    left = epsilon_grading(n, group=G, a=basis[0], b=basis[1])
+    right = epsilon_grading(n, group=G, a=basis[2], b=basis[3])
+    prod = induced_tensor_grading(left, right)
+    assert prod.is_fine() and left.elementary_tuple is None
+    assert verify_grading(prod).passed
+    co, co1, co2 = extract_cocycle(prod), extract_cocycle(left), extract_cocycle(right)
+    for t1 in co1.support:
+        for t2 in co2.support:
+            for s1 in co1.support:
+                for s2 in co2.support:
+                    assert co(t1 * t2, s1 * s2) == co1(t1, s1) * co2(t2, s2)
+
+
 def test_verify_flags_mislabeled_components():
     alg = elementary_grading(Z2, (E0, A0))
     swapped = GradedAlgebra(Z2, 2, {E0: alg.components[A0], A0: alg.components[E0]})

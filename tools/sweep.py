@@ -15,6 +15,11 @@ group     The group-only algorithms, which build no matrix:
                      shift is refuted.
             chain    bratteli_of_chain on a Z12 chain that twists by a generator, at
                      depth 8, 16, 32 and 64, with the chain built inside the timed call.
+split     For n = 8, 16, 32 and 64, a block-diagonal embedding of an elementary M_4 over Z4
+          into M_n (n/4 blocks, seeded tuples), its unit images conjugated by a seeded
+          permutation of F^n that carries the degrees along:
+            split    split_module_decomposition of the permuted images, built outside;
+            embed    block_diagonal_embedding, with the build of both algebras.
 scalar    CycNumber.inverse of 1 + z + 2 z^(N/2) + 3 z^(N-2), z = zeta_N, at
           N = 101, 251, 503 and 997, with the scalar built outside the timed call.
 
@@ -38,6 +43,8 @@ from gradedmat.cyclotomic import CycNumber, root_of_unity  # noqa: E402
 
 
 UNIT_SIZES = (8, 16, 32, 64)
+SPLIT_SIZES = (8, 16, 32, 64)
+SPLIT_K = 4
 ORDERS = (10, 20, 30, 40)
 DEPTHS = (8, 16, 32, 64)
 SHIFT_FRACTION = 0.25
@@ -89,6 +96,34 @@ def unit_map_series(rng: random.Random) -> None:
         gradings.append((n, t_grading))
         print(f"{n:>6} {ms(t_map):>10} {ms(t_grading):>11} {t_map / t_grading:>6.2f}")
     print(f"fitted slopes: map {slope(maps):.2f}, grading {slope(gradings):.2f} (against n)")
+
+
+def split_series(rng: random.Random) -> None:
+    z4 = gm.FiniteAbelianGroup((4,))
+    splits, embeds = [], []
+    print(f"{'n':>6} {'split ms':>10} {'embed ms':>10}")
+    for n in SPLIT_SIZES:
+        m = n // SPLIT_K
+        source = [z4.element((rng.randrange(4),)) for _ in range(SPLIT_K)]
+        shifts = [z4.element((rng.randrange(4),)) for _ in range(m)]
+        target = [t * g for t in shifts for g in source]
+        perm = list(range(n))  # e_a -> e_perm[a]
+        rng.shuffle(perm)
+        p = gm.Matrix.combination(n, ((1, gm.Matrix.unit(n, perm[a], a)) for a in range(n)))
+        space = gm.GradedVectorSpace.from_tuple(z4, [target[perm.index(c)] for c in range(n)])
+
+        def embed():
+            return gm.block_diagonal_embedding(gm.elementary_grading(z4, source), m, 0, target)
+
+        images = [p * image * p.transpose() for _, image in embed().pairs]  # E_ij in row-major order
+        table = [images[i * SPLIT_K:(i + 1) * SPLIT_K] for i in range(SPLIT_K)]
+        assert gm.split_module_decomposition(space, table).copies == m
+        t_split = best_of(lambda: gm.split_module_decomposition(space, table))
+        t_embed = best_of(embed)
+        splits.append((n, t_split))
+        embeds.append((n, t_embed))
+        print(f"{n:>6} {ms(t_split):>10} {ms(t_embed):>10}")
+    print(f"fitted slopes: split {slope(splits):.2f}, embed {slope(embeds):.2f} (against n)")
 
 
 def decide_inputs(rng: random.Random, m: int):
@@ -152,6 +187,7 @@ def scalar_series() -> None:
 def main() -> None:
     unit_map_series(random.Random(0))  # a seed per series: its inputs do not depend on the others
     group_series(random.Random(0))
+    split_series(random.Random(0))
     scalar_series()
 
 
