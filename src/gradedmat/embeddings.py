@@ -82,9 +82,6 @@ class GradedVectorSpace(_Frozen):
     def n(self) -> int:
         return len(self.degrees)
 
-    def induced_tuple(self) -> Tuple[GroupElement, ...]:
-        return tuple(d.inverse() for d in self.degrees)
-
     def coordinate_classes(self) -> Dict[GroupElement, List[int]]:
         return degree_classes(self.degrees)
 
@@ -296,10 +293,11 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
 
     multipliers: Dict[GroupElement, Matrix] = {}
     adjusted: Dict[GroupElement, Matrix] = {}
+    phi_x: Dict[GroupElement, Matrix] = {}  # phi(X_t), each applied once
     for t in support:
-        x_t = source.d_units[t]
         x_t_prime = target.d_units[t]
-        a_t = phi.apply(x_t) * x_t_prime.inverse()
+        phi_x[t] = phi.apply(source.d_units[t])
+        a_t = phi_x[t] * x_t_prime.inverse()
         if not c_span.contains(a_t):
             raise ValueError(f"multiplier at {t} lies outside the elementary factor; the map is not graded")
         degree = algebra2.degree_of(a_t)
@@ -337,17 +335,19 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
     units = homogeneous_matrix_units(grouped, e2)
 
     # the straightened fine basis must stay compatible with the original map
+    phi_c: List[Matrix] = []
     for a in source.c_basis:
         phi_a = phi.apply(a)
+        phi_c.append(phi_a)
         for t in support:
-            if phi_a * adjusted[t] != phi_a * phi.apply(source.d_units[t]):
+            if phi_a * adjusted[t] != phi_a * phi_x[t]:
                 raise ValueError(f"adjusted basis is incompatible with the map at degree {t}")
 
     image = _Span([phi.apply(c * x) for c in source.c_basis for x in source.d_units.values()], n)
     corner_equal = image.equals(_Span([phi_e1 * b * phi_e1 for _, b in algebra2.union_basis], n))
     if corner_equal:
         cut = _Span([phi_e1 * m * phi_e1 for m in new_centralizer], n)
-        if not cut.equals(_Span([phi.apply(c) for c in source.c_basis], n)):
+        if not cut.equals(_Span(phi_c, n)):
             raise ValueError("corner of the new elementary factor does not match the mapped one")
 
     pair = DecompositionPair(algebra2, tuple(new_centralizer), dict(adjusted), e2)

@@ -99,8 +99,7 @@ class GradedAlgebra:
     """
 
     def __init__(self, group: FiniteAbelianGroup, n: int,
-                 components: Mapping[GroupElement, Sequence[Matrix]],
-                 elementary_tuple: Optional[Tuple[GroupElement, ...]] = None):
+                 components: Mapping[GroupElement, Sequence[Matrix]]):
         if n < 1:
             raise ValueError(f"matrix size must be positive, got {n}")
         self.group = group
@@ -119,7 +118,7 @@ class GradedAlgebra:
         if not cleaned:
             raise ValueError("grading needs at least one non-empty component")
         self.components = cleaned
-        self.elementary_tuple = tuple(elementary_tuple) if elementary_tuple is not None else None
+        self.elementary_tuple: Optional[Tuple[GroupElement, ...]] = None  # set by elementary_grading alone
 
     @property
     def dimension(self) -> int:
@@ -197,7 +196,9 @@ def elementary_grading(group: FiniteAbelianGroup,
         row = lists[label[i]]
         for j in range(n):
             row[label[j]].append(Matrix._of(n, {i: {j: one}}))
-    return GradedAlgebra(group, n, components, elementary_tuple=tau)
+    algebra = GradedAlgebra(group, n, components)
+    algebra.elementary_tuple = tau
+    return algebra
 
 
 def epsilon_grading(n: int, group: Optional[FiniteAbelianGroup] = None,
@@ -721,10 +722,10 @@ def _unit_table_from(column: Sequence[Matrix], row: Sequence[Matrix]) -> Optiona
 def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
     """Verify that a basis table defines an injective degree-preserving algebra map.
 
-    A map that sends scaled matrix units to multiples of units, between gradings of
-    scaled units, is read by position (_unit_map_report): index and scalar equalities,
-    with no matrix built.  Any other map, and one that fails there, gets the
-    certificate that applies the map f to 2n - 1 units only: F_i = f(E_i0) and
+    A map that sends scaled matrix units to multiples of units, between elementary
+    gradings, is read off positions and tuples (_unit_map_report): index, scalar and
+    group equalities, with no matrix built.  Any other map, and one that fails there,
+    gets the certificate that applies the map f to 2n - 1 units only: F_i = f(E_i0) and
     G_j = f(E_0j), with G_0 = F_0.  It passes when _unit_table_from(F, G) gives a
     system T of matrix units and f(x) = sum x_ij T_ij on every given pair (x, f(x)).
     This is exact:
@@ -773,13 +774,13 @@ def graded_homomorphism_check(gmap: GradedMap) -> HomomorphismReport:
 
 
 def _unit_map_report(gmap: GradedMap) -> Optional[HomomorphismReport]:
-    """The report of a map of scaled units, read by position with no matrix, combination
-    or solver built; None unless the route applies and the map is multiplicative.
+    """The report of a unit map between elementary gradings, read off positions and tuples
+    with no matrix or solver built; None unless the route applies and f is multiplicative.
 
     The route applies when the n^2 sources are scaled units a E_ij at distinct
-    positions, every image is a codomain-size matrix with one nonzero entry, and every
-    component of the domain and of the codomain holds scaled units.  Write f(E_ij) =
-    lambda_ij E_(r_ij, c_ij), so lambda_ij = mu / a for the pair (a E_ij, mu E_(r, c)),
+    positions, every image is a codomain-size matrix with one nonzero entry, and both
+    algebras are elementary gradings, of tuples tau and tau' over one group.  Write f(E_ij)
+    = lambda_ij E_(r_ij, c_ij), so lambda_ij = mu / a for the pair (a E_ij, mu E_(r, c)),
     and sigma(i) = r_i0.  f is multiplicative exactly when
       (1) sigma is injective, (2) lambda_00 = 1 and lambda_0j lambda_j0 = 1 for all j,
       (3) f(E_ij) = lambda_i0 lambda_0j E_(sigma(i), sigma(j)) for all i, j.
@@ -796,20 +797,19 @@ def _unit_map_report(gmap: GradedMap) -> Optional[HomomorphismReport]:
         and G_j = lambda_0j E_(sigma(0), sigma(j)), and then T_ij = F_i G_j =
         lambda_i0 lambda_0j E_(sigma(i), sigma(j)); f(E_ij) = T_ij is (3), which at
         i = 0 or j = 0 is those shapes of F_i and G_j.
-    Once they hold, every f(E_ij) = T_ij is nonzero, so f is injective, and a unit
-    b E_ij of the domain's R_g maps to a nonzero multiple of E_(sigma(i), sigma(j)),
-    which lies in the codomain's R_g exactly when that position is one of its units.
+    Once they hold, f is injective, as every f(E_ij) = T_ij is nonzero, and sends E_ij,
+    of degree tau_i^(-1) tau_j, into degree tau'_sigma(i)^(-1) tau'_sigma(j) =
+    tau_i^(-1) tau_j c_i^(-1) c_j, with c_i = tau'_sigma(i) tau_i^(-1).  So f is graded
+    exactly when all c_i are equal; otherwise the tau_i^(-1) tau_j with c_i != c_j fail.
     lambda_00 = 1 needs no test of its own: (3) at (0, 0) reads lambda_00 = lambda_00^2.
-    That is n^2 index comparisons and 2 n^2 + O(n) scalar products.  A map that fails
-    (1)-(3) is not multiplicative, and None sends it to the certificate's fallback,
-    which lists every failure.
+    That is n^2 index comparisons, 2 n^2 + O(n) scalar and O(n) group products on a
+    graded map.  A map that fails (1)-(3) is not multiplicative, and None sends it to the
+    certificate's fallback, which lists every failure.
     """
     domain, codomain = gmap.domain, gmap.codomain
     n, m = domain.n, codomain.n
-    index = gmap._sources.positions
-    domain_spans, codomain_spans = domain._component_spans, codomain._component_spans
-    if index is None or any(span.positions is None
-                            for span in itertools.chain(domain_spans.values(), codomain_spans.values())):
+    tau, tau_p, index = domain.elementary_tuple, codomain.elementary_tuple, gmap._sources.positions
+    if index is None or tau is None or tau_p is None or domain.group != codomain.group:
         return None
     cells = []  # (r, c, mu, a) of the pair (a E_ij, mu E_(r, c)), at i n + j
     for p in range(n * n):
@@ -832,11 +832,10 @@ def _unit_map_report(gmap: GradedMap) -> Optional[HomomorphismReport]:
         i, j = divmod(p, n)
         if r != sigma[i] or c != sigma[j] or mu != a * lambda_i0[i] * lambda_0j[j]:
             return None
-    degree_failures = tuple(
-        g for g, span in domain_spans.items()
-        if (target := codomain_spans.get(g)) is None
-        or any(sigma[p // n] * m + sigma[p % n] not in target.positions for p in span.positions))
-    return HomomorphismReport(True, (), True, degree_failures)
+    shifts = [tau_p[s] * t.inverse() for s, t in zip(sigma, tau)]  # c_i
+    kinds = set(zip(tau, shifts)) if len(set(shifts)) > 1 else ()  # none when f is graded
+    failing = {t.inverse() * u for t, c in kinds for u, d in kinds if c != d}
+    return HomomorphismReport(True, (), True, tuple(g for g in domain.components if g in failing))
 
 
 def _image(x: Matrix, units: Sequence[Sequence[Matrix]]) -> Matrix:

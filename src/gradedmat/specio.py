@@ -74,6 +74,16 @@ def parse_element_key(text: str, group: FiniteAbelianGroup, path: str) -> GroupE
     return group.element(exps)
 
 
+def _new_degree(key: str, group: FiniteAbelianGroup, path: str,
+                seen: Dict[GroupElement, str]) -> GroupElement:
+    """The degree that key names, recorded in seen; a second key that names it is an error."""
+    g = parse_element_key(key, group, path)
+    if g in seen:
+        raise SpecError(path, f"names degree {g}, as key {seen[g]!r} does")
+    seen[g] = key
+    return g
+
+
 def parse_tuple(obj: Any, group: FiniteAbelianGroup, path: str) -> Tuple[GroupElement, ...]:
     data = _expect(obj, list, path, "a list of elements")
     if not data:
@@ -154,7 +164,8 @@ def parse_decomposition_pair(obj: Any, algebra: GradedAlgebra, path: str) -> Dec
     c_basis = tuple(parse_matrix(mat, f"{path}.c_basis[{i}]", n) for i, mat in enumerate(c_obj))
     if not isinstance(d_obj, dict) or not d_obj:
         raise SpecError(f"{path}.d_units", "expected a non-empty object")
-    d_units = {parse_element_key(key, algebra.group, f"{path}.d_units.{key}"):
+    seen: Dict[GroupElement, str] = {}
+    d_units = {_new_degree(key, algebra.group, f"{path}.d_units.{key}", seen):
                parse_matrix(d_obj[key], f"{path}.d_units.{key}", n) for key in sorted(d_obj)}
     identity = parse_matrix(id_obj, f"{path}.identity", n)
     _check_levels(path, (*_basis(algebra), *c_basis, *d_units.values(), identity))
@@ -229,9 +240,10 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
         if not comps:
             raise SpecError(f"{path}.components", "need at least one component")
         parsed: Dict[GroupElement, List[Matrix]] = {}
+        seen: Dict[GroupElement, str] = {}
         n = None
         for key in sorted(comps):
-            g = parse_element_key(key, group, f"{path}.components.{key}")
+            g = _new_degree(key, group, f"{path}.components.{key}", seen)
             mats = _expect(comps[key], list, f"{path}.components.{key}", "a list")
             out = []
             for i, m in enumerate(mats):

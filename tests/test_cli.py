@@ -206,6 +206,18 @@ def test_regularize_fails_fine_factors_whose_cocycles_differ(capsys):
     assert (code, out, err) == (1, "fail\nfine factors have different cocycles\n", "")
 
 
+def test_two_keys_that_name_one_degree_are_an_input_error(capsys):
+    spec = {"kind": "explicit", "group": {"factors": [2]},
+            "components": {"0": [{"n": 1, "entries": [["1"]]}], "00": [{"n": 1, "entries": [["2"]]}]}}
+    assert run_cli(capsys, "verify", "--spec", json.dumps(spec)) == (
+        2, "", "error: spec.components.00: names degree (0), as key '0' does\n")
+    spec = _regularize_spec()
+    units = spec["source"]["d_units"]
+    units["2,3,2"] = units["0,1,0"]  # (0,1,0) in Z2^3 again
+    assert run_cli(capsys, "regularize", "--spec", json.dumps(spec)) == (
+        2, "", "error: spec.source.d_units.2,3,2: names degree (0,1,0), as key '0,1,0' does\n")
+
+
 def test_regularize_reports_structural_problems(capsys):
     spec = _regularize_spec()
     spec["source"]["d_units"].pop("1,1,0")

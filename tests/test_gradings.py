@@ -516,6 +516,14 @@ def test_graded_algebra_validates_input():
         GradedAlgebra(Z2, 2, {E0: [Matrix.identity(3)]})
 
 
+def test_only_elementary_grading_sets_the_tuple():
+    units = elementary_grading(Z2, (E0, A0))
+    assert units.elementary_tuple == (E0, A0)
+    assert GradedAlgebra(Z2, 2, units.components).elementary_tuple is None
+    with pytest.raises(TypeError):
+        GradedAlgebra(Z2, 2, units.components, elementary_tuple=(E0, A0))
+
+
 def test_unit_relation_check_returns_the_first_violation():
     from gradedmat.gradings import _unit_relation_violation
     units = [[Matrix.unit(3, i, j) for j in range(3)] for i in range(3)]
@@ -1267,7 +1275,8 @@ def _position_maps(rng, group, n, extra):
 
     key = (rng.randrange(n), rng.randrange(n))
     a, lam, r, c = cells[key]
-    yield "passing", build(cells)
+    passing = build(cells)
+    yield "passing", passing
     yield "one lambda changed", changed(key, lam=lam * root_of_unity(3, 1))
     if m > 1:
         yield "one column moved", changed(key, c=(c + 1) % m)
@@ -1285,6 +1294,10 @@ def _position_maps(rng, group, n, extra):
     support = codomain.support()
     if len(support) > 1:
         yield "relabeled codomain", build(cells, _relabeled(codomain, support[:2]))
+    # the entry of tau' at iota(key[0]) moved by the first generator: c_i differs there alone
+    moved = list(tau_p)
+    moved[iota[key[0]]] *= group.element((1,) + (0,) * (len(group.factors) - 1))
+    yield "retupled codomain", GradedMap(domain, elementary_grading(group, tuple(moved)), passing.pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1302,15 +1315,78 @@ def test_position_route_gives_the_report_of_the_unit_table_route(monkeypatch):
     monkeypatch.setattr(gradings, "_unit_map_report", lambda gmap: None)
     for (name, gmap), report, read in zip(cases, reports, answered):
         assert graded_homomorphism_check(gmap) == report, name
-        # the position certificate passes exactly on multiplicative maps
-        assert read == (not report.multiplicative_failures), name
+        if gmap.codomain.elementary_tuple is None:  # relabeled: the certificate answers, as the scan does
+            assert not read and report == _reference_homomorphism_check(gmap), name
+        else:  # the position certificate passes exactly on multiplicative maps
+            assert read == (not report.multiplicative_failures), name
     names = {name for name, _ in cases}
     assert all(r.passed for (name, _), r in zip(cases, reports) if name == "passing")
-    for kind in names - {"passing", "relabeled codomain"}:
+    for kind in names - {"passing", "relabeled codomain", "retupled codomain"}:
         assert all(r.multiplicative_failures for (name, _), r in zip(cases, reports) if name == kind), kind
-    assert any(r.degree_failures and not r.multiplicative_failures for r in reports)
+    assert any(r.degree_failures and read for r, read in zip(reports, answered))
     assert any(not r.injective for r in reports)
     assert sum(answered) >= 30 and len(cases) - sum(answered) >= 60
+
+
+def _reference_unit_degree_failures(gmap):
+    """The degree failures of a multiplicative unit map, component by component: every
+    unit position of the domain's R_g, moved by sigma, among the positions of the
+    codomain's R_g."""
+    domain, codomain = gmap.domain, gmap.codomain
+    n, m = domain.n, codomain.n
+    sigma = {i: next(iter(image.rows)) for source, image in gmap.pairs
+             for i, row in source.rows.items() if 0 in row}
+    codomain_spans = codomain._component_spans
+    return tuple(
+        g for g, span in domain._component_spans.items()
+        if (target := codomain_spans.get(g)) is None
+        or any(sigma[p // n] * m + sigma[p % n] not in target.positions for p in span.positions))
+
+
+def _shifted_unit_maps():
+    """Seeded maps a E_ij -> a E_(iota(i) iota(j)) into M_(n + extra) between elementary
+    gradings, tau'_iota(i) = c_i tau_i with the shifts c_i drawn at random, the last one
+    moved off the first by a generator so that they are never all equal."""
+    rng = random.Random(28)
+    for group in (FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((6,))):
+        for n in (2, 5, 9, 16):
+            extra = rng.choice((0, 3))
+            tau, iota = _random_tuple(rng, group, n), rng.sample(range(n + extra), n)
+            tau_p = list(_random_tuple(rng, group, n + extra))
+            shifts = list(_random_tuple(rng, group, n))
+            shifts[-1] = shifts[0] * group.element((1,) + (0,) * (len(group.factors) - 1))
+            for i, c in enumerate(shifts):
+                tau_p[iota[i]] = c * tau[i]
+            scale = itertools.cycle((CycNumber.one(),) + _SCALARS)
+            yield GradedMap(elementary_grading(group, tau), elementary_grading(group, tuple(tau_p)), tuple(
+                (Matrix.unit(n, i, j).scale(a), Matrix.unit(n + extra, iota[i], iota[j]).scale(a))
+                for (i, j), a in zip(itertools.product(range(n), repeat=2), scale)))
+
+
+def test_tuple_degrees_match_the_component_positions():
+    for gmap in _shifted_unit_maps():
+        failures = gradings._unit_map_report(gmap).degree_failures
+        assert failures and failures == _reference_unit_degree_failures(gmap)
+
+
+def test_passing_tupled_check_indexes_the_sources_alone(monkeypatch):
+    rng = random.Random(32)
+    G, n = FiniteAbelianGroup((4,)), 32
+    tau = _random_tuple(rng, G, n)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    tau_p = tuple(tau[sigma.index(i)] for i in range(n))
+    gmap = GradedMap(elementary_grading(G, tau), elementary_grading(G, tau_p), build_isomorphism(sigma, n))
+    passes, index = [], gradings._Span.positions.method
+
+    def positions(span):
+        passes.append(span)
+        return index(span)
+
+    monkeypatch.setattr(gradings._Span, "positions", gradings._lazy(positions))
+    assert graded_homomorphism_check(gmap).passed
+    assert passes == [gmap._sources]
+    assert "_component_spans" not in vars(gmap.domain) and "_component_spans" not in vars(gmap.codomain)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -2,9 +2,12 @@
 
 unit-map  For n = 8, 16, 32 and 64, a Z4 isomorphism E_ij -> E_sigma(i)sigma(j)
           between elementary gradings (seeded tuple and permutation):
-            map      graded_homomorphism_check, with the build of both algebras;
-            grading  verify_grading of elementary_grading(Z4, tau), with its build;
-          and their ratio.
+            map       graded_homomorphism_check, with the build of both algebras;
+            untupled  the same check between copies GradedAlgebra(Z4, n, components)
+                      that carry no tuple, so the 2n - 1 unit certificate answers;
+                      with the build of both algebras and both copies;
+            grading   verify_grading of elementary_grading(Z4, tau), with its build;
+          and the ratio of map to grading.
 group     The group-only algorithms, which build no matrix:
             decide   decide_equivalence of two finite defining sequences over Z_m x Z_m
                      for m = 10, 20, 30 and 40, with the group and both sequences built
@@ -75,8 +78,8 @@ def ms(t: float) -> str:
 
 def unit_map_series(rng: random.Random) -> None:
     z4 = gm.FiniteAbelianGroup((4,))
-    maps, gradings = [], []
-    print(f"{'n':>6} {'map ms':>10} {'grading ms':>11} {'ratio':>6}")
+    maps, untupleds, gradings = [], [], []
+    print(f"{'n':>6} {'map ms':>10} {'untupled ms':>12} {'grading ms':>11} {'ratio':>6}")
     for n in UNIT_SIZES:
         tau = tuple(z4.element((rng.randrange(4),)) for _ in range(n))
         sigma = list(range(n))
@@ -88,14 +91,21 @@ def unit_map_series(rng: random.Random) -> None:
             gmap = gm.GradedMap(gm.elementary_grading(z4, tau), gm.elementary_grading(z4, tau_p), pairs)
             assert gm.graded_homomorphism_check(gmap).passed
 
+        def untupled():
+            domain, codomain = (gm.GradedAlgebra(z4, n, gm.elementary_grading(z4, t).components)
+                                for t in (tau, tau_p))
+            assert gm.graded_homomorphism_check(gm.GradedMap(domain, codomain, pairs)).passed
+
         def verify():
             assert gm.verify_grading(gm.elementary_grading(z4, tau)).passed
 
-        t_map, t_grading = best_of(check), best_of(verify)
+        t_map, t_untupled, t_grading = best_of(check), best_of(untupled), best_of(verify)
         maps.append((n, t_map))
+        untupleds.append((n, t_untupled))
         gradings.append((n, t_grading))
-        print(f"{n:>6} {ms(t_map):>10} {ms(t_grading):>11} {t_map / t_grading:>6.2f}")
-    print(f"fitted slopes: map {slope(maps):.2f}, grading {slope(gradings):.2f} (against n)")
+        print(f"{n:>6} {ms(t_map):>10} {ms(t_untupled):>12} {ms(t_grading):>11} {t_map / t_grading:>6.2f}")
+    print(f"fitted slopes: map {slope(maps):.2f}, untupled {slope(untupleds):.2f}, "
+          f"grading {slope(gradings):.2f} (against n)")
 
 
 def split_series(rng: random.Random) -> None:
