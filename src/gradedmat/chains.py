@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .equivalence import OMEGA, DefiningSequence, Signature
-from .embeddings import find_block_violation
+from .embeddings import _block_shifts
 from .groups import FiniteAbelianGroup, GroupElement, _Frozen, degree_classes, subgroup_generated
 from .gradings import GradedAlgebra, elementary_grading
 
@@ -37,13 +37,7 @@ class BlockStep(_Frozen):
     def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
         if len(tau) != self.k:
             raise ValueError(f"block step expects a source tuple of length {self.k}, got {len(tau)}")
-        violation = find_block_violation(self.target, self.k, self.m, self.r)
-        if violation is not None:
-            raise ValueError(f"block step target fails the ratio condition at position {violation}")
-        shift = self.target[0] * tau[0].inverse()
-        for alpha in range(self.k):
-            if self.target[alpha] != shift * tau[alpha]:
-                raise ValueError(f"block step target prefix is not a translate of the source at index {alpha}")
+        _block_shifts(tau, self.m, self.r, self.target)
         return self.target
 
 
@@ -140,15 +134,14 @@ class BratteliDiagram:
 
 
 def _shifts(step: ChainStep, identity: GroupElement,
-            first: Optional[GroupElement] = None) -> Tuple[GroupElement, ...]:
+            level: Optional[Tuple[GroupElement, ...]] = None) -> Tuple[GroupElement, ...]:
     """The s with which a step sends every entry g of a level to the entries s g.
 
-    A doubling has (e, e) and a twist by a has (e, a).  A block step checked by
-    `extend` holds target[j + l k] = target[l k] first^-1 tau[j] for l < m, where
-    first = tau[0] is the level's first entry.
+    A doubling has (e, e) and a twist by a has (e, a).  A block step has the shifts
+    of its target's layout over the level it extends (_block_shifts).
     """
     if isinstance(step, BlockStep):
-        return tuple(step.target[l * step.k] * first.inverse() for l in range(step.m))
+        return _block_shifts(level, step.m, step.r, step.target)
     return (identity, step.a if isinstance(step, TwistStep) else identity)
 
 
@@ -159,7 +152,7 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
     A step sends every entry g to s g for each of its shifts s, so the level counts
     walk as c_(i+1)(h) = sum_s c_i(s^-1 h) in O(depth |supp|), plus the r remainder
     entries of a block step, which have no incoming edge.  Tuples are unfolded only
-    when a block step is present, to validate it and to read its level's first entry.
+    when a block step is present, to validate it and to read its shifts off its level.
     The support stops growing after a few levels, so each product s g is formed once
     per call and looked up at every later level.
     """
@@ -175,7 +168,7 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
         step = spec.step_at(i)
         counts: Dict[GroupElement, int] = {}
         layer: Dict[Tuple[GroupElement, GroupElement], int] = {}
-        for s in _shifts(step, identity, tuples[i][0] if tuples else None):
+        for s in _shifts(step, identity, tuples[i] if tuples else None):
             fixed = s.is_identity()
             shifted = products.setdefault(s, {})
             for g, c in dims[-1].items():

@@ -39,26 +39,34 @@ def find_block_violation(h: Sequence[GroupElement], k: int, m: int, r: int) -> O
     return None
 
 
-def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
-                             target: Sequence[GroupElement]) -> GradedMap:
-    """Graded embedding X -> diag(X, ..., X, 0) of an elementary M_k into M_(km+r).
-
-    Requires the repeated-ratio condition on the target tuple and that its
-    k-prefix is a translate of the domain tuple.
-    """
-    if domain.elementary_tuple is None:
-        raise ValueError("the domain must carry an elementary tuple")
-    source = domain.elementary_tuple
-    target = tuple(target)
+def _block_shifts(source: Sequence[GroupElement], m: int, r: int,
+                  target: Sequence[GroupElement]) -> Tuple[GroupElement, ...]:
+    """Shifts s_l = target[l k] source[0]^(-1), l < m, with target[j + l k] = s_l source[j]
+    for j < k: the m blocks repeat their ratios (else EmbeddingConditionError) and the
+    first is a translate of the source (else ValueError), so every block is one."""
     k = len(source)
     violation = find_block_violation(target, k, m, r)
     if violation is not None:
         raise EmbeddingConditionError(
             violation, f"target tuple ratio at position {violation} differs between blocks")
-    shift = target[0] * source[0].inverse()
+    first = source[0].inverse()
+    shift = target[0] * first
     for alpha in range(k):
         if target[alpha] != shift * source[alpha]:
             raise ValueError(f"target prefix is not a translate of the source tuple at index {alpha}")
+    return tuple(target[l * k] * first for l in range(m))
+
+
+def block_diagonal_embedding(domain: GradedAlgebra, m: int, r: int,
+                             target: Sequence[GroupElement]) -> GradedMap:
+    """Graded embedding X -> diag(X, ..., X, 0) of an elementary M_k into M_(km+r), for a
+    target tuple laid out as _block_shifts requires."""
+    if domain.elementary_tuple is None:
+        raise ValueError("the domain must carry an elementary tuple")
+    source = domain.elementary_tuple
+    target = tuple(target)
+    _block_shifts(source, m, r, target)
+    k = len(source)
     n = k * m + r
     codomain = elementary_grading(domain.group, target)
     one = CycNumber.one()
@@ -84,17 +92,6 @@ class GradedVectorSpace(_Frozen):
 
     def coordinate_classes(self) -> Dict[GroupElement, List[int]]:
         return degree_classes(self.degrees)
-
-    def vector_degree(self, vector: Sequence[CycNumber]) -> Optional[GroupElement]:
-        degree = None
-        for i, x in enumerate(vector):
-            if x.is_zero():
-                continue
-            if degree is None:
-                degree = self.degrees[i]
-            elif degree != self.degrees[i]:
-                return None
-        return degree
 
     def matrix_degree(self, m: Matrix) -> Optional[GroupElement]:
         """Degree of a homogeneous map of the space, None if not homogeneous: E_ij sends
@@ -137,8 +134,9 @@ def split_module_decomposition(space: GradedVectorSpace,
     vectors read per degree class.  E_(i,k-1) maps E_(k-1,k-1) V onto E_ii V and back
     by E_(k-1,i), so the v_si = E_(i,k-1) w_s, over a basis w_s of E_(k-1,k-1) V, and
     the kernel vectors are a basis of V, n vectors in which E_ij sends v_sl to
-    delta_jl v_si and kills ker e_c: the block-diagonal form.  Each w_s is a column of
-    the degree-e corner, so every basis vector is homogeneous.
+    delta_jl v_si and kills ker e_c: the block-diagonal form.  Each w_s is column j of the
+    degree-e corner, of the degree d of v_j, so v_si has degree c_i^(-1) c_(k-1) d; a kernel
+    vector read in class d has degree d, and the induced tuple is their inverses.
     """
     n = space.n
     k = len(unit_images)
@@ -165,23 +163,17 @@ def split_module_decomposition(space: GradedVectorSpace,
     classes = space.coordinate_classes()
     zero = CycNumber.zero()
 
-    def homogeneous_column_basis(m: Matrix) -> List[Tuple[CycNumber, ...]]:
-        """Homogeneous basis of the column space of a degree-e idempotent."""
-        out: List[Tuple[CycNumber, ...]] = []
-        solver = SpanSolver()
-        for d in sorted(classes, key=GroupElement.sort_key):
-            for j in classes[d]:
-                col = m.column(j)
-                if solver.add(col):
-                    out.append(col)
-        return out
-
     corner = unit_images[k - 1][k - 1]
-    anchors = homogeneous_column_basis(corner)
+    row_degrees = [c.inverse() * c_tuple[k - 1] for c in c_tuple]  # deg E_(i,k-1)
     summands: List[Tuple[Tuple[CycNumber, ...], ...]] = []
-    for w in anchors:
-        vectors = [unit_images[i][k - 1].apply(w) for i in range(k)]
-        summands.append(tuple(vectors))
+    degrees: List[GroupElement] = []
+    solver = SpanSolver()  # the w_s: a basis of the corner's columns, class by class
+    for d in sorted(classes, key=GroupElement.sort_key):
+        for j in classes[d]:
+            w = corner.column(j)
+            if solver.add(w):
+                summands.append(tuple(unit_images[i][k - 1].apply(w) for i in range(k)))
+                degrees.extend(g * d for g in row_degrees)
 
     # homogeneous kernel of e_c
     e_c = sum((unit_images[i][i] for i in range(k)), Matrix.zeros(n))
@@ -193,10 +185,11 @@ def split_module_decomposition(space: GradedVectorSpace,
             for c, j in zip(sol, idx):
                 vec[j] = c
             annihilated.append(tuple(vec))
+            degrees.append(d)
 
     columns = [v for summand in summands for v in summand] + annihilated
     basis_matrix = Matrix([[columns[j][i] for j in range(n)] for i in range(n)])
-    induced = tuple(space.vector_degree(vec).inverse() for vec in columns)
+    induced = tuple(d.inverse() for d in degrees)
     return ModuleSplit(tuple(summands), tuple(annihilated), basis_matrix, induced)
 
 
@@ -307,8 +300,11 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
         a_t_corrected = a_t * phi_e1 + e2 - phi_e1
         adjusted[t] = a_t_corrected * x_t_prime
 
+    # Pairs (t, g), g in {e} + S, suffice: alpha is a certified 2-cocycle with nonzero values,
+    # so the induction of cocycle_from_units, based at (t, e), gives every other pair.
+    generators, _ = _greedy_generators(support)
     for t in support:
-        for s in support:
+        for s in (identity_g, *generators):
             lhs = adjusted[t] * adjusted[s]
             rhs = adjusted[t * s].scale(alpha(t, s))
             if lhs != rhs:
@@ -324,7 +320,6 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
     # matrix, coefficient 1 there) one basis.  For a graded phi and verified pairs every
     # adjusted unit is homogeneous, so both families take centralizer's graded route.
     # A trivial support has no generators.
-    generators, _ = _greedy_generators(support)
     new_centralizer = centralizer(algebra2, [adjusted[g] for g in generators] or [e2])
     grouped: Dict[GroupElement, List[Matrix]] = {}
     for m in new_centralizer:

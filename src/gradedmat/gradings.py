@@ -279,8 +279,7 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
       - if phi = Ad X, then phi(E_k0) = X E_k0 X^-1 and Y = (X^-1)_0a X, where
         (X^-1)_0a != 0 because column a of phi(E_00) = X E_00 X^-1 is nonzero.
     Y is the implementer of chi up to a scalar.  Basis pairs are scanned only when
-    the certificate fails; a pair is skipped when no nonzero column of the left
-    factor is a nonzero row of the right, since its product is zero.
+    the certificate fails.
 
     A basis of scaled matrix units c E_ij is read by position instead, with no
     elimination: it is independent exactly when its positions are distinct, and
@@ -334,16 +333,12 @@ def verify_grading(algebra: GradedAlgebra) -> GradingReport:
         columns = [algebra.decompose(Matrix.unit(n, k, 0)) for k in range(n)]
         if all(_implementer(algebra, chi, columns) for chi in _dual_generators(algebra.group)):
             return GradingReport(n, total, True, True, ())
-    basis = {g: [(x, {j for row in x.rows.values() for j in row}, set(x.rows))
-                 for x in mats] for g, mats in algebra.components.items()}
     failures: List[Tuple[GroupElement, GroupElement, Matrix]] = []
-    for g, g_mats in basis.items():
-        for h, h_mats in basis.items():
+    for g, g_mats in algebra.components.items():
+        for h, h_mats in algebra.components.items():
             target = algebra._component_spans.get(g * h)
-            for x, x_columns, _ in g_mats:
-                for y, _, y_rows in h_mats:
-                    if x_columns.isdisjoint(y_rows):
-                        continue
+            for x in g_mats:
+                for y in h_mats:
                     product = x * y
                     if product.is_zero():
                         continue
@@ -382,12 +377,13 @@ def _dual_generators(group: FiniteAbelianGroup) -> List[Character]:
 def _implementer(algebra: GradedAlgebra, chi: Character,
                  columns: Sequence[Dict[GroupElement, Matrix]]) -> Optional[Matrix]:
     """Y with Y M = phi(M) Y for all M, phi = sum chi(g) pi_g, built from the homogeneous
-    parts of E_00, ..., E_(n-1)0; None when no such Y exists (see verify_grading)."""
+    parts of E_00, ..., E_(n-1)0; None when no such Y exists (see verify_grading).
+
+    It runs only on an independent union basis, so phi(E_00) = sum chi(g) (E_00)_g is
+    nonzero: the parts lie in independent components and every chi(g) != 0."""
     n = algebra.n
     images = [_act(chi, n, parts) for parts in columns]
     first = images[0].rows
-    if not first:
-        return None
     a = min(first[min(first)])
     # column k of y is column a of images[k]
     columns = ((k, {i: row[a] for i, row in image.rows.items() if a in row}) for k, image in enumerate(images))

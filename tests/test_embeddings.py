@@ -1,12 +1,15 @@
 """Block embeddings, module splitting, and regularization of fine factors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmat import embeddings
 from gradedmat.cyclotomic import CycNumber, root_of_unity
+from gradedmat.chains import BlockStep
 from gradedmat.embeddings import (DecompositionPair, EmbeddingConditionError,
-                                  GradedVectorSpace, block_diagonal_embedding,
+                                  GradedVectorSpace, _block_shifts, block_diagonal_embedding,
                                   find_block_violation,
                                   regularize_decomposition, split_module_decomposition)
 from gradedmat.gradings import (GradedAlgebra, GradedMap, elementary_grading,
@@ -113,16 +116,90 @@ def test_embedding_requires_elementary_domain():
         block_diagonal_embedding(eps, 1, 0, (eps.group.identity(), eps.group.identity()))
 
 
+def _reference_block_check(source, m, r, target):
+    """The two layout conditions written out directly: the ratio test, then the
+    first block as a translate of the source, with the embedding's messages."""
+    k = len(source)
+    violation = find_block_violation(target, k, m, r)
+    if violation is not None:
+        raise EmbeddingConditionError(
+            violation, f"target tuple ratio at position {violation} differs between blocks")
+    shift = target[0] * source[0].inverse()
+    for alpha in range(k):
+        if target[alpha] != shift * source[alpha]:
+            raise ValueError(f"target prefix is not a translate of the source tuple at index {alpha}")
+
+
+_LAYOUT_KINDS = ("valid", "later-ratio", "no-translate", "length")
+
+
+def _block_layout(seed):
+    """(group, source, m, r, target) for a seeded layout of one of _LAYOUT_KINDS: m blocks
+    s_l source and r free entries, then one later block entry moved, one source entry
+    moved (the first block then is no translate), or one entry added or dropped."""
+    rng = random.Random(seed)
+    group = FiniteAbelianGroup(rng.choice([(2,), (4,), (2, 2)]))
+    elements = group.elements()
+    k, m, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+    source = [rng.choice(elements) for _ in range(k)]
+    target = [rng.choice(elements) * g for _ in range(m) for g in source]
+    target += [rng.choice(elements) for _ in range(r)]
+    kind = _LAYOUT_KINDS[seed % 4]
+
+    def moved(g):
+        return rng.choice([h for h in elements if h != g])
+
+    if kind == "later-ratio" and k > 1 and m > 1:
+        at = rng.randrange(1, m) * k + rng.randrange(1, k)
+        target[at] = moved(target[at])
+    elif kind == "no-translate" and k > 1:
+        at = rng.randrange(1, k)
+        source[at] = moved(source[at])
+    elif kind == "length":
+        if rng.random() < 0.5 and len(target) > 1:
+            target.pop()
+        else:
+            target.append(rng.choice(elements))
+    return group, tuple(source), m, r, tuple(target)
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def test_block_shifts_match_the_reference_checks():
+    """block_diagonal_embedding raises what the reference raises, BlockStep.extend raises
+    exactly when it does, and on a valid layout the shifts rebuild every block."""
+    seen = set()
+    for seed in range(400):
+        group, source, m, r, target = _block_layout(seed)
+        expected = _raised(lambda: _reference_block_check(source, m, r, target))
+        domain = elementary_grading(group, source)
+        got = _raised(lambda: block_diagonal_embedding(domain, m, r, target))
+        assert type(got) is type(expected), seed
+        assert str(got) == str(expected), seed
+        assert getattr(got, "index", None) == getattr(expected, "index", None), seed
+        step = BlockStep(len(source), m, r, target)
+        assert (_raised(lambda: step.extend(source)) is None) == (expected is None), seed
+        seen.add(type(expected).__name__ if expected else "valid")
+        if expected is None:
+            shifts = _block_shifts(source, m, r, target)
+            assert len(shifts) == m
+            k = len(source)
+            assert all(target[j + l * k] == shifts[l] * source[j]
+                       for l in range(m) for j in range(k)), seed
+    assert seen == {"valid", "EmbeddingConditionError", "ValueError"}
+
+
 def test_graded_vector_space_basics():
     space = GradedVectorSpace.from_tuple(Z2, (E0, A0, A0))
     assert space.n == 3
     assert space.degrees == (E0, A0, A0)  # inverses coincide in Z_2
     assert space.coordinate_classes() == {E0: [0], A0: [1, 2]}
-    one = CycNumber.one()
-    zero = CycNumber.zero()
-    assert space.vector_degree((zero, one, one)) == A0
-    assert space.vector_degree((one, one, zero)) is None
-    assert space.vector_degree((zero, zero, zero)) is None
 
 
 def _unit_table(n, k, m):
@@ -201,6 +278,20 @@ def test_split_rejects_images_it_cannot_split(table, message):
         split_module_decomposition(_SPLIT_SPACE, table)
 
 
+def _vector_degree(space, vector):
+    """The common degree of the coordinates where the vector is nonzero, None if they
+    differ or if there are none."""
+    degree = None
+    for i, x in enumerate(vector):
+        if x.is_zero():
+            continue
+        if degree is None:
+            degree = space.degrees[i]
+        elif degree != space.degrees[i]:
+            return None
+    return degree
+
+
 @st.composite
 def _permuted_block_embeddings(draw):
     """(k, m, space, images): the unit images of a block-diagonal embedding of M_k into
@@ -233,7 +324,7 @@ def test_split_of_permuted_block_embeddings_realizes_the_block_form(case):
         for j in range(k):
             expected = sum((Matrix.unit(n, i + l * k, j + l * k) for l in range(m)), Matrix.zeros(n))
             assert inverse * images[i][j] * basis == expected
-    degrees = [space.vector_degree(basis.column(c)) for c in range(n)]
+    degrees = [_vector_degree(space, basis.column(c)) for c in range(n)]
     assert None not in degrees
     assert split.induced_tuple == tuple(d.inverse() for d in degrees)
 
@@ -358,6 +449,31 @@ def test_regularize_twisted_corner_embedding():
     c_span = SpanSolver(m.vector() for m in result.pair.c_basis)
     assert c_span.contains(phi.apply(Matrix.identity(2)).vector())
     assert result.pair.verify() == []
+
+
+def _sign_twist(mask):
+    """Sign twist number mask: bit b gives the sign of the b-th degree of T_SUPPORT."""
+    signs = {t: -1 if mask >> b & 1 else 1 for b, t in enumerate(T_SUPPORT)}
+    return signs, all(signs[t] * signs[u] == signs[t * u] for t in T_SUPPORT for u in T_SUPPORT)
+
+
+@pytest.mark.parametrize("mask", range(16))
+def test_regularize_passes_exactly_the_character_twists(mask):
+    """Called without the homomorphism check, regularization accepts the four sign twists
+    that are characters and refuses the other twelve at the cocycle relation."""
+    source = _source_pair()
+    target = _target_pair(source)
+    signs, character = _sign_twist(mask)
+    phi = _corner_map(source, target, lambda t: CycNumber.rational(signs[t]))
+    if character:
+        assert regularize_decomposition(phi, source, target).pair.verify() == []
+    else:
+        with pytest.raises(ValueError, match="^adjusted basis breaks the cocycle relation at "):
+            regularize_decomposition(phi, source, target)
+
+
+def test_sign_twists_hold_four_characters():
+    assert sum(_sign_twist(mask)[1] for mask in range(16)) == 4
 
 
 def test_regularize_reads_one_column_in_the_matrix_unit_search(monkeypatch):

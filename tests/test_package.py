@@ -27,7 +27,7 @@ REMOVED = {
     matrices.Matrix: ("flatten",),
     matrices: ("_EMPTY_ROW",),
     embeddings: ("check_block_condition",),
-    embeddings.GradedVectorSpace: ("induced_tuple",),
+    embeddings.GradedVectorSpace: ("induced_tuple", "vector_degree"),
     gradings.GradedAlgebra: ("_union_basis",),
     gradings: ("_unit_relations_hold", "matrix_degree_for_tuple"),
     chains.FinitaryGrading: ("prefixes",),
