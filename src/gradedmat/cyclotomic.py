@@ -28,42 +28,46 @@ def _prime_factors(n: int) -> List[int]:
     return primes + [n] if n > 1 else primes
 
 
-_cyclotomic_cache: dict = {}
 # level -> (phi, the nonzero (index, integer coefficient) pairs of x^phi mod Phi_level,
 #           the integer coefficients of Phi_level)
 _fold_cache: dict = {}
 
 
-def cyclotomic_polynomial(n: int) -> Tuple[Fraction, ...]:
-    """Coefficients of Phi_n, little-endian: the product of (x^(n/d) - 1)^mu(d) over d | n."""
-    if n < 1:
-        raise ValueError(f"level must be positive, got {n}")
-    cached = _cyclotomic_cache.get(n)
+def _fold(level: int) -> Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """Phi_level on integers, built once per level: prod over d | level of (x^(level/d) - 1)^mu(d)."""
+    cached = _fold_cache.get(level)
     if cached is not None:
         return cached
-    mu = {1: 1}  # the Moebius function on the squarefree divisors of n
-    for p in _prime_factors(n):
+    if level < 1:
+        raise ValueError(f"level must be positive, got {level}")
+    mu = {1: 1}  # the Moebius function on the squarefree divisors of level
+    for p in _prime_factors(level):
         mu.update({d * p: -sign for d, sign in list(mu.items())})
     poly = [1]
-    for d, sign in mu.items():  # multiply by x^(n/d) - 1
+    for d, sign in mu.items():  # multiply by x^(level/d) - 1
         if sign == 1:
-            e = n // d
+            e = level // d
             poly = [(poly[i - e] if i >= e else 0) - (poly[i] if i < len(poly) else 0)
                     for i in range(len(poly) + e)]
-    for d, sign in mu.items():  # divide exactly by x^(n/d) - 1
+    for d, sign in mu.items():  # divide exactly by x^(level/d) - 1
         if sign == -1:
-            e = n // d
+            e = level // d
             quot: List[int] = []
             for i in range(len(poly) - e):
                 quot.append((quot[i - e] if i >= e else 0) - poly[i])
             poly = quot
-    result = tuple(Fraction(c) for c in poly)
-    _cyclotomic_cache[n] = result
-    return result
+    cached = _fold_cache[level] = (len(poly) - 1, tuple(
+        (i, -c) for i, c in enumerate(poly[:-1]) if c), tuple(poly))
+    return cached
+
+
+def cyclotomic_polynomial(n: int) -> Tuple[Fraction, ...]:
+    """Coefficients of Phi_n, little-endian."""
+    return tuple(Fraction(c) for c in _fold(n)[2])
 
 
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    return _fold(n)[0]
 
 
 def _numerators(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -82,15 +86,6 @@ def _canonical(level: int, poly: List[int], den: int) -> "CycNumber":
             poly = [c // g for c in poly]
             den //= g
     return CycNumber(level, tuple(poly), den)
-
-
-def _fold(level: int) -> Tuple[int, Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
-    cached = _fold_cache.get(level)
-    if cached is None:
-        modulus = tuple(int(c) for c in cyclotomic_polynomial(level))
-        cached = _fold_cache[level] = (len(modulus) - 1, tuple(
-            (i, -c) for i, c in enumerate(modulus[:-1]) if c), modulus)
-    return cached
 
 
 def _reduce(level: int, poly: List[int], den: int) -> "CycNumber":
@@ -309,17 +304,7 @@ class CycNumber:
         return CycNumber._coerce(other) * self.inverse()
 
     def __pow__(self, exponent: int) -> "CycNumber":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = CycNumber.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, CycNumber.one())
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not CycNumber:
@@ -352,6 +337,19 @@ class CycNumber:
 
 _CYC_ZERO = CycNumber(1, ())
 _CYC_ONE = CycNumber(1, (1,))
+
+
+def _power(x, k: int, one):
+    """x^k by repeated squaring from `one`; a negative k inverts x first."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
 
 
 def root_of_unity(level: int, power: int = 1) -> CycNumber:

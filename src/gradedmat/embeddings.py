@@ -309,7 +309,7 @@ def regularize_decomposition(phi: GradedMap, source: DecompositionPair,
             rhs = adjusted[t * s].scale(alpha(t, s))
             if lhs != rhs:
                 raise ValueError(f"adjusted basis breaks the cocycle relation at ({t},{s})")
-    if adjusted[identity_g] != e2:
+    if adjusted[identity_g] != e2.scale(alpha(identity_g, identity_g)):  # a verified X_e is alpha(e, e) 1
         raise ValueError("adjusted basis does not recover the identity")
 
     # The adjusted units of a generating set S of the support commute with the same

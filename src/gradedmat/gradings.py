@@ -580,8 +580,6 @@ def extract_cocycle(algebra: GradedAlgebra) -> Cocycle:
     dependent family raises too."""
     if not algebra.is_fine():
         raise ValueError("cocycle extraction requires a fine grading")
-    if not support_is_subgroup(algebra):
-        raise ValueError("the support of a fine grading must be a subgroup")
     basis = {g: mats[0] for g, mats in algebra.components.items()}
     cocycle = cocycle_from_units(algebra.group, basis)
     if not _traces_separate(basis):

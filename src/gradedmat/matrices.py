@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _power
 from .linalg import SpanSolver, SparseVector, _add_scaled
 
 Scalar = Union[CycNumber, int, Fraction]
@@ -120,16 +120,7 @@ class Matrix:
         return Matrix._of(self.n, out)
 
     def __pow__(self, k: int) -> "Matrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Matrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Matrix.identity(self.n))
 
     def scale(self, c: Scalar) -> "Matrix":
         c = _coerce(c)

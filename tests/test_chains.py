@@ -1,5 +1,6 @@
 """Chains of elementary gradings, their diagrams, and limiting signatures."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -329,17 +330,63 @@ def test_chain_union_builds_finitary_grading():
 
 
 def test_chain_union_rejects_non_nested_steps():
+    # double and twist steps keep every level as the prefix of the next
     spec = ChainSpec(Z2, (E0, A0), (TwistStep(A0), DoubleStep()))
-    # level 2 = (e,a,a,e); a twist of it starts (e,a,a,e,...) but the next
-    # double keeps the prefix, so only the very first twist is fine here
     mixed = ChainSpec(Z2, (A0,), (TwistStep(A0),))
     assert chain_union_finitary(spec) is not None
     assert chain_union_finitary(mixed) is not None
-    # a translated block target is a legal step but not a corner extension
+    # a translated block target is a legal step but not a corner extension;
+    # the Steinitz signature refuses every block step
     shifted = ChainSpec(Z2, (E0, A0), (BlockStep(2, 1, 0, (A0, E0)),))
     assert shifted.unfold(4)[-1] == (A0, E0)
-    with pytest.raises(ValueError, match="step 0 rejected.*prefix"):
+    with pytest.raises(ValueError, match="^step 0 is an explicit block step; "):
         chain_union_finitary(shifted)
+
+
+def _seeded_chain(seed, block=False):
+    """A seeded chain over Z2, Z4 or Z2^2 of 1-3 double or twist steps.  With `block`, one
+    step is a block step instead, whose layout over the level it extends is valid for an
+    even seed and random for an odd one; returns the chain and that step's index."""
+    rng = random.Random(seed)
+    group = FiniteAbelianGroup(rng.choice([(2,), (4,), (2, 2)]))
+    elements = group.elements()
+    base = tuple(rng.choice(elements) for _ in range(rng.randint(1, 3)))
+    steps = [rng.choice([DoubleStep(), TwistStep(rng.choice(elements))])
+             for _ in range(rng.randint(1, 3))]
+    if not block:
+        return ChainSpec(group, base, tuple(steps))
+    at = rng.randrange(len(steps))
+    tau = base
+    for step in steps[:at]:
+        tau = step.extend(tau)
+    m, r = rng.randint(1, 2), rng.randint(0, 1)
+    if seed % 2 == 0:
+        shifts = [rng.choice(elements) for _ in range(m)]
+        target = tuple(s * g for s in shifts for g in tau)
+    else:
+        target = tuple(rng.choice(elements) for _ in range(m * len(tau)))
+    target += tuple(rng.choice(elements) for _ in range(r))
+    steps[at] = BlockStep(len(tau), m, r, target)
+    return ChainSpec(group, base, tuple(steps)), at
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_double_and_twist_levels_extend_by_prefix(seed):
+    spec = _seeded_chain(seed)
+    levels = spec.unfold(5)
+    for shorter, longer in zip(levels, levels[1:]):
+        assert longer[:len(shorter)] == shorter
+    assert chain_union_finitary(spec).signature() == steinitz_signature(spec)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_chain_union_refuses_every_chain_with_a_block_step(seed):
+    spec, at = _seeded_chain(seed, block=True)
+    if seed % 2 == 0:
+        spec.unfold(at + 2)  # the layout is valid
+    with pytest.raises(ValueError, match=f"^step {at} is an explicit block step; limiting "
+                                         "signatures require steps that repeat uniformly$"):
+        chain_union_finitary(spec)
 
 
 def test_truncations_are_valid_gradings():

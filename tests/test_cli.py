@@ -206,6 +206,18 @@ def test_regularize_fails_fine_factors_whose_cocycles_differ(capsys):
     assert (code, out, err) == (1, "fail\nfine factors have different cocycles\n", "")
 
 
+def test_regularize_passes_pairs_whose_identity_unit_is_a_multiple_of_one(capsys):
+    # X_e = 2 I in both pairs: the cocycle has alpha(e, e) = 2 and the adjusted X_e is 2 I
+    spec = _regularize_spec()
+    for pair in ("source", "target"):
+        unit = spec[pair]["d_units"]["0,0,0"]
+        unit["entries"] = [[str(2 * int(x)) for x in row] for row in unit["entries"]]
+    code, out, _ = run_cli(capsys, "regularize", "--spec", json.dumps(spec))
+    payload = json.loads(out)
+    assert (code, payload["verdict"], payload["problems"]) == (0, "pass", [])
+    assert payload["adjusted_units"]["0,0,0"] == spec["target"]["d_units"]["0,0,0"]
+
+
 def test_two_keys_that_name_one_degree_are_an_input_error(capsys):
     spec = {"kind": "explicit", "group": {"factors": [2]},
             "components": {"0": [{"n": 1, "entries": [["1"]]}], "00": [{"n": 1, "entries": [["2"]]}]}}

@@ -104,6 +104,24 @@ def test_power_negative_exponent():
     assert z ** 0 == CycNumber.one()
 
 
+@pytest.mark.parametrize("level", [3, 5, 8, 12])
+def test_negative_powers_invert_the_positive_ones(level):
+    rng = random.Random(level)
+    z = CycNumber.zero()
+    while z.is_zero():
+        z = CycNumber.from_poly(level, _random_poly(rng, level))
+    for k in (1, 2, 3):
+        assert z ** -k == (z ** k).inverse()
+        assert root_of_unity(level, 1) ** -k == root_of_unity(level, -k)
+
+
+def test_level_zero_is_refused():
+    with pytest.raises(ValueError, match="^level must be positive, got 0$"):
+        cyclotomic_polynomial(0)
+    with pytest.raises(ValueError, match="^level must be positive, got 0$"):
+        CycNumber.from_poly(0, [1])
+
+
 def test_text_round_trip():
     samples = [
         CycNumber.zero(),

@@ -558,3 +558,36 @@ def test_decomposition_pair_reports_structural_problems():
     problems = bad.verify()
     assert any("commute" in p for p in problems)
     assert any("overlap" in p for p in problems)
+
+
+def test_decomposition_pair_names_each_faulty_c_basis_element():
+    source = _source_pair()
+    i2, e = Matrix.identity(2), G3.identity()
+    zero = DecompositionPair(source.algebra, (i2, Matrix.zeros(2)), source.d_units, i2)
+    assert "C-basis element 1 is zero" in zero.verify()
+    mixed = DecompositionPair(source.algebra, (Matrix([[1, 2], [3, 4]]),), source.d_units, i2)
+    assert "C-basis element 0 is not homogeneous" in mixed.verify()
+    scalars = GradedAlgebra(G3, 2, {e: [i2]})  # spans the scalars of M_2 only
+    outside = DecompositionPair(scalars, (Matrix.unit(2, 0, 1),), {e: i2}, i2)
+    assert "C-basis element 0 is not in the span of the components" in outside.verify()
+
+
+def _scaled_identity_unit_pairs():
+    """The fixture pairs with the identity-degree unit of the source scaled by 2, so X_e = 2 I
+    in both pairs and alpha(e, e) = 2."""
+    units = dict(_source_pair().d_units)
+    units[G3.identity()] = units[G3.identity()].scale(2)
+    algebra = GradedAlgebra(G3, 2, {t: [x] for t, x in units.items()})
+    source = DecompositionPair(algebra, (Matrix.identity(2),), units, Matrix.identity(2))
+    return source, _target_pair(source)
+
+
+def test_regularize_accepts_an_identity_unit_that_is_a_multiple_of_one():
+    source, target = _scaled_identity_unit_pairs()
+    assert source.verify() == [] and target.verify() == []
+    phi = _corner_map(source, target, lambda t: CycNumber.one())
+    assert graded_homomorphism_check(phi).passed
+    result = regularize_decomposition(phi, source, target)
+    assert result.psi == target.d_units
+    assert result.psi[G3.identity()] == Matrix.identity(4).scale(2)
+    assert result.pair.verify() == []

@@ -1746,7 +1746,7 @@ def test_extraction_succeeds_exactly_on_fine_gradings():
             outcomes.append(("extracted", verify_grading(algebra).passed))
     assert all((text == "extracted") == passed for text, passed in outcomes)
     texts = {text for text, _ in outcomes}
-    assert {"extracted", "the support of a fine grading must be a subgroup",
+    assert {"extracted", "the degrees of the basis must form a subgroup",
             "the basis of the fine grading is not linearly independent"} <= texts
     assert any(text.startswith("product of degrees") for text in texts)
     assert any(text.startswith("basis element of degree") for text in texts)

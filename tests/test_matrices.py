@@ -43,6 +43,21 @@ def test_multiplication_and_power():
     assert a ** 0 == Matrix.identity(2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_negative_powers_invert_the_positive_ones(n):
+    rng = random.Random(n)
+    while True:
+        m = _m([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        try:
+            m.inverse()
+            break
+        except ZeroDivisionError:
+            continue
+    for k in (1, 2, 3):
+        assert m ** -k == (m ** k).inverse()
+        assert (m ** -k) * (m ** k) == Matrix.identity(n)
+
+
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         _m([[1, 2], [3, 4]]) * _m([[1]])

@@ -6,8 +6,11 @@ process under sys.settrace, with line events taken only in frames of src/gradedm
 operation's GMK_MAX_DIM and with stdin, stdout and stderr captured.  Every result is checked
 with its operation's own check, outside the trace.  Prints the operations and failures per
 workload, then, per function of src/gradedmat, the statement lines that no workload
-executed ("never called" when none of its statements ran).  Exits 1 when an operation
-fails or its check does.
+executed ("never called" when none of its statements ran).  It then runs the tier-1 tests
+(`tests`) through pytest.main in this process under the same tracer, and prints a second
+list: the statement lines that neither a workload nor a tier-1 test executed.  Code that
+tests run in child processes is not traced.  Exits 1 when an operation fails or its check
+does, or when a tier-1 test fails.
 
 Run from the repository root:  python tools/traffic.py
 """
@@ -26,6 +29,8 @@ from typing import Iterator, List, Sequence, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gradedmat"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "gmbench")]
+
+import pytest  # noqa: E402
 
 from gradedmat import cli  # noqa: E402
 import oracles  # noqa: E402
@@ -101,6 +106,18 @@ def run_workload(name: str, executed: Executed) -> List[str]:
     return failures
 
 
+def run_tests(executed: Executed) -> int:
+    """Runs the tier-1 tests under the tracer; returns pytest's exit code.  Children that
+    the tests start find the package through PYTHONPATH, as in a run from the shell."""
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                             os.environ.get("PYTHONPATH")]))
+    sys.settrace(_tracer(executed))
+    try:
+        return int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+    finally:
+        sys.settrace(None)
+
+
 def _statements(body: Sequence[ast.stmt]) -> Iterator[Tuple[int, int]]:
     """(first, last) lines of each statement of a body, nested bodies included; a compound
     statement counts by its header, and a nested def or class by its header alone."""
@@ -158,6 +175,13 @@ def main() -> int:
     for name in workloads.WORKLOADS:
         failures += run_workload(name, executed)
     print("\nstatement lines that no workload executed, per function (file:line of the def):")
+    for line in unexecuted(executed):
+        print(line)
+    print("\ntier-1 tests:", flush=True)
+    code = run_tests(executed)
+    if code:
+        failures.append(f"tier-1 tests: pytest exit code {code}")
+    print("\nstatement lines that neither a workload nor a tier-1 test executed, per function:")
     for line in unexecuted(executed):
         print(line)
     for failure in failures:
