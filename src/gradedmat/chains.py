@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .equivalence import OMEGA, DefiningSequence, Signature
-from .embeddings import _block_shifts
-from .groups import FiniteAbelianGroup, GroupElement, _Frozen, degree_classes, subgroup_generated
-from .gradings import GradedAlgebra, elementary_grading
+from .groups import (FiniteAbelianGroup, GroupElement, _Frozen, _block_shifts, degree_classes,
+                     subgroup_generated)
+
+if TYPE_CHECKING:
+    from .gradings import GradedAlgebra
 
 
 class DoubleStep(_Frozen):
@@ -220,6 +222,7 @@ class FinitaryGrading(_Frozen):
         return self.spec.unfold(depth)[-1]
 
     def truncation(self, depth: int) -> GradedAlgebra:
+        from .gradings import elementary_grading
         return elementary_grading(self.group, self.prefix(depth))
 
     def signature(self) -> Signature:

@@ -1,4 +1,7 @@
-"""Command-line interface: verify gradings, decide equivalence, build diagrams."""
+"""Command-line interface: verify gradings, decide equivalence, build diagrams.
+
+Each command imports the layers it runs, so that a child process loads only those:
+without cached bytecode every module loaded is compiled anew."""
 
 from __future__ import annotations
 
@@ -6,18 +9,15 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .chains import (BlockStep, ChainSpec, DoubleStep, TwistStep, bratteli_of_chain,
-                     diagrams_equal, steinitz_signature)
-from .embeddings import EmbeddingConditionError, block_diagonal_embedding, regularize_decomposition
-from .equivalence import DefiningSequence, build_isomorphism, decide_equivalence
-from .gradings import (GradedMap, elementary_grading, extract_cocycle,
-                       graded_homomorphism_check, verify_grading)
 from .specio import (SpecError, chain_to_json, declared_dimension, element_key,
                      element_to_json, map_to_json, matrix_to_json, parse_chain,
                      parse_embedding, parse_grading, parse_group, parse_map,
                      parse_regularize_pairs, parse_tuple, signature_to_json, witness_to_json)
+
+if TYPE_CHECKING:
+    from .chains import ChainSpec
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -90,6 +90,7 @@ def _fail(args: argparse.Namespace, problems: List[str]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .gradings import graded_homomorphism_check, verify_grading
     obj = _load_json(args.spec, "spec")
     if isinstance(obj, dict) and obj.get("kind") == "map":
         _check_map_dims(obj)
@@ -131,6 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .equivalence import DefiningSequence, decide_equivalence
     group = parse_group(_load_json(args.group, "group"))
     tau = parse_tuple(_load_json(args.tau, "tau"), group, "tau")
     tau_prime = parse_tuple(_load_json(args.tau_prime, "tau-prime"), group, "tau-prime")
@@ -144,6 +146,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         payload.update(witness_to_json(witness))
         lines.append(f"shift={element_key(witness.shift)}")
         if witness.beta is not None:
+            from .gradings import GradedMap, elementary_grading
+            from .matrices import build_isomorphism
             iso_pairs = build_isomorphism(witness.beta, len(tau))
             certificate = map_to_json(GradedMap(elementary_grading(group, tau),
                                                 elementary_grading(group, tau_prime),
@@ -155,6 +159,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
+    from .embeddings import block_diagonal_embedding
+    from .gradings import elementary_grading, graded_homomorphism_check
+    from .groups import EmbeddingConditionError
     group, source, m, r, target = parse_embedding(_load_json(args.spec, "spec"))
     _check_dim(len(target), "the target algebra")
     _check_dim(len(source), "the source algebra")
@@ -181,6 +188,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
+    from .embeddings import regularize_decomposition
+    from .gradings import graded_homomorphism_check
     obj = _load_json(args.spec, "spec")
     if not isinstance(obj, dict):
         raise SpecError("spec", "expected an object")
@@ -226,6 +235,7 @@ def _check_chain_dims(spec: ChainSpec, depth: int) -> None:
     sizes of the levels so far, refusing once they sum above cap^2; no level is built.
     A chain that grows at every step outgrows the cap first, since distinct sizes up to
     the cap sum to at most cap (cap + 1) / 2."""
+    from .chains import BlockStep
     cap = _max_dim()
     n, total = len(spec.base), 0
     for i in range(depth):
@@ -248,6 +258,7 @@ def _check_chain_dims(spec: ChainSpec, depth: int) -> None:
 
 
 def _cmd_bratteli(args: argparse.Namespace) -> int:
+    from .chains import bratteli_of_chain
     spec = parse_chain(_load_json(args.spec, "spec"))
     if args.depth < 1:
         raise InputError(f"depth must be >= 1, got {args.depth}")
@@ -270,6 +281,8 @@ def _cmd_bratteli(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_remark1(args: argparse.Namespace) -> int:
+    from .chains import (ChainSpec, DoubleStep, TwistStep, bratteli_of_chain, diagrams_equal,
+                         steinitz_signature)
     from .groups import FiniteAbelianGroup
     if args.depth < 2:
         raise InputError(f"depth must be >= 2 for the comparison, got {args.depth}")
@@ -309,6 +322,7 @@ def _cmd_demo_remark1(args: argparse.Namespace) -> int:
 
 
 def _cmd_cocycle(args: argparse.Namespace) -> int:
+    from .gradings import extract_cocycle
     obj = _load_json(args.spec, "spec")
     _check_dim(declared_dimension(obj), "the algebra")
     algebra = parse_grading(obj)

@@ -340,14 +340,21 @@ _CYC_ONE = CycNumber(1, (1,))
 
 
 def _power(x, k: int, one):
-    """x^k by repeated squaring from `one`; a negative k inverts x first."""
+    """x^k by repeated squaring, `one` for k = 0; a negative k inverts x first.  The
+    result starts as x squared up to the lowest set bit of k, and x is squared only up
+    to the top bit, so k = 2^j takes j products and no product goes unread."""
     if k < 0:
         x, k = x.inverse(), -k
-    result = one
+    if not k:
+        return one
+    while not k & 1:
+        x, k = x * x, k >> 1
+    result = x
+    k >>= 1
     while k:
+        x = x * x
         if k & 1:
             result = result * x
-        x = x * x
         k >>= 1
     return result
 

@@ -11,7 +11,6 @@ from collections import Counter
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .groups import FiniteAbelianGroup, GroupElement, _Frozen, degree_classes
-from .matrices import Matrix
 
 
 class _Omega:
@@ -160,11 +159,3 @@ def decide_equivalence(seq: DefiningSequence, seq_prime: DefiningSequence) -> Op
             pairing = tuple((g, shift * g) for g in s1.support())
             return EquivalenceWitness(shift, None, pairing)
     return None
-
-
-def build_isomorphism(beta: Sequence[int], n: int) -> Tuple[Tuple[Matrix, Matrix], ...]:
-    """Basis table of the map E_ij -> E_(beta(i) beta(j)) on M_n."""
-    if sorted(beta) != list(range(n)):
-        raise ValueError("beta must be a permutation of 0..n-1")
-    return tuple((Matrix.unit(n, i, j), Matrix.unit(n, beta[i], beta[j]))
-                 for i in range(n) for j in range(n))

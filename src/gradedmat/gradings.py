@@ -411,10 +411,6 @@ def _traces_separate(basis: Mapping[GroupElement, Matrix]) -> bool:
     return all(m.trace().is_zero() != t.is_identity() for t, m in basis.items())
 
 
-def support_is_subgroup(algebra: GradedAlgebra) -> bool:
-    return _greedy_generators(algebra.support())[1]
-
-
 def _greedy_generators(support: Sequence[GroupElement]) -> Tuple[List[GroupElement], bool]:
     """The elements of the support, in order, lying outside the span of those before them,
     and whether their span is exactly the support (in a finite group: it is a subgroup)."""

@@ -1,10 +1,11 @@
-"""Finite abelian groups given as products of cyclic factors, and their characters."""
+"""Finite abelian groups given as products of cyclic factors, their characters, and the
+block layout of degree tuples that embeddings and chains share."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNumber, root_of_unity
 
@@ -171,6 +172,49 @@ def degree_classes(tau: Sequence[GroupElement]) -> Dict[GroupElement, List[int]]
     for index, g in enumerate(tau):
         classes.setdefault(g, []).append(index)
     return classes
+
+
+class EmbeddingConditionError(ValueError):
+    """Raised when a tuple fails the repeated-ratio block condition."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def find_block_violation(h: Sequence[GroupElement], k: int, m: int, r: int) -> Optional[int]:
+    """First position i where consecutive ratios h_i^(-1) h_(i+1) differ across
+    the m size-k blocks, or None when the pattern repeats (zero-based)."""
+    h = tuple(h)
+    if k < 1 or m < 1 or r < 0:
+        raise ValueError(f"need k, m >= 1 and r >= 0, got k={k}, m={m}, r={r}")
+    if len(h) != k * m + r:
+        raise ValueError(f"tuple length {len(h)} != k*m + r = {k * m + r}")
+    for i in range(k - 1):
+        base = h[i].inverse() * h[i + 1]
+        for block in range(1, m):
+            offset = block * k
+            if h[i + offset].inverse() * h[i + offset + 1] != base:
+                return i
+    return None
+
+
+def _block_shifts(source: Sequence[GroupElement], m: int, r: int,
+                  target: Sequence[GroupElement]) -> Tuple[GroupElement, ...]:
+    """Shifts s_l = target[l k] source[0]^(-1), l < m, with target[j + l k] = s_l source[j]
+    for j < k: the m blocks repeat their ratios (else EmbeddingConditionError) and the
+    first is a translate of the source (else ValueError), so every block is one."""
+    k = len(source)
+    violation = find_block_violation(target, k, m, r)
+    if violation is not None:
+        raise EmbeddingConditionError(
+            violation, f"target tuple ratio at position {violation} differs between blocks")
+    first = source[0].inverse()
+    shift = target[0] * first
+    for alpha in range(k):
+        if target[alpha] != shift * source[alpha]:
+            raise ValueError(f"target prefix is not a translate of the source tuple at index {alpha}")
+    return tuple(target[l * k] * first for l in range(m))
 
 
 class Character(_Frozen):

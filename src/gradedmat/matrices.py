@@ -191,3 +191,12 @@ class Matrix:
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(a.to_string() for a in row) for row in self.entries)
         return f"Matrix[{rows}]"
+
+
+def build_isomorphism(beta: Sequence[int], n: int) -> Tuple[Tuple[Matrix, Matrix], ...]:
+    """Basis table of the map E_ij -> E_(beta(i) beta(j)) on M_n: the graded isomorphism
+    of an equivalence witness's index matching (equivalence.construct_beta)."""
+    if sorted(beta) != list(range(n)):
+        raise ValueError("beta must be a permutation of 0..n-1")
+    return tuple((Matrix.unit(n, i, j), Matrix.unit(n, beta[i], beta[j]))
+                 for i in range(n) for j in range(n))

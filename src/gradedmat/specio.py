@@ -1,18 +1,22 @@
-"""JSON forms of groups, matrices, gradings, maps, and chains."""
+"""JSON forms of groups, matrices, gradings, maps, and chains.
+
+Each parser imports the layers that build its result, so that a command loads only
+the modules it runs: without cached bytecode every module loaded is compiled anew."""
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
-from .chains import BlockStep, ChainSpec, ChainStep, DoubleStep, TwistStep
 from .cyclotomic import MAX_ROOT_LEVEL, parse_scalar
-from .embeddings import DecompositionPair
-from .equivalence import OMEGA, EquivalenceWitness, Signature
 from .groups import FiniteAbelianGroup, GroupElement
-from .gradings import GradedAlgebra, GradedMap, elementary_grading, epsilon_grading, \
-    induced_tensor_grading
-from .matrices import Matrix
+
+if TYPE_CHECKING:
+    from .chains import ChainSpec, ChainStep
+    from .embeddings import DecompositionPair
+    from .equivalence import EquivalenceWitness, Signature
+    from .gradings import GradedAlgebra, GradedMap
+    from .matrices import Matrix
 
 
 class SpecError(ValueError):
@@ -93,6 +97,7 @@ def parse_tuple(obj: Any, group: FiniteAbelianGroup, path: str) -> Tuple[GroupEl
 
 def parse_matrix(obj: Any, path: str, size: Optional[int] = None) -> Matrix:
     """A matrix spec; when size is given the matrix must be size x size."""
+    from .matrices import Matrix
     data = _expect(obj, dict, path, "an object")
     n = _expect(_field(data, "n", path), int, f"{path}.n", "an integer")
     if n < 1:
@@ -155,6 +160,7 @@ def parse_embedding(obj: Any, path: str = "spec") -> Tuple[
 
 def parse_decomposition_pair(obj: Any, algebra: GradedAlgebra, path: str) -> DecompositionPair:
     """Pair spec: c_basis, d_units keyed by degree, and identity, all of the algebra's size."""
+    from .embeddings import DecompositionPair
     data = _expect(obj, dict, path, "an object")
     c_obj, d_obj, id_obj = (_field(data, name, path)
                             for name in ("c_basis", "d_units", "identity"))
@@ -205,6 +211,8 @@ def group_to_json(group: FiniteAbelianGroup) -> dict:
 
 def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
     """Grading spec of kind elementary | epsilon | tensor | explicit."""
+    from .gradings import GradedAlgebra, elementary_grading, epsilon_grading, \
+        induced_tensor_grading
     data = _expect(obj, dict, path, "an object")
     kind = _expect(_field(data, "kind", path), str, f"{path}.kind", "a string")
     if kind == "elementary":
@@ -264,6 +272,7 @@ def parse_grading(obj: Any, path: str = "spec") -> GradedAlgebra:
 
 def parse_map(obj: Any, path: str = "spec") -> GradedMap:
     """Map spec: domain and codomain gradings plus basis-image pairs."""
+    from .gradings import GradedMap
     data = _expect(obj, dict, path, "an object")
     kind = _expect(_field(data, "kind", path), str, f"{path}.kind", "a string")
     if kind != "map":
@@ -324,6 +333,7 @@ def map_to_json(gmap: GradedMap) -> dict:
 
 
 def parse_chain(obj: Any, path: str = "spec") -> ChainSpec:
+    from .chains import BlockStep, ChainSpec, DoubleStep, TwistStep
     data = _expect(obj, dict, path, "an object")
     group = parse_group(_field(data, "group", path), f"{path}.group")
     base = parse_tuple(_field(data, "base", path), group, f"{path}.base")
@@ -356,6 +366,7 @@ def parse_chain(obj: Any, path: str = "spec") -> ChainSpec:
 
 
 def chain_to_json(spec: ChainSpec) -> dict:
+    from .chains import DoubleStep, TwistStep
     steps = []
     for step in spec.steps:
         if isinstance(step, DoubleStep):
@@ -374,7 +385,7 @@ def signature_to_json(sig: Signature) -> list:
     out = []
     for g, count in sig.counts:
         out.append({"degree": element_to_json(g),
-                    "count": "omega" if count is OMEGA else count})
+                    "count": count if isinstance(count, int) else "omega"})
     return out
 
 

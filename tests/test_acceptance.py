@@ -16,18 +16,16 @@ import sys
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.chains import (ChainSpec, DoubleStep, TwistStep, bratteli_of_chain,
                               diagrams_equal, steinitz_signature)
-from gradedmat.equivalence import (OMEGA, DefiningSequence, build_isomorphism,
-                                   decide_equivalence)
-from gradedmat.embeddings import (EmbeddingConditionError, block_diagonal_embedding,
-                                  find_block_violation, regularize_decomposition)
+from gradedmat.equivalence import OMEGA, DefiningSequence, decide_equivalence
+from gradedmat.embeddings import block_diagonal_embedding, regularize_decomposition
 from gradedmat.gradings import (GradedMap, character_action, elementary_grading,
                                 epsilon_grading, extract_cocycle,
                                 graded_homomorphism_check, identity_component_ideals,
                                 is_graded_subspace, is_invariant_subspace,
                                 verify_grading)
-from gradedmat.groups import FiniteAbelianGroup
+from gradedmat.groups import EmbeddingConditionError, FiniteAbelianGroup, find_block_violation
 from gradedmat.linalg import SpanSolver
-from gradedmat.matrices import Matrix
+from gradedmat.matrices import Matrix, build_isomorphism
 
 from test_embeddings import _corner_map, _source_pair, _target_pair, T_SUPPORT, G3
 from test_equivalence import exhaustive_monomial_oracle

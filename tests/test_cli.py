@@ -7,9 +7,8 @@ import sys
 
 import pytest
 
-import gradedmat.cli
 import gradedmat.embeddings
-import gradedmat.specio
+import gradedmat.gradings
 from gradedmat.cli import main
 from gradedmat.cyclotomic import parse_scalar
 from gradedmat.embeddings import DecompositionPair
@@ -417,10 +416,10 @@ _HUGE_DOMAIN_MAP = dict(_HUGE_MAP, domain=_HUGE_EPS, codomain={"kind": "epsilon"
      "the source algebra has dimension 5"),
 ])
 def test_dimension_cap_is_checked_before_anything_is_built(capsys, monkeypatch, argv, what):
+    # the parsers and the commands import the builders from gradings when they run
     for name in ("GradedAlgebra", "elementary_grading", "epsilon_grading",
                  "induced_tensor_grading"):
-        monkeypatch.setattr(gradedmat.specio, name, _refuse_to_build)
-    monkeypatch.setattr(gradedmat.cli, "elementary_grading", _refuse_to_build)
+        monkeypatch.setattr(gradedmat.gradings, name, _refuse_to_build)
     monkeypatch.setenv("GMK_MAX_DIM", "4")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

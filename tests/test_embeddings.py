@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from gradedmat import embeddings
 from gradedmat.cyclotomic import CycNumber, root_of_unity
 from gradedmat.chains import BlockStep
-from gradedmat.embeddings import (DecompositionPair, EmbeddingConditionError,
-                                  GradedVectorSpace, _block_shifts, block_diagonal_embedding,
-                                  find_block_violation,
-                                  regularize_decomposition, split_module_decomposition)
+from gradedmat.embeddings import (DecompositionPair, GradedVectorSpace,
+                                  block_diagonal_embedding, regularize_decomposition,
+                                  split_module_decomposition)
 from gradedmat.gradings import (GradedAlgebra, GradedMap, elementary_grading,
                                 graded_homomorphism_check, induced_tensor_grading)
-from gradedmat.groups import FiniteAbelianGroup
+from gradedmat.groups import (EmbeddingConditionError, FiniteAbelianGroup, _block_shifts,
+                              find_block_violation)
 from gradedmat.linalg import SpanSolver
 from gradedmat.matrices import Matrix
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedmat.equivalence import (OMEGA, DefiningSequence, EquivalenceWitness,
-                                   construct_beta, decide_equivalence, build_isomorphism)
+                                   construct_beta, decide_equivalence)
 from gradedmat.gradings import GradedMap, elementary_grading, graded_homomorphism_check
 from gradedmat.groups import FiniteAbelianGroup
+from gradedmat.matrices import build_isomorphism
 
 Z2 = FiniteAbelianGroup((2,))
 E0 = Z2.element((0,))

@@ -58,6 +58,27 @@ def test_negative_powers_invert_the_positive_ones(n):
         assert (m ** -k) * (m ** k) == Matrix.identity(n)
 
 
+@pytest.mark.parametrize("k, products", [(1, 0), (2, 1), (3, 2), (4, 2), (8, 3), (13, 5)])
+def test_power_forms_only_the_products_it_reads(monkeypatch, k, products):
+    multiply, calls = Matrix.__mul__, []
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    m = _m([[1, 1], [0, 1]])
+    assert m ** k == _m([[1, k], [0, 1]])
+    assert len(calls) == products
+
+
+def test_power_equals_repeated_products_for_scalars_and_matrices():
+    z = root_of_unity(12, 1) + CycNumber.rational(Fraction(2, 3))
+    m = _m([[2, 1, 0], [0, 1, -1], [1, 0, 1]])
+    for x, one in ((z, CycNumber.one()), (m, Matrix.identity(3))):
+        assert x ** 0 == one
+        for k in range(-3, 14):
+            expected = one
+            for _ in range(abs(k)):
+                expected = expected * (x if k > 0 else x.inverse())
+            assert x ** k == expected, (x, k)
+
+
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         _m([[1, 2], [3, 4]]) * _m([[1]])

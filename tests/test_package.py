@@ -29,7 +29,7 @@ REMOVED = {
     embeddings: ("check_block_condition",),
     embeddings.GradedVectorSpace: ("induced_tuple", "vector_degree"),
     gradings.GradedAlgebra: ("_union_basis",),
-    gradings: ("_unit_relations_hold", "matrix_degree_for_tuple"),
+    gradings: ("_unit_relations_hold", "matrix_degree_for_tuple", "support_is_subgroup"),
     chains.FinitaryGrading: ("prefixes",),
     specio: ("parse_grading_or_map", "GradingOrMap"),
     equivalence.Signature: ("is_finitary",),
@@ -176,3 +176,74 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, capture_output=True,
                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": "src"})
     assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+def _child(code, *argv):
+    """Run code in a fresh interpreter without site packages or bytecode writing."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+_LOADED = ("sys.stdout.flush(); print(' '.join(sorted(m[10:] for m in sys.modules "
+           "if m.startswith('gradedmat.'))), file=sys.stderr)")
+_RUN_CLI = ("import sys\nfrom gradedmat.cli import main\ntry:\n    main(sys.argv[1:])\n"
+            "except SystemExit:\n    pass\n" + _LOADED)
+_BASE = "cli cyclotomic groups specio"
+_BUILD = _BASE + " gradings linalg matrices"
+_CHAIN = _BASE + " chains equivalence"
+_Z2 = '{"factors": [2]}'
+_MAP = ('{"kind": "map", "domain": {"kind": "epsilon", "n": 1}, '
+        '"codomain": {"kind": "epsilon", "n": 1}, '
+        '"pairs": [[{"n": 1, "entries": [["1"]]}, {"n": 1, "entries": [["1"]]}]]}')
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], _BASE),
+    (["verify", "--spec", '{"kind": "epsilon", "n": 2}'], _BUILD),
+    (["verify", "--spec", _MAP], _BUILD),
+    (["equiv", "--group", _Z2, "--tau", "[[0], [1]]", "--tau-prime", "[[1], [0]]"],
+     _BUILD + " equivalence"),
+    (["equiv", "--group", _Z2, "--tau", "[[0], [0]]", "--tau-prime", "[[0], [1]]"],
+     _BASE + " equivalence"),
+    (["bratteli", "--spec", '{"group": ' + _Z2 + ', "base": [[0]], "steps": [{"kind": "double"}]}'],
+     _CHAIN),
+    (["demo-remark1"], _CHAIN),
+    (["cocycle", "--spec", '{"kind": "epsilon", "n": 2}'], _BUILD),
+    (["embed", "--spec", '{"group": ' + _Z2 + ', "source": [[0]], "m": 2, "r": 0, '
+                         '"target": [[0], [1]]}'], _BUILD + " embeddings"),
+], ids=["help", "verify-grading", "verify-map", "equiv-yes", "equiv-no", "bratteli",
+        "demo-remark1", "cocycle", "embed"])
+def test_each_command_loads_only_the_layers_it_runs(argv, loaded):
+    result = _child(_RUN_CLI, *argv)
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].split() == sorted(loaded.split())
+
+
+def test_importing_the_package_loads_no_submodule_until_a_name_is_read():
+    code = ("import sys, gradedmat\n" + _LOADED + "\n"
+            "assert gradedmat.gradings.__name__ == 'gradedmat.gradings'\n"
+            "from gradedmat import chains\n" + _LOADED)
+    result = _child(code)
+    bare, after = result.stderr.splitlines()
+    assert bare == ""
+    assert {"chains", "gradings"} <= set(after.split())
+
+
+def test_every_exported_name_is_its_home_module_object():
+    assert len(gradedmat.__all__) == 60
+    namespace = {}
+    exec("from gradedmat import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(gradedmat.__all__)
+    for name in gradedmat.__all__:
+        value = getattr(gradedmat, name)
+        home = getattr(value, "__module__", None) or type(value).__module__
+        assert namespace[name] is value is getattr(sys.modules[home], name), name
+    assert set(gradedmat.__all__) | {"chains", "gradings", "groups"} <= set(dir(gradedmat))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gradedmat.no_such_name
+    assert not hasattr(gradedmat, "support_is_subgroup")

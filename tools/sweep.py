@@ -25,23 +25,38 @@ split     For n = 8, 16, 32 and 64, a block-diagonal embedding of an elementary 
             embed    block_diagonal_embedding, with the build of both algebras.
 scalar    CycNumber.inverse of 1 + z + 2 z^(N/2) + 3 z^(N-2), z = zeta_N, at
           N = 101, 251, 503 and 997, with the scalar built outside the timed call.
+startup   Wall time of fresh `python -m gradedmat` children with PYTHONDONTWRITEBYTECODE=1,
+          so that every module a child loads is compiled: the median of 15 per command,
+          run in rounds over the commands, for `python -c pass`, `--help`, `verify` of an
+          elementary grading (n = 5 over Z4) and of epsilon_grading(3), `equiv` with a
+          positive and a negative answer, `bratteli`, `regularize` and `cocycle`.  Each
+          figure is printed in ms and less the `pass` baseline, with the gradedmat
+          modules the command loaded (read in one more child).
 
-Each series prints its times in ms to 0.1 ms and the slope of log time against log n,
-log |G|, log depth or log N, fitted over the sizes.
-Run from the repository root:  python tools/sweep.py
+Each size series prints its times in ms to 0.1 ms and the slope of log time against
+log n, log |G|, log depth or log N, fitted over the sizes.
+Run from the repository root:  python tools/sweep.py [SERIES ...]
+where SERIES is unit-map, group, split, scalar or startup; without one it runs the four
+size series.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import gradedmat as gm  # noqa: E402
+from gradedmat import specio  # noqa: E402
 from gradedmat.cyclotomic import CycNumber, root_of_unity  # noqa: E402
 
 
@@ -53,6 +68,7 @@ DEPTHS = (8, 16, 32, 64)
 SHIFT_FRACTION = 0.25
 LEVELS = (101, 251, 503, 997)
 REPEATS = 5
+CHILDREN = 15
 
 
 def best_of(fn) -> float:
@@ -194,11 +210,88 @@ def scalar_series() -> None:
     print(f"fitted slope: inverse {slope(inverses):.2f} (against N)")
 
 
+def _regularize_spec() -> str:
+    """The identity map of epsilon_grading(2), with the same fine pair on both sides."""
+    eps = gm.epsilon_grading(2)
+    one = gm.Matrix.identity(2)
+    units = {g: mats[0] for g, mats in eps.components.items()}
+    pair = {"c_basis": [specio.matrix_to_json(one)],
+            "d_units": {specio.element_key(g): specio.matrix_to_json(m) for g, m in units.items()},
+            "identity": specio.matrix_to_json(one)}
+    gmap = gm.GradedMap(eps, eps, tuple((m, m) for m in units.values()))
+    return json.dumps({"map": specio.map_to_json(gmap), "source": pair, "target": pair})
+
+
+def startup_commands():
+    z2, z4 = '{"factors": [2]}', '{"factors": [4]}'
+    return [
+        ("pass", ["-c", "pass"]),
+        ("--help", ["--help"]),
+        ("verify elementary", ["verify", "--spec", '{"kind": "elementary", "group": ' + z4
+                               + ', "tuple": [[0], [1], [2], [3], [1]]}']),
+        ("verify epsilon", ["verify", "--spec", '{"kind": "epsilon", "n": 3}']),
+        ("equiv positive", ["equiv", "--group", z4, "--tau", "[[0], [1], [1]]",
+                            "--tau-prime", "[[2], [3], [3]]"]),
+        ("equiv negative", ["equiv", "--group", z4, "--tau", "[[0], [1], [1]]",
+                            "--tau-prime", "[[2], [3], [2]]"]),
+        ("bratteli", ["bratteli", "--spec", '{"group": ' + z2
+                      + ', "base": [[0], [1]], "steps": [{"kind": "twist", "a": [1]}]}']),
+        ("regularize", ["regularize", "--spec", _regularize_spec()]),
+        ("cocycle", ["cocycle", "--spec", '{"kind": "epsilon", "n": 3}']),
+    ]
+
+
+LOADED = """import runpy, sys
+sys.argv[0] = "gradedmat"
+try:
+    runpy.run_module("gradedmat", run_name="__main__")
+except SystemExit:
+    pass
+sys.stdout.flush()
+print(" ".join(sorted(m[10:] for m in sys.modules if m.startswith("gradedmat."))), file=sys.stderr)
+"""
+
+
+def startup_series() -> None:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    commands = startup_commands()
+    argvs = {name: [sys.executable, *(argv if name == "pass" else ["-m", "gradedmat", *argv])]
+             for name, argv in commands}
+    times = {name: [] for name, _ in commands}
+    for _ in range(CHILDREN):  # in rounds, so that a drift of the machine reaches every command
+        for name, argv in argvs.items():
+            start = time.perf_counter()
+            result = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+            times[name].append(time.perf_counter() - start)
+            assert result.returncode in (0, 1) and not result.stderr, (name, result.stderr)
+    base = statistics.median(times["pass"])
+    if (SRC / "gradedmat" / "__pycache__").exists():
+        print("note: src/gradedmat/__pycache__ exists, so these children read cached bytecode")
+    print(f"{'command':<18} {'ms':>6} {'less pass':>10}  gradedmat modules loaded")
+    for name, argv in commands:
+        loaded = ""
+        if name != "pass":
+            probe = subprocess.run([sys.executable, "-c", LOADED, *argv], stdout=subprocess.DEVNULL,
+                                   stderr=subprocess.PIPE, text=True, env=env)
+            loaded = probe.stderr.splitlines()[-1]
+        t = statistics.median(times[name])
+        print(f"{name:<18} {ms(t):>6} {ms(t - base):>10}  {loaded}")
+
+
+SERIES = {"unit-map": lambda: unit_map_series(random.Random(0)),
+          "group": lambda: group_series(random.Random(0)),
+          "split": lambda: split_series(random.Random(0)),
+          "scalar": scalar_series,
+          "startup": startup_series}
+
+
 def main() -> None:
-    unit_map_series(random.Random(0))  # a seed per series: its inputs do not depend on the others
-    group_series(random.Random(0))
-    split_series(random.Random(0))
-    scalar_series()
+    # a seed per series: its inputs do not depend on the others
+    for name in sys.argv[1:] or ["unit-map", "group", "split", "scalar"]:
+        if name not in SERIES:
+            sys.exit(f"unknown series {name!r}; choose from {', '.join(SERIES)}")
+        SERIES[name]()
 
 
 if __name__ == "__main__":
