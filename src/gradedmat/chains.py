@@ -36,10 +36,14 @@ class BlockStep(_Frozen):
     r: int
     target: Tuple[GroupElement, ...]
 
-    def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
+    def shifts(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
+        """The shifts of the target's layout over tau (_block_shifts), which checks it."""
         if len(tau) != self.k:
             raise ValueError(f"block step expects a source tuple of length {self.k}, got {len(tau)}")
-        _block_shifts(tau, self.m, self.r, self.target)
+        return _block_shifts(tau, self.m, self.r, self.target)
+
+    def extend(self, tau: Tuple[GroupElement, ...]) -> Tuple[GroupElement, ...]:
+        self.shifts(tau)
         return self.target
 
 
@@ -139,10 +143,10 @@ def _shifts(step: ChainStep, identity: GroupElement,
     """The s with which a step sends every entry g of a level to the entries s g.
 
     A doubling has (e, e) and a twist by a has (e, a).  A block step has the shifts
-    of its target's layout over the level it extends (_block_shifts).
+    of its target's layout over the level it extends (BlockStep.shifts).
     """
     if isinstance(step, BlockStep):
-        return _block_shifts(level, step.m, step.r, step.target)
+        return step.shifts(level)
     return (identity, step.a if isinstance(step, TwistStep) else identity)
 
 
@@ -152,8 +156,9 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
     Multiplicity g -> h counts the images of one diagonal unit of class g in class h.
     A step sends every entry g to s g for each of its shifts s, so the level counts
     walk as c_(i+1)(h) = sum_s c_i(s^-1 h) in O(depth |supp|), plus the r remainder
-    entries of a block step, which have no incoming edge.  Tuples are unfolded only
-    when a block step is present, to validate it and to read its shifts off its level.
+    entries of a block step, which have no incoming edge.  Tuples are walked only
+    when a block step is present, level by level as `ChainSpec.unfold` builds them, so
+    that each block step is checked once, with its shifts read off the same check.
     The support stops growing after a few levels, so each product s g is formed once
     per call and looked up at every later level.
     """
@@ -161,15 +166,21 @@ def bratteli_of_chain(spec: ChainSpec, depth: int) -> BratteliDiagram:
         raise ValueError(f"depth must be >= 1, got {depth}")
     identity = spec.group.identity()
     has_block = any(isinstance(step, BlockStep) for step in spec.steps)
-    tuples = spec.unfold(depth) if has_block else None
+    tau = spec.base if has_block else None
     dims = [{g: len(members) for g, members in degree_classes(spec.base).items()}]
     edges: List[Dict[Tuple[GroupElement, GroupElement], int]] = []
     products: Dict[GroupElement, Dict[GroupElement, GroupElement]] = {}  # s -> {g: s g}
     for i in range(depth - 1):
         step = spec.step_at(i)
+        try:
+            shifts = _shifts(step, identity, tau)
+        except ValueError as exc:
+            raise ValueError(f"step {i} rejected: {exc}") from exc
+        if tau is not None:
+            tau = step.target if isinstance(step, BlockStep) else step.extend(tau)
         counts: Dict[GroupElement, int] = {}
         layer: Dict[Tuple[GroupElement, GroupElement], int] = {}
-        for s in _shifts(step, identity, tuples[i] if tuples else None):
+        for s in shifts:
             fixed = s.is_identity()
             shifted = products.setdefault(s, {})
             for g, c in dims[-1].items():

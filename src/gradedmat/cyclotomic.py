@@ -101,6 +101,38 @@ def _reduce(level: int, poly: List[int], den: int) -> "CycNumber":
     return _canonical(level, poly, den)
 
 
+# level N -> (M, {nums: e}, {e: root}): the signed roots +-zeta_N^k = zeta_M^e built so far,
+# with M = N for even N and M = 2N for odd N, where zeta_2N = -zeta_N^((N+1)/2)
+_root_cache: dict = {}
+
+
+def _signed_root(level: int, e: int) -> "CycNumber":
+    """zeta_M^e at level N, the one stored instance, built by one _reduce on first use.
+
+    zeta_M^(M/2) = -1, so a root is stored together with its negation at e + M/2; the
+    factors -vec[pivot] of an elimination then hit the table too.  A level's table holds
+    only the roots that were asked for or reached by a product or an inverse, and their
+    negations; it is never built whole, since a level may have up to 2 MAX_ROOT_LEVEL roots.
+    """
+    table = _root_cache.get(level)
+    if table is None:
+        table = _root_cache[level] = (2 * level if level % 2 else level, {}, {})
+    modulus, exponents, roots = table
+    e %= modulus
+    root = roots.get(e)
+    if root is None:
+        if level % 2:  # (-zeta_N^((N+1)/2))^e
+            k, sign = e * (level + 1) // 2 % level, -1 if e % 2 else 1
+        else:
+            k, sign = e, 1
+        root = _reduce(level, [0] * k + [sign], 1)
+        negation = CycNumber(level, tuple(-c for c in root.nums), 1)
+        opposite = (e + modulus // 2) % modulus
+        roots[e], roots[opposite] = root, negation
+        exponents[root.nums], exponents[negation.nums] = e, opposite
+    return root
+
+
 class CycNumber:
     """An element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
@@ -108,6 +140,16 @@ class CycNumber:
     reduced modulo Phi_N, trimmed and in lowest terms: `nums` never ends in a
     zero, gcd(den, *nums) == 1, and zero is ((), 1). Representations at a fixed
     level are therefore canonical, and equality at a common level is tuple equality.
+
+    Roots of unity multiply and invert by exponent.  The signed roots +-zeta_N^k of
+    a level are the M-th roots zeta_M^e (M = N for even N, 2N for odd N), and each
+    one built is stored in its level's table under its `nums` (_signed_root).  A
+    product of two stored roots at one level is the entry for e1 + e2, and the
+    inverse of one is the entry for -e.  That entry is the canonical form of
+    zeta_M^(e1 + e2) = zeta_M^e1 zeta_M^e2, and canonical forms are unique per
+    level, so it is the (level, nums, den) that the polynomial product or the
+    Euclid returns.  Since a root is found by its value, it hits however it was
+    produced.
     """
 
     __slots__ = ("level", "nums", "den")
@@ -212,9 +254,6 @@ class CycNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "CycNumber":
-        return (-self) + other
-
     def __mul__(self, other) -> "CycNumber":
         if other.__class__ is not CycNumber:
             other = CycNumber._coerce(other)
@@ -233,6 +272,14 @@ class CycNumber:
             return _canonical(level, [c * v for v in x.nums], d * x.den)
         if x.level != y.level:
             x, y = x.lift(level), y.lift(level)
+        elif x.den == 1 == y.den:
+            table = _root_cache.get(level)
+            if table is not None:
+                ex = table[1].get(x.nums)
+                if ex is not None:
+                    ey = table[1].get(y.nums)
+                    if ey is not None:
+                        return _signed_root(level, ex + ey)
         a, b = x.nums, y.nums
         prod = [0] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
@@ -244,7 +291,8 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse by an extended Euclid on integer polynomials mod Phi_N.
+        """Multiplicative inverse by an extended Euclid on integer polynomials mod Phi_N;
+        a stored root of unity zeta_M^e is inverted by its table entry for -e instead.
 
         The rows keep s * nums == r (mod Phi_N), starting from (Phi_N, 0) and (nums, 1).
         A step cancels the leading term of r0 against r1: (r0, s0) becomes
@@ -263,6 +311,11 @@ class CycNumber:
             if c == d or c == -d:  # 1 and -1 are their own inverses
                 return self
             return CycNumber(self.level, (d,), c) if c > 0 else CycNumber(self.level, (-d,), -c)
+        table = _root_cache.get(self.level)
+        if table is not None and self.den == 1:
+            e = table[1].get(nums)
+            if e is not None:
+                return _signed_root(self.level, -e)
         r0, r1 = list(_fold(self.level)[2]), list(nums)
         s0: List[int] = []
         s1 = [1]
@@ -299,9 +352,6 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "CycNumber":
-        return CycNumber._coerce(other) * self.inverse()
 
     def __pow__(self, exponent: int) -> "CycNumber":
         return _power(self, exponent, CycNumber.one())
@@ -360,11 +410,10 @@ def _power(x, k: int, one):
 
 
 def root_of_unity(level: int, power: int = 1) -> CycNumber:
-    """zeta_N^k at level N."""
+    """zeta_N^k at level N: the stored instance of _signed_root, zeta_N = zeta_M^(M/N)."""
     if level < 1:
         raise ValueError(f"level must be positive, got {level}")
-    k = power % level
-    return _reduce(level, [0] * k + [1], 1)
+    return _signed_root(level, 2 * power if level % 2 else power)
 
 
 _TERM_RE = re.compile(

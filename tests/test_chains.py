@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradedmat.chains
 from gradedmat.chains import (BlockStep, BratteliDiagram, ChainSpec, DoubleStep,
                               FinitaryGrading, TwistStep, bratteli_of_chain,
                               chain_union_finitary, diagrams_equal, steinitz_signature)
@@ -69,12 +70,34 @@ def test_block_step_extends_explicitly():
 
 def test_block_step_rejections_carry_the_step_index():
     bad = ChainSpec(Z2, (E0, A0), (BlockStep(2, 2, 0, (E0, A0, E0, E0)),))
-    with pytest.raises(ValueError, match="step 0 rejected"):
-        bad.unfold(2)
     wrong_length = ChainSpec(Z2, (E0, A0),
                              (DoubleStep(), BlockStep(2, 2, 0, (E0, A0, E0, A0))))
-    with pytest.raises(ValueError, match="step 1 rejected"):
-        wrong_length.unfold(3)
+    for spec, depth, index in ((bad, 2, 0), (wrong_length, 3, 1)):
+        with pytest.raises(ValueError, match=f"step {index} rejected") as unfolded:
+            spec.unfold(depth)
+        with pytest.raises(ValueError) as walked:  # bratteli_of_chain walks the steps itself
+            bratteli_of_chain(spec, depth)
+        assert str(walked.value) == str(unfolded.value)
+        assert type(walked.value.__cause__) is type(unfolded.value.__cause__)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 8, 64])
+def test_bratteli_checks_each_block_step_once(depth, monkeypatch):
+    calls = []
+    check = gradedmat.chains._block_shifts
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(gradedmat.chains, "_block_shifts", counted)
+    spec = ChainSpec(Z12, (Z12.element((3,)), Z12.element((5,))),
+                     (BlockStep(2, 1, 0, (Z12.element((7,)), Z12.element((9,)))),
+                      BlockStep(2, 1, 0, (Z12.element((3,)), Z12.element((5,))))))
+    diagram = bratteli_of_chain(spec, depth)
+    assert len(calls) == depth - 1
+    want = _walked_diagram(spec, depth)
+    assert diagram.levels == want.levels and diagram.edges == want.edges
 
 
 def test_bratteli_levels_and_dimensions():

@@ -525,3 +525,111 @@ def test_mixed_levels_meet_at_their_lcm():
     assert lifted != root_of_unity(3, 2) and root_of_unity(3, 2) != lifted
     assert half == half.lift(6) and half.lift(6) == Fraction(-1, 2) and half.lift(6) != 1
     assert (lifted + z3).level == 12 and lifted + z3 == z3 * 2
+
+
+# --- the table of signed roots: products and inverses by exponent ------------
+
+def _convolution(x, y):
+    """The integer coefficients of x * y before reduction, skipping zero numerators,
+    and their denominator."""
+    out = [0] * max(0, len(x.nums) + len(y.nums) - 1)
+    for i, u in enumerate(x.nums):
+        if u:
+            for j, v in enumerate(y.nums, i):
+                if v:
+                    out[j] += u * v
+    return tuple(out), x.den * y.den
+
+
+def _from_convolution(level, conv):
+    nums, den = conv
+    return _form(CycNumber.from_poly(level, [Fraction(c, den) for c in nums]))
+
+
+def _signed_roots(level):
+    """(sign, k, +-zeta^k) for every signed root at the level, each checked against from_poly.
+    The negations are fresh instances, so the table finds them by value."""
+    roots = []
+    for k in range(level):
+        z = root_of_unity(level, k)
+        assert _form(z) == _form(CycNumber.from_poly(level, [0] * k + [1]))
+        roots += [(1, k, z), (-1, k, -z)]
+    return roots
+
+
+@pytest.mark.parametrize("level", list(range(1, 37)) + [60, 64, 97])
+def test_root_products_and_inverses_equal_the_polynomial_path(level):
+    reference = {}  # from_poly is a function of its input, so each convolution is reduced once
+    # from an empty table, the powers of -zeta build every entry through a product first
+    gradedmat.cyclotomic._root_cache.pop(level, None)
+    w = -root_of_unity(level, 1)
+    power = w
+    for _ in range(2 * level):
+        conv = _convolution(power, w)
+        power = power * w
+        assert _form(power) == _from_convolution(level, conv)
+    assert _form(power) == _form(w)
+    roots = _signed_roots(level)
+    for sign, k, x in roots:
+        inverse = x.inverse()
+        assert _form(inverse) == _form(CycNumber.from_poly(level, [0] * (-k % level) + [sign]))
+        assert x * inverse == 1
+        for _, _, y in roots:
+            conv = _convolution(x, y)
+            if conv not in reference:
+                reference[conv] = _from_convolution(level, conv)
+            assert _form(x * y) == reference[conv]
+    exponents = gradedmat.cyclotomic._root_cache[level][1]
+    assert all(x.nums in exponents for _, _, x in roots)
+
+
+def test_the_table_is_filled_one_root_at_a_time():
+    gradedmat.cyclotomic._root_cache.pop(997, None)
+    z = root_of_unity(997, 5)
+    square = z * z
+    assert _form(square) == _form(root_of_unity(997, 10))
+    modulus, exponents, roots = gradedmat.cyclotomic._root_cache[997]
+    assert modulus == 2 * 997
+    assert len(exponents) == len(roots) <= 4
+    assert square.nums in exponents and (-z).nums in exponents
+
+
+def test_stored_roots_multiply_and_invert_without_reduction(monkeypatch):
+    z = root_of_unity(12, 5)
+    w = -root_of_unity(12, 7)
+    expected = [_form(v) for v in (z * w, z * z, w.inverse(), z.inverse(), w * w.inverse())]
+
+    def refuse(*args):
+        raise AssertionError("a stored root went through the polynomial path")
+
+    monkeypatch.setattr(gradedmat.cyclotomic, "_reduce", refuse)
+    assert [_form(v) for v in (z * w, z * z, w.inverse(), z.inverse(), w * w.inverse())] == expected
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 12, 97])
+def test_root_of_unity_returns_the_stored_instance(level):
+    for k in (-level - 1, -1, 0, 1, 2, level + 3):
+        assert root_of_unity(level, k) is root_of_unity(level, k + level)
+        assert root_of_unity(level, k) is root_of_unity(level, k % level)
+
+
+_TABLE_LEVELS = (3, 4, 5, 12)
+
+_table_scalars = st.one_of(
+    st.builds(lambda sign, level, k: root_of_unity(level, k) * sign,
+              st.sampled_from((1, -1)), st.sampled_from(_TABLE_LEVELS), st.integers(-12, 12)),
+    st.builds(CycNumber.rational, st.fractions(-6, 6, max_denominator=6)),
+    st.builds(CycNumber.from_poly, st.sampled_from(_TABLE_LEVELS),
+              st.lists(st.fractions(-6, 6, max_denominator=6), max_size=8)))
+
+
+def _product_reference(x, y):
+    level = math.lcm(x.level, y.level)
+    return _from_convolution(level, _convolution(x.lift(level), y.lift(level)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_scalars, _table_scalars, _table_scalars)
+def test_products_of_roots_and_scalars_commute_associate_and_match_from_poly(x, y, z):
+    assert _form(x * y) == _form(y * x) == _product_reference(x, y)
+    assert _form((x * y) * z) == _form(x * (y * z))

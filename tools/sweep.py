@@ -25,6 +25,10 @@ split     For n = 8, 16, 32 and 64, a block-diagonal embedding of an elementary 
             embed    block_diagonal_embedding, with the build of both algebras.
 scalar    CycNumber.inverse of 1 + z + 2 z^(N/2) + 3 z^(N-2), z = zeta_N, at
           N = 101, 251, 503 and 997, with the scalar built outside the timed call.
+fine      For n = 5, 7, 9, 11 and 13, the clock-and-shift basis epsilon_grading(n) over
+          Z_n x Z_n, whose entries and cocycle values are roots of unity:
+            verify   verify_grading, with the build of the algebra;
+            cocycle  extract_cocycle, with the build of the algebra.
 startup   Wall time of fresh `python -m gradedmat` children with PYTHONDONTWRITEBYTECODE=1,
           so that every module a child loads is compiled: the median of 15 per command,
           run in rounds over the commands, for `python -c pass`, `--help`, `verify` of an
@@ -36,8 +40,8 @@ startup   Wall time of fresh `python -m gradedmat` children with PYTHONDONTWRITE
 Each size series prints its times in ms to 0.1 ms and the slope of log time against
 log n, log |G|, log depth or log N, fitted over the sizes.
 Run from the repository root:  python tools/sweep.py [SERIES ...]
-where SERIES is unit-map, group, split, scalar or startup; without one it runs the four
-size series.
+where SERIES is unit-map, group, split, scalar, fine or startup; without one it runs the
+five size series.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ ORDERS = (10, 20, 30, 40)
 DEPTHS = (8, 16, 32, 64)
 SHIFT_FRACTION = 0.25
 LEVELS = (101, 251, 503, 997)
+FINE_SIZES = (5, 7, 9, 11, 13)
 REPEATS = 5
 CHILDREN = 15
 
@@ -210,6 +215,23 @@ def scalar_series() -> None:
     print(f"fitted slope: inverse {slope(inverses):.2f} (against N)")
 
 
+def fine_series() -> None:
+    verifies, cocycles = [], []
+    print(f"{'n':>6} {'verify ms':>10} {'cocycle ms':>11}")
+    for n in FINE_SIZES:
+        def verify():
+            assert gm.verify_grading(gm.epsilon_grading(n)).passed
+
+        def cocycle():
+            return gm.extract_cocycle(gm.epsilon_grading(n))
+
+        t_verify, t_cocycle = best_of(verify), best_of(cocycle)
+        verifies.append((n, t_verify))
+        cocycles.append((n, t_cocycle))
+        print(f"{n:>6} {ms(t_verify):>10} {ms(t_cocycle):>11}")
+    print(f"fitted slopes: verify {slope(verifies):.2f}, cocycle {slope(cocycles):.2f} (against n)")
+
+
 def _regularize_spec() -> str:
     """The identity map of epsilon_grading(2), with the same fine pair on both sides."""
     eps = gm.epsilon_grading(2)
@@ -283,12 +305,13 @@ SERIES = {"unit-map": lambda: unit_map_series(random.Random(0)),
           "group": lambda: group_series(random.Random(0)),
           "split": lambda: split_series(random.Random(0)),
           "scalar": scalar_series,
+          "fine": fine_series,
           "startup": startup_series}
 
 
 def main() -> None:
     # a seed per series: its inputs do not depend on the others
-    for name in sys.argv[1:] or ["unit-map", "group", "split", "scalar"]:
+    for name in sys.argv[1:] or ["unit-map", "group", "split", "scalar", "fine"]:
         if name not in SERIES:
             sys.exit(f"unknown series {name!r}; choose from {', '.join(SERIES)}")
         SERIES[name]()
